@@ -8,11 +8,12 @@ any round that strictly reduces that error is guaranteed to strictly
 increase the training significance; ``monotonicity_audit`` checks this
 chain on recorded traces.
 
-Two variants are provided.  The fresh variant trains a new model every
+One round loop, ``run_cascade``, serves both variants; they differ only in
+the classification step.  The fresh variant trains a new model every
 round, watches validation significance for a stall, runs a fixed number of
-extra rounds afterwards, and returns the best round's model.  The
-warm-start variant grows one persistent boosted model by a single tree per
-round and always runs the full budget.
+extra rounds afterwards (never past T), and returns the best round's
+model.  The warm-start variant grows one persistent boosted model by a
+single tree per round and always runs the full budget.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .significance import (
     confusion_summary,
     optimal_u,
     resolve_measure,
-    significance,
     significance_curve,
 )
 
@@ -57,6 +57,7 @@ __all__ = [
     "AuditReport",
     "Ensemble",
     "default_u0",
+    "derive_seed",
     "run_cascade",
     "run_cascade_fresh",
     "run_cascade_warmstart",
@@ -203,16 +204,6 @@ def default_u0(
     return clamp_dual(float(measure.f_prime(train_data.signal_total / denominator)))
 
 
-def _safe_significance(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:
-    # s = 0 scores 0; a selection with zero background is a supremum, not
-    # an error, when ranking rounds
-    if summary.s == 0.0:
-        return 0.0
-    if summary.b <= 0.0:
-        return math.inf
-    return significance(summary, measure)
-
-
 def _next_dual(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:
     # degenerate summaries floor/ceiling the dual instead of aborting the run
     if summary.b <= 0.0:
@@ -220,50 +211,50 @@ def _next_dual(summary: ConfusionSummary, measure: SignificanceMeasure) -> float
     return optimal_u(summary, measure)
 
 
-def _round_seed(cascade_seed: int, round_index: int) -> int:
-    # independent learner stream per fresh-variant round, reproducible from
-    # the single cascade seed
-    return int(
-        np.random.SeedSequence([cascade_seed, round_index]).generate_state(1)[0]
-    )
+def derive_seed(seed: int, *keys: int) -> int:
+    """The package's one seed derivation: word 0 of ``SeedSequence([seed, *keys])``."""
+    return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
 
 
-def _derived_seed(cascade_seed: int, repeat_index: int) -> int:
-    return int(
-        np.random.SeedSequence([cascade_seed, 7919, repeat_index]).generate_state(1)[0]
-    )
-
-
-def run_cascade_fresh(
+def run_cascade(
     train_data: WeightedDataset,
     validation: WeightedDataset,
     config: CascadeConfig,
 ) -> tuple[Model, CascadeTrace]:
-    """Fresh-model cascade: returns the round with the best validation score.
+    """Run the cascade variant named by ``config.variant``.
 
-    Each round trains a new model under the incumbent dual weight, then
-    moves the dual to the closed-form optimum of the designated summary.
-    After validation significance first fails to increase, the loop runs
-    ``extra_rounds_after_stall`` more rounds and stops (never past T).
+    Every round costs the training set under the incumbent dual weight,
+    takes the variant's classification step (see the module docstring),
+    then moves the dual to the closed-form optimum of the designated
+    summary.  With ``update_duals`` off the warm-start variant is exactly
+    plain cost-weighted boosting for T rounds (same seed, same scores bit
+    for bit).
     """
-    if config.variant != "fresh":
-        raise ConfigError(f"run_cascade_fresh requires variant 'fresh', got {config.variant!r}")
+    fresh = config.variant == "fresh"
+    if not fresh and config.learner.kind == "logistic":
+        raise ConfigError("the warm-start variant requires a boosting learner kind")
     measure = resolve_measure(config.measure)
     source = config.effective_validation_source
     u = clamp_dual(config.u0) if config.u0 is not None else default_u0(
         train_data, config.b_reg, measure
     )
 
+    warm_config = replace(config.learner, seed=config.seed)
     records: list[RoundRecord] = []
     models: list[Model] = []
     stall_round: Optional[int] = None
-    stop_after: Optional[int] = None
-    prev_val_sig: Optional[float] = None
+    stop_after = config.T
 
     for t in range(1, config.T + 1):
         costs = make_cost_vector(train_data, u, measure)
-        learner_config = replace(config.learner, seed=_round_seed(config.seed, t))
-        model = train(train_data, costs, learner_config)
+        if fresh:
+            model = train(
+                train_data, costs, replace(config.learner, seed=derive_seed(config.seed, t))
+            )
+        elif t == 1:
+            model = train(train_data, costs, replace(warm_config, rounds=1))
+        else:
+            model = boost_one_round(model, train_data, costs, warm_config)
 
         train_preds = classify(model, train_data)
         val_preds = classify(model, validation)
@@ -271,8 +262,9 @@ def run_cascade_fresh(
         val_summary = confusion_summary(validation, val_preds, config.b_reg)
         designated = train_summary if source == "training" else val_summary
 
-        train_sig = _safe_significance(train_summary, measure)
-        val_sig = _safe_significance(val_summary, measure)
+        # lenient: a zero-background selection ranks rounds as +inf, not an error
+        train_sig = float(significance_curve(train_summary.s, train_summary.b, measure))
+        val_sig = float(significance_curve(val_summary.s, val_summary.b, measure))
         u_next = _next_dual(designated, measure) if config.update_duals else u
 
         records.append(
@@ -287,14 +279,13 @@ def run_cascade_fresh(
                 val_summary=val_summary,
             )
         )
-        models.append(model)
-
-        if stall_round is None and prev_val_sig is not None and val_sig <= prev_val_sig:
-            stall_round = t
-            stop_after = min(config.T, t + config.extra_rounds_after_stall)
-        prev_val_sig = val_sig
-        if stop_after is not None and t >= stop_after:
-            break
+        if fresh:
+            models.append(model)
+            if stall_round is None and t > 1 and val_sig <= records[-2].val_sig:
+                stall_round = t
+                stop_after = min(config.T, t + config.extra_rounds_after_stall)
+            if t >= stop_after:
+                break
         u = u_next
 
     val_sigs = [r.val_sig for r in records]
@@ -302,16 +293,31 @@ def run_cascade_fresh(
         raise CascadeError(
             "every round selected zero validation signal; no usable model"
         )
-    chosen = int(np.argmax(val_sigs))  # first maximum on ties
+    if fresh:
+        chosen_round = int(np.argmax(val_sigs)) + 1  # first maximum on ties
+        model = models[chosen_round - 1]
+    else:
+        chosen_round = config.T
     trace = CascadeTrace(
         records=tuple(records),
-        chosen_round=chosen + 1,
-        variant="fresh",
+        chosen_round=chosen_round,
+        variant=config.variant,
         validation_source=source,
         measure_kind=measure.name,
         stall_round=stall_round,
     )
-    return models[chosen], trace
+    return model, trace
+
+
+def run_cascade_fresh(
+    train_data: WeightedDataset,
+    validation: WeightedDataset,
+    config: CascadeConfig,
+) -> tuple[Model, CascadeTrace]:
+    """``run_cascade`` for a config whose variant is 'fresh'."""
+    if config.variant != "fresh":
+        raise ConfigError(f"run_cascade_fresh requires variant 'fresh', got {config.variant!r}")
+    return run_cascade(train_data, validation, config)
 
 
 def run_cascade_warmstart(
@@ -319,78 +325,12 @@ def run_cascade_warmstart(
     validation: WeightedDataset,
     config: CascadeConfig,
 ) -> tuple[Model, CascadeTrace]:
-    """Persistent-model cascade: one new tree per round, full T rounds.
-
-    With ``update_duals`` off this is exactly plain cost-weighted boosting
-    for T rounds (same seed, same scores bit for bit).
-    """
+    """``run_cascade`` for a config whose variant is 'warmstart'."""
     if config.variant != "warmstart":
         raise ConfigError(
             f"run_cascade_warmstart requires variant 'warmstart', got {config.variant!r}"
         )
-    if config.learner.kind == "logistic":
-        raise ConfigError("the warm-start variant requires a boosting learner kind")
-    measure = resolve_measure(config.measure)
-    source = config.effective_validation_source
-    u = clamp_dual(config.u0) if config.u0 is not None else default_u0(
-        train_data, config.b_reg, measure
-    )
-
-    learner_config = replace(config.learner, seed=config.seed)
-    records: list[RoundRecord] = []
-    model: Optional[Model] = None
-
-    for t in range(1, config.T + 1):
-        costs = make_cost_vector(train_data, u, measure)
-        if model is None:
-            model = train(train_data, costs, replace(learner_config, rounds=1))
-        else:
-            model = boost_one_round(model, train_data, costs, learner_config)
-
-        train_preds = classify(model, train_data)
-        val_preds = classify(model, validation)
-        train_summary = confusion_summary(train_data, train_preds, config.b_reg)
-        val_summary = confusion_summary(validation, val_preds, config.b_reg)
-        designated = train_summary if source == "training" else val_summary
-
-        u_next = _next_dual(designated, measure) if config.update_duals else u
-        records.append(
-            RoundRecord(
-                round_index=t,
-                u_prev=u,
-                weighted_err=weighted_error(train_data, costs, train_preds),
-                train_sig=_safe_significance(train_summary, measure),
-                val_sig=_safe_significance(val_summary, measure),
-                u_next=u_next,
-                train_summary=train_summary,
-                val_summary=val_summary,
-            )
-        )
-        u = u_next
-
-    if max(r.val_sig for r in records) <= 0.0:
-        raise CascadeError(
-            "every round selected zero validation signal; no usable model"
-        )
-    trace = CascadeTrace(
-        records=tuple(records),
-        chosen_round=config.T,
-        variant="warmstart",
-        validation_source=source,
-        measure_kind=measure.name,
-    )
-    return model, trace
-
-
-def run_cascade(
-    train_data: WeightedDataset,
-    validation: WeightedDataset,
-    config: CascadeConfig,
-) -> tuple[Model, CascadeTrace]:
-    """Dispatch on config.variant."""
-    if config.variant == "fresh":
-        return run_cascade_fresh(train_data, validation, config)
-    return run_cascade_warmstart(train_data, validation, config)
+    return run_cascade(train_data, validation, config)
 
 
 def rerun_cascade(
@@ -412,7 +352,7 @@ def rerun_cascade(
         raise ConfigError(f"top_k must be >= 1, got {top_k!r}")
     results = []
     for r in range(repeats):
-        run_config = replace(config, seed=_derived_seed(config.seed, r))
+        run_config = replace(config, seed=derive_seed(config.seed, 7919, r))
         results.append(run_cascade(train_data, validation, run_config))
     results.sort(key=lambda pair: -max(rec.val_sig for rec in pair[1].records))
     return results[: top_k if top_k is not None else len(results)]
@@ -470,11 +410,8 @@ def ensemble_average(
         raise ValueError("ensemble_average requires at least one model")
     if weights is None:
         weights = [1.0] * len(models)
+    # Ensemble validates the count and signs of the normalized weights
     raw = [float(w) for w in weights]
-    if len(raw) != len(models):
-        raise ValueError("one mixing weight per model required")
-    if any(w < 0.0 for w in raw):
-        raise ValueError("mixing weights must be nonnegative")
     total = sum(raw)
     if total <= 0.0:
         raise ValueError("mixing weights must have positive sum")

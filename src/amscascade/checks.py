@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cascade import select_threshold
+from .cascade import derive_seed, select_threshold
 from .data import WeightedDataset
 from .learner import surrogate_gradient, surrogate_loss
 from .significance import (
@@ -43,10 +43,6 @@ class CheckResult:
     instances: int
     worst: float
     detail: str = ""
-
-
-def _spawn_seed(seed, index):
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 def perturbed_conjugate_measure(measure, offset=1e-3):
@@ -294,9 +290,9 @@ def run_all_checks(seed=0, instances=None, inject_fault=False):
         fy_measures = (perturbed_conjugate_measure(AMS2), AMS3)
 
     return [
-        check_fenchel_young(_spawn_seed(seed, 1), fy_n, measures=fy_measures),
-        check_grid_optimum(_spawn_seed(seed, 2), grid_n),
-        check_duality(_spawn_seed(seed, 3), dual_n),
-        check_gradient(_spawn_seed(seed, 4), grad_n),
-        check_threshold_scan(_spawn_seed(seed, 5), scan_n),
+        check_fenchel_young(derive_seed(seed, 1), fy_n, measures=fy_measures),
+        check_grid_optimum(derive_seed(seed, 2), grid_n),
+        check_duality(derive_seed(seed, 3), dual_n),
+        check_gradient(derive_seed(seed, 4), grad_n),
+        check_threshold_scan(derive_seed(seed, 5), scan_n),
     ]

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .cascade import (
     CascadeConfig,
+    derive_seed,
     parse_cascade_config,
     run_cascade,
     write_trace_csv,
@@ -139,10 +140,6 @@ def _parse_synth_spec(spec):
     return SynthConfig(**params)
 
 
-def _spawn_seed(seed, index):
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
 def _dataset_fingerprint(dataset, content_hash):
     return {
         "rows": dataset.n,
@@ -166,7 +163,7 @@ def _load_dataset(args, seed):
         return dataset, _dataset_fingerprint(dataset, hashlib.sha256(raw).hexdigest())
     if args.synth is not None:
         config = _parse_synth_spec(args.synth)
-        dataset = synthesize(config, _spawn_seed(seed, 101))
+        dataset = synthesize(config, derive_seed(seed, 101))
         digest = hashlib.sha256()
         digest.update(dataset.features.tobytes())
         digest.update(dataset.labels.astype(np.int64).tobytes())
@@ -224,7 +221,7 @@ def cmd_cascade(args):
     val_frac = DEFAULT_VAL_FRAC if args.val_frac is None else args.val_frac
     dataset, fingerprint = _load_dataset(args, config.seed)
     train_ds, val_ds = split(
-        dataset, SplitSpec(validation_fraction=val_frac, seed=_spawn_seed(config.seed, 102))
+        dataset, SplitSpec(validation_fraction=val_frac, seed=derive_seed(config.seed, 102))
     )
 
     os.makedirs(args.out_dir, exist_ok=True)

@@ -22,7 +22,7 @@ from scipy.special import expit
 
 from .data import WeightedDataset
 from .errors import ConfigError, DataError, TrainingError
-from .significance import U_MIN, SignificanceMeasure
+from .significance import SignificanceMeasure, validate_dual
 
 __all__ = [
     "CostVector",
@@ -214,8 +214,7 @@ def make_cost_vector(
     dataset: WeightedDataset, u: float, measure: SignificanceMeasure
 ) -> CostVector:
     """Per-example costs for one round: signal w*u, background w*f*(u)."""
-    if not math.isfinite(u) or u < U_MIN:
-        raise ValueError(f"dual weight must be >= {U_MIN}, got {u!r}")
+    validate_dual(u)
     background_rate = float(measure.f_conjugate(u))
     costs = np.where(dataset.labels == 1, dataset.weights * u, dataset.weights * background_rate)
     return CostVector(costs=costs, round_dual=u)
@@ -618,10 +617,23 @@ class _LineReader:
 
 
 def load_model(path: str) -> Model:
-    """Parse a model saved by save_model."""
-    with open(path, "r") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    reader = _LineReader(lines)
+    """Parse a model saved by save_model.
+
+    An unreadable file or a malformed field raises DataError.
+    """
+    try:
+        with open(path, "r") as handle:
+            lines = [line.rstrip("\n") for line in handle]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read model {path!r}: {exc}") from None
+    try:
+        return _parse_model(_LineReader(lines), path)
+    except (ValueError, IndexError) as exc:
+        # int()/float() on a bad field, a short line, an out-of-range index
+        raise DataError(f"model file {path!r}: malformed field ({exc})") from None
+
+
+def _parse_model(reader: _LineReader, path: str) -> Model:
     if reader.next() != _FORMAT_HEADER:
         raise DataError(f"{path!r} is not a model file (bad header)")
     kind = reader.expect("kind")[1]
@@ -670,6 +682,11 @@ def load_model(path: str) -> Model:
                     left[k] = int(parts[5])
                     right[k] = int(parts[6])
                     missing[k] = parts[7] == "left"
+                    # save_model writes nodes in preorder, so children follow
+                    # their parent; anything else would send predict out of
+                    # range or round a cycle
+                    if not (k < left[k] < n_nodes and k < right[k] < n_nodes):
+                        raise DataError(f"model file: node {k} has a child outside the tree")
                 else:
                     raise DataError(f"model file: bad node line {parts!r}")
             trees.append(

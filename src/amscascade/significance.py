@@ -24,7 +24,6 @@ from .errors import DegenerateInputError
 __all__ = [
     "U_MIN",
     "U_MAX",
-    "DualWeight",
     "ConfusionSummary",
     "SignificanceMeasure",
     "AMS2",
@@ -47,9 +46,6 @@ __all__ = [
 # ceiling keeps every round's subproblem well-posed.
 U_MIN = 1e-6
 U_MAX = 20.0
-
-# A dual weight is an ordinary float; the helpers below enforce its range.
-DualWeight = float
 
 _ABS_TOL = 1e-9
 

@@ -242,6 +242,22 @@ class TestEvalCommand:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("node", ["node x leaf", "node 0 split 0 0.5 7 8 left"])
+    def test_corrupt_model_exits_2(self, tmp_path, capsys, node):
+        path = tmp_path / "m.txt"
+        save_model(empty_model("tree-boost", n_features=5), str(path))
+        text = path.read_text().replace("trees 0\n", f"trees 1\ntree 0 nodes 1\n{node}\n")
+        path.write_text(text)
+        assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    def test_missing_model_exits_2(self, tmp_path, capsys):
+        code = run_cli(["eval", "--model", str(tmp_path / "absent.txt"), "--synth", "default"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
     def test_model_required(self, capsys):
         assert run_cli(["eval", "--synth", "default"]) == 1
         capsys.readouterr()
