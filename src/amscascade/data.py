@@ -189,8 +189,9 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
     """Parse a weighted dataset from CSV.
 
     Labels must be exactly 's' (mapped to +1) or 'b' (mapped to -1).  A
-    feature cell equal to -999.0 becomes NaN.  Row order is preserved.
-    Line numbers in error messages count the header as line 1.
+    feature cell equal to -999.0 becomes NaN; a literal NaN cell and a
+    weight that is not finite and > 0 raise DataError.  Row order is
+    preserved.  Line numbers in error messages count the header as line 1.
     """
     try:
         handle = open(path, "r", newline="")
@@ -244,8 +245,8 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
                     f"line {line_no}: cannot parse event id {row[id_pos]!r}"
                 ) from None
             w = _parse_float(row[w_pos], line_no, schema.weight_column)
-            if w <= 0.0:
-                raise DataError(f"line {line_no}: weight must be > 0, got {w!r}")
+            if not 0.0 < w < math.inf:
+                raise DataError(f"line {line_no}: weight must be finite and > 0, got {w!r}")
             weights.append(w)
             label_text = row[y_pos]
             if label_text == "s":
@@ -260,14 +261,21 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
                 _parse_float(row[pos], line_no, feature_names[j])
                 for j, pos in enumerate(f_pos)
             ]
-            rows.append(
-                [math.nan if v == MISSING_VALUE else v for v in values]
-            )
+            # one shared object per sentinel keeps the row lists small
+            rows.append([MISSING_VALUE if v == MISSING_VALUE else v for v in values])
 
     if not rows:
         raise DataError(f"{path!r} contains no data rows")
+    features = np.asarray(rows, dtype=float)
+    nan_rows = np.flatnonzero(np.isnan(features).any(axis=1))
+    if nan_rows.size:
+        raise DataError(
+            f"line {nan_rows[0] + 2}: NaN feature value; "
+            f"write a missing value as {MISSING_VALUE!r}"
+        )
+    features[features == MISSING_VALUE] = np.nan
     return WeightedDataset(
-        features=np.asarray(rows, dtype=float),
+        features=features,
         labels=np.asarray(labels, dtype=np.int64),
         weights=np.asarray(weights, dtype=float),
         event_ids=np.asarray(ids, dtype=np.int64),

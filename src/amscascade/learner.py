@@ -14,7 +14,7 @@ never by resampling, so training is deterministic given a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -114,6 +114,15 @@ class LearnerConfig:
         return 1 if self.kind == "stump-boost" else self.max_depth
 
 
+def _goes_left(col: np.ndarray, threshold: float, missing_left: bool) -> np.ndarray:
+    """The routing rule: x < threshold goes left, NaN follows missing_left."""
+    return np.where(np.isnan(col), missing_left, col < threshold)
+
+
+def _leaf_row(value: float) -> tuple:
+    return (-1, math.nan, -1, -1, True, value)
+
+
 @dataclass(frozen=True)
 class Tree:
     """One regression tree as flat node arrays.
@@ -145,6 +154,12 @@ class Tree:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _from_rows(cls, rows: list[tuple]) -> "Tree":
+        # rows are (feature, threshold, left, right, missing_left, value) in
+        # preorder, the field order above; leaves come from _leaf_row
+        return cls(*zip(*rows))
+
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]
@@ -157,9 +172,11 @@ class Tree:
             if self.feature[node] < 0:
                 out[idx] = self.value[node]
                 continue
-            col = features[idx, self.feature[node]]
-            nan = np.isnan(col)
-            go_left = np.where(nan, self.missing_left[node], col < self.threshold[node])
+            go_left = _goes_left(
+                features[idx, self.feature[node]],
+                self.threshold[node],
+                self.missing_left[node],
+            )
             stack.append((int(self.left[node]), idx[go_left]))
             stack.append((int(self.right[node]), idx[~go_left]))
         return out
@@ -195,15 +212,7 @@ class Model:
                 object.__setattr__(self, name, arr)
 
     def with_threshold(self, threshold: float) -> "Model":
-        return Model(
-            kind=self.kind,
-            n_features=self.n_features,
-            base_score=self.base_score,
-            threshold=threshold,
-            trees=self.trees,
-            coefficients=self.coefficients,
-            impute_values=self.impute_values,
-        )
+        return replace(self, threshold=threshold)
 
     @property
     def n_trees(self) -> int:
@@ -268,21 +277,7 @@ def _build_tree(
     max_depth: int,
     min_child_weight: float,
 ) -> Tree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    missing_left: list[bool] = []
-    value: list[float] = []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        missing_left.append(True)
-        value.append(0.0)
-        return len(feature) - 1
+    rows: list[tuple] = []
 
     def leaf_value(idx: np.ndarray) -> float:
         G = float(g[idx].sum())
@@ -290,9 +285,9 @@ def _build_tree(
         return -learning_rate * G / H if H > 0.0 else 0.0
 
     def best_split(idx: np.ndarray):
-        # returns (gain, feature, threshold, missing_left, left_idx, right_idx)
-        # or None; ties resolved by scan order: feature index ascending,
-        # threshold ascending, missing-to-left before missing-to-right
+        # returns (feature, threshold, missing_left) or None; ties resolved by
+        # scan order: feature index ascending, threshold ascending,
+        # missing-to-left before missing-to-right
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         parent = _safe_ratio(G, H)
@@ -333,35 +328,24 @@ def _build_tree(
                     if gain <= 0.0:
                         continue
                     if best is None or gain > best[0]:
-                        cut = float(v[k])
-                        crit = col < cut
-                        go_left = np.where(nan_mask, miss_goes_left, crit)
-                        best = (gain, j, cut, miss_goes_left, idx[go_left], idx[~go_left])
-        return best
+                        best = (gain, j, float(v[k]), miss_goes_left)
+        return None if best is None else best[1:]
 
-    def build(idx: np.ndarray, depth: int) -> int:
-        node = new_node()
+    def build(idx: np.ndarray, depth: int) -> None:
         split = None if depth >= max_depth or idx.size < 2 else best_split(idx)
         if split is None:
-            value[node] = leaf_value(idx)
-            return node
-        _, j, cut, miss_left, idx_l, idx_r = split
-        feature[node] = j
-        threshold[node] = cut
-        missing_left[node] = miss_left
-        left[node] = build(idx_l, depth + 1)
-        right[node] = build(idx_r, depth + 1)
-        return node
+            rows.append(_leaf_row(leaf_value(idx)))
+            return
+        j, cut, miss_left = split
+        go_left = _goes_left(features[idx, j], cut, miss_left)
+        node = len(rows)
+        rows.append(None)  # filled in once the left subtree's size is known
+        build(idx[go_left], depth + 1)
+        rows[node] = (j, cut, node + 1, len(rows), miss_left, 0.0)
+        build(idx[~go_left], depth + 1)
 
     build(np.arange(features.shape[0]), 0)
-    return Tree(
-        feature=np.asarray(feature),
-        threshold=np.asarray(threshold),
-        left=np.asarray(left),
-        right=np.asarray(right),
-        missing_left=np.asarray(missing_left),
-        value=np.asarray(value),
-    )
+    return Tree._from_rows(rows)
 
 
 def _check_training_inputs(dataset: WeightedDataset, costs: CostVector) -> None:
@@ -466,15 +450,7 @@ def boost_one_round(
     tree = _fit_round(
         dataset.features, dataset.labels, costs.costs, scores, config, model.n_trees
     )
-    return Model(
-        kind=model.kind,
-        n_features=model.n_features,
-        base_score=model.base_score,
-        threshold=model.threshold,
-        trees=model.trees + (tree,),
-        coefficients=model.coefficients,
-        impute_values=model.impute_values,
-    )
+    return replace(model, trees=model.trees + (tree,))
 
 
 def empty_model(kind: str, n_features: int, base_score: float = 0.0) -> Model:
@@ -493,16 +469,19 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(values[order][min(pos, values.size - 1)])
 
 
+def _impute(features: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A copy of ``features`` with each NaN in column j replaced by values[j]."""
+    return np.where(np.isnan(features), values, features)
+
+
 def _train_logistic(dataset: WeightedDataset, costs: CostVector) -> Model:
-    x = dataset.features.copy()
     impute = np.zeros(dataset.d)
     for j in range(dataset.d):
-        col = x[:, j]
+        col = dataset.features[:, j]
         present = ~np.isnan(col)
-        impute[j] = (
-            _weighted_median(col[present], costs.costs[present]) if present.any() else 0.0
-        )
-        col[~present] = impute[j]
+        if present.any():
+            impute[j] = _weighted_median(col[present], costs.costs[present])
+    x = _impute(dataset.features, impute)
     y = dataset.labels.astype(float)
     c = costs.costs
     design = np.hstack([np.ones((dataset.n, 1)), x])
@@ -541,11 +520,7 @@ def predict_scores(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np
             f"({model.n_features} features)"
         )
     if model.kind == "logistic":
-        x = features.copy()
-        for j in range(model.n_features):
-            nan = np.isnan(x[:, j])
-            x[nan, j] = model.impute_values[j]
-        return model.base_score + x @ model.coefficients
+        return model.base_score + _impute(features, model.impute_values) @ model.coefficients
     scores = np.full(features.shape[0], model.base_score, dtype=float)
     for tree in model.trees:
         scores += tree.predict(features)
@@ -615,6 +590,15 @@ class _LineReader:
             raise DataError(f"model file: expected {prefix!r}, got {line!r}")
         return parts
 
+    def indexed(self, prefix: str, position: int) -> list[str]:
+        # trees, nodes and vector entries are numbered by their position
+        parts = self.expect(prefix)
+        if int(parts[1]) != position:
+            raise DataError(
+                f"model file: expected {prefix} {position}, got {' '.join(parts)!r}"
+            )
+        return parts
+
 
 def load_model(path: str) -> Model:
     """Parse a model saved by save_model.
@@ -633,6 +617,39 @@ def load_model(path: str) -> Model:
         raise DataError(f"model file {path!r}: malformed field ({exc})") from None
 
 
+def _parse_vector(
+    reader: _LineReader, header: str, prefix: str, n_features: int
+) -> np.ndarray:
+    count = int(reader.expect(header)[1])
+    if count != n_features:
+        raise DataError(f"model file: {header} {count} does not match features {n_features}")
+    return np.array([float(reader.indexed(prefix, j)[2]) for j in range(count)])
+
+
+def _parse_tree(reader: _LineReader, position: int, n_features: int) -> Tree:
+    n_nodes = int(reader.indexed("tree", position)[3])
+    if n_nodes < 1:
+        raise DataError(f"model file: tree {position} has no nodes")
+    rows = []
+    for k in range(n_nodes):
+        parts = reader.indexed("node", k)
+        if parts[2] == "leaf":
+            rows.append(_leaf_row(float(parts[3])))
+        elif parts[2] == "split":
+            j, left, right = int(parts[3]), int(parts[5]), int(parts[6])
+            if not 0 <= j < n_features:
+                raise DataError(f"model file: node {k} splits on feature {j} of {n_features}")
+            # save_model writes nodes in preorder, so children follow their
+            # parent; anything else would send predict out of range or round
+            # a cycle
+            if not (k < left < n_nodes and k < right < n_nodes):
+                raise DataError(f"model file: node {k} has a child outside the tree")
+            rows.append((j, float(parts[4]), left, right, parts[7] == "left", 0.0))
+        else:
+            raise DataError(f"model file: bad node line {parts!r}")
+    return Tree._from_rows(rows)
+
+
 def _parse_model(reader: _LineReader, path: str) -> Model:
     if reader.next() != _FORMAT_HEADER:
         raise DataError(f"{path!r} is not a model file (bad header)")
@@ -640,72 +657,22 @@ def _parse_model(reader: _LineReader, path: str) -> Model:
     n_features = int(reader.expect("features")[1])
     base_score = float(reader.expect("base_score")[1])
     threshold = float(reader.expect("threshold")[1])
+    trees: tuple[Tree, ...] = ()
+    coefficients = impute = None
     if kind == "logistic":
-        count = int(reader.expect("coefficients")[1])
-        coefficients = np.zeros(count)
-        for _ in range(count):
-            parts = reader.expect("c")
-            coefficients[int(parts[1])] = float(parts[2])
-        count = int(reader.expect("impute")[1])
-        impute = np.zeros(count)
-        for _ in range(count):
-            parts = reader.expect("i")
-            impute[int(parts[1])] = float(parts[2])
-        model = Model(
-            kind=kind,
-            n_features=n_features,
-            base_score=base_score,
-            threshold=threshold,
-            coefficients=coefficients,
-            impute_values=impute,
-        )
+        coefficients = _parse_vector(reader, "coefficients", "c", n_features)
+        impute = _parse_vector(reader, "impute", "i", n_features)
     else:
         n_trees = int(reader.expect("trees")[1])
-        trees = []
-        for _ in range(n_trees):
-            header = reader.expect("tree")
-            n_nodes = int(header[3])
-            feature = np.full(n_nodes, -1, dtype=np.int64)
-            threshold_arr = np.full(n_nodes, math.nan)
-            left = np.full(n_nodes, -1, dtype=np.int64)
-            right = np.full(n_nodes, -1, dtype=np.int64)
-            missing = np.ones(n_nodes, dtype=bool)
-            value = np.zeros(n_nodes)
-            for _ in range(n_nodes):
-                parts = reader.expect("node")
-                k = int(parts[1])
-                if parts[2] == "leaf":
-                    value[k] = float(parts[3])
-                elif parts[2] == "split":
-                    feature[k] = int(parts[3])
-                    threshold_arr[k] = float(parts[4])
-                    left[k] = int(parts[5])
-                    right[k] = int(parts[6])
-                    missing[k] = parts[7] == "left"
-                    # save_model writes nodes in preorder, so children follow
-                    # their parent; anything else would send predict out of
-                    # range or round a cycle
-                    if not (k < left[k] < n_nodes and k < right[k] < n_nodes):
-                        raise DataError(f"model file: node {k} has a child outside the tree")
-                else:
-                    raise DataError(f"model file: bad node line {parts!r}")
-            trees.append(
-                Tree(
-                    feature=feature,
-                    threshold=threshold_arr,
-                    left=left,
-                    right=right,
-                    missing_left=missing,
-                    value=value,
-                )
-            )
-        model = Model(
-            kind=kind,
-            n_features=n_features,
-            base_score=base_score,
-            threshold=threshold,
-            trees=tuple(trees),
-        )
+        trees = tuple(_parse_tree(reader, t, n_features) for t in range(n_trees))
     if reader.expect("end") != ["end"]:
         raise DataError("model file: missing end marker")
-    return model
+    return Model(
+        kind=kind,
+        n_features=n_features,
+        base_score=base_score,
+        threshold=threshold,
+        trees=trees,
+        coefficients=coefficients,
+        impute_values=impute,
+    )

@@ -214,7 +214,6 @@ class SignificanceMeasure:
     nonnegative axis and ``h`` increasing.
     """
 
-    kind: str  # "ams2" | "ams3" | "custom"
     f: Callable[[ArrayLike], ArrayLike]
     f_conjugate: Callable[[ArrayLike], ArrayLike]
     f_prime: Callable[[ArrayLike], ArrayLike]
@@ -224,7 +223,6 @@ class SignificanceMeasure:
 
 
 AMS2 = SignificanceMeasure(
-    kind="ams2",
     f=_f2,
     f_conjugate=_f2_conjugate,
     f_prime=_f2_prime,
@@ -233,7 +231,6 @@ AMS2 = SignificanceMeasure(
 )
 
 AMS3 = SignificanceMeasure(
-    kind="ams3",
     f=_f3,
     f_conjugate=_f3_conjugate,
     f_prime=_f3_prime,
@@ -286,7 +283,6 @@ def custom_measure(
         if float(f_conjugate(u)) < -_ABS_TOL:
             raise ValueError(f"f_conjugate must be nonnegative on [0, inf); fails at u={u!r}")
     return SignificanceMeasure(
-        kind="custom",
         f=f,
         f_conjugate=f_conjugate,
         f_prime=f_prime,
@@ -319,9 +315,7 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
     s = float(weights[selected & signal].sum())
     fp = float(weights[selected & ~signal].sum())
     p = float(weights[signal].sum())
-    return ConfusionSummary(
-        s=s, b=b_reg + fp, p=p, s_tilde=p - s, n=s + (b_reg + fp), b_reg=b_reg
-    )
+    return ConfusionSummary.from_counts(s, fp, p, b_reg)
 
 
 def significance(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:

@@ -10,7 +10,7 @@ import pytest
 
 from amscascade import cli
 from amscascade.data import read_submission
-from amscascade.learner import empty_model, save_model
+from amscascade.learner import Model, empty_model, save_model
 
 SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,background_total=350"
 
@@ -242,11 +242,58 @@ class TestEvalCommand:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("node", ["node x leaf", "node 0 split 0 0.5 7 8 left"])
+    @pytest.mark.parametrize(
+        "node",
+        [
+            "node x leaf",
+            "node 0 split 0 0.5 7 8 left",
+            # node lines numbered other than by position
+            "node -1 leaf 0.5",
+            "node 0 split 0 0.5 1 2 left\nnode -1 leaf 0.5\nnode -2 leaf 0.25",
+            "node 0 split 0 0.5 1 2 left\nnode 2 leaf 0.25\nnode 1 leaf 0.5",
+            "node 0 split 0 0.5 1 2 left\nnode 1 leaf 0.5\nnode 1 leaf 0.25",
+            # the synthetic data, like the model, has 5 features
+            "node 0 split 5 0.5 1 2 left\nnode 1 leaf 0.5\nnode 2 leaf 0.25",
+            "node 0 split -1 0.5 1 2 left\nnode 1 leaf 0.5\nnode 2 leaf 0.25",
+            pytest.param("", id="no-nodes"),
+        ],
+    )
     def test_corrupt_model_exits_2(self, tmp_path, capsys, node):
         path = tmp_path / "m.txt"
         save_model(empty_model("tree-boost", n_features=5), str(path))
-        text = path.read_text().replace("trees 0\n", f"trees 1\ntree 0 nodes 1\n{node}\n")
+        lines = node.splitlines()
+        block = "".join(line + "\n" for line in lines)
+        text = path.read_text().replace(
+            "trees 0\n", f"trees 1\ntree 0 nodes {len(lines)}\n{block}"
+        )
+        path.write_text(text)
+        assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("coefficients 5\n", "coefficients 4\n"), ("c 4 4.0\n", "")],
+            [("impute 5\n", "impute 4\n"), ("i 4 0.0\n", "")],
+            [("c 1 1.0\n", "c 0 1.0\n")],
+        ],
+        ids=["short-coefficients", "short-impute", "repeated-entry"],
+    )
+    def test_corrupt_logistic_model_exits_2(self, tmp_path, capsys, edits):
+        model = Model(
+            kind="logistic",
+            n_features=5,
+            base_score=0.0,
+            coefficients=np.arange(5.0),
+            impute_values=np.zeros(5),
+        )
+        path = tmp_path / "m.txt"
+        save_model(model, str(path))
+        text = path.read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
         path.write_text(text)
         assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
         err = capsys.readouterr().err

@@ -110,15 +110,18 @@ class TestLoadCsv:
 
     def test_nonpositive_weight_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("EventId,a,Weight,Label\n1,2.0,1.0,s\n2,3.0,0.0,b\n")
-        with pytest.raises(DataError, match="line 3"):
-            load_csv(str(path))
+        for weight in ("0.0", "-1.0", "inf", "nan"):
+            path.write_text(f"EventId,a,Weight,Label\n1,2.0,1.0,s\n2,3.0,{weight},b\n")
+            with pytest.raises(DataError, match="line 3"):
+                load_csv(str(path))
 
     def test_unparseable_numeric_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("EventId,a,Weight,Label\n1,oops,1.0,s\n")
-        with pytest.raises(DataError, match="line 2"):
-            load_csv(str(path))
+        # only -999.0 marks a missing value; a literal NaN cell is an error
+        for cell in ("oops", "nan", "NaN"):
+            path.write_text(f"EventId,a,Weight,Label\n1,-999.0,1.0,s\n2,{cell},1.0,b\n")
+            with pytest.raises(DataError, match="line 3"):
+                load_csv(str(path))
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

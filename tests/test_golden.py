@@ -12,6 +12,9 @@ depend on the BLAS build.
 
 import hashlib
 
+import numpy as np
+import pytest
+
 from amscascade import cli
 from amscascade.cascade import (
     CascadeConfig,
@@ -20,8 +23,8 @@ from amscascade.cascade import (
     run_cascade_warmstart,
     write_trace_csv,
 )
-from amscascade.data import SplitSpec, SynthConfig, split, synthesize
-from amscascade.learner import LearnerConfig, save_model
+from amscascade.data import SplitSpec, SynthConfig, WeightedDataset, split, synthesize
+from amscascade.learner import CostVector, LearnerConfig, save_model, train
 
 SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,background_total=350"
 
@@ -51,6 +54,10 @@ EXPECTED = {
     },
     "cli-check": {
         "stdout": "db348dbd7169684e0a0be374da79e3bee34a2d658cdf704f34b8e91596a9dcc3",
+    },
+    "missing": {
+        "tree-boost": "c4e51b0714f62f8e873fd315686e20158e526cf8143b332485e2f91bb8df853d",
+        "stump-boost": "d96f9e77a494e146985db4db8c25860095db90928d46aad37acd7cc62fae4b1b",
     },
 }
 
@@ -144,3 +151,44 @@ def test_cli_cascade_bytes(tmp_path, monkeypatch, capsys):
 def test_cli_check_bytes(capsys):
     assert cli.main(["check", "--seed", "5", "--instances", "3"]) == 0
     assert {"stdout": sha256(capsys.readouterr().out.encode())} == EXPECTED["cli-check"]
+
+
+def with_missing_cells(seed):
+    # NaN in two of four columns, so splits send missing rows either way
+    data = synthesize(
+        SynthConfig(
+            d=4, n_signal=150, n_background=150, separation=2.0,
+            signal_total=120.0, background_total=350.0,
+        ),
+        seed=seed,
+    )
+    rng = np.random.default_rng(seed + 1)
+    features = data.features.copy()
+    features[rng.random(data.n) < 0.3, 0] = np.nan
+    features[rng.random(data.n) < 0.5, 2] = np.nan
+    return WeightedDataset(
+        features=features,
+        labels=data.labels,
+        weights=data.weights,
+        event_ids=data.event_ids,
+        column_names=data.column_names,
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        LearnerConfig(kind="tree-boost", rounds=8, learning_rate=0.3, max_depth=3),
+        LearnerConfig(kind="stump-boost", rounds=12, learning_rate=0.3, subsample=0.8, seed=6),
+    ],
+    ids=lambda c: c.kind,
+)
+def test_missing_value_tree_bytes(tmp_path, config):
+    data = with_missing_cells(seed=24)
+    model = train(data, CostVector(costs=data.weights, round_dual=1.0), config)
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    text = path.read_text()
+    # both missing-value sides are taken, so both routing paths are pinned
+    assert " left\n" in text and " right\n" in text
+    assert sha256(path.read_bytes()) == EXPECTED["missing"][config.kind]
