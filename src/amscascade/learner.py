@@ -264,8 +264,9 @@ def surrogate_hessian(
     return costs * expit(-margin) * expit(margin)
 
 
-def _safe_ratio(g: float, h: float) -> float:
-    return g * g / h if h > 0.0 else 0.0
+def _safe_ratio(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Element-wise g * g / h where h > 0, else 0."""
+    return np.divide(g * g, h, out=np.zeros_like(h), where=h > 0.0)
 
 
 def _build_tree(
@@ -285,13 +286,14 @@ def _build_tree(
         return -learning_rate * G / H if H > 0.0 else 0.0
 
     def best_split(idx: np.ndarray):
-        # returns (feature, threshold, missing_left) or None; ties resolved by
-        # scan order: feature index ascending, threshold ascending,
-        # missing-to-left before missing-to-right
-        G = float(g[idx].sum())
-        H = float(h[idx].sum())
-        parent = _safe_ratio(G, H)
+        # returns (feature, threshold, missing_left) or None.  Each feature's
+        # candidates form a (boundary, missing side) grid, column 0 sending the
+        # missing rows left; ties go to the first candidate in scan order:
+        # feature index ascending, threshold ascending, missing-to-left before
+        # missing-to-right
+        parent = _safe_ratio(g[idx].sum(), h[idx].sum())
         best = None
+        best_gain = 0.0
         for j in range(features.shape[1]):
             col = features[idx, j]
             nan_mask = np.isnan(col)
@@ -305,31 +307,33 @@ def _build_tree(
             boundaries = np.flatnonzero(v[1:] > v[:-1]) + 1
             if boundaries.size == 0:
                 continue
-            g_cum = np.cumsum(g[sorted_idx])
-            h_cum = np.cumsum(h[sorted_idx])
-            c_cum = np.cumsum(costs[sorted_idx])
-            g_tot, h_tot, c_tot = g_cum[-1], h_cum[-1], c_cum[-1]
-            g_miss = float(g[missing].sum())
-            h_miss = float(h[missing].sum())
-            c_miss = float(costs[missing].sum())
-            for k in boundaries:
-                gl, hl, cl = g_cum[k - 1], h_cum[k - 1], c_cum[k - 1]
-                gr, hr, cr = g_tot - gl, h_tot - hl, c_tot - cl
-                for miss_goes_left in (True, False):
-                    if miss_goes_left:
-                        GL, HL, CL = gl + g_miss, hl + h_miss, cl + c_miss
-                        GR, HR, CR = gr, hr, cr
-                    else:
-                        GL, HL, CL = gl, hl, cl
-                        GR, HR, CR = gr + g_miss, hr + h_miss, cr + c_miss
-                    if CL < min_child_weight or CR < min_child_weight:
-                        continue
-                    gain = _safe_ratio(GL, HL) + _safe_ratio(GR, HR) - parent
-                    if gain <= 0.0:
-                        continue
-                    if best is None or gain > best[0]:
-                        best = (gain, j, float(v[k]), miss_goes_left)
-        return None if best is None else best[1:]
+            grid = []
+            for values in (g, h, costs):
+                cum = np.cumsum(values[sorted_idx])
+                below = cum[boundaries - 1]
+                above = cum[-1] - below
+                miss = float(values[missing].sum())
+                grid.append(np.column_stack((below + miss, below)))
+                grid.append(np.column_stack((above, above + miss)))
+            GL, GR, HL, HR, CL, CR = grid
+            gain = (_safe_ratio(GL, HL) + _safe_ratio(GR, HR)) - parent
+            # the skip rules negated: a NaN cost or gain compares false, so it
+            # is not skipped
+            keep = ~((CL < min_child_weight) | (CR < min_child_weight) | (gain <= 0.0))
+            if not keep.any():
+                continue
+            gain, keep = gain.ravel(), keep.ravel()
+            first = int(np.argmax(keep))
+            if best is None and np.isnan(gain[first]):
+                # a NaN gain taken first is final: no gain compares greater
+                return j, float(v[boundaries[first // 2]]), first % 2 == 0
+            # kept gains are > 0 or NaN, so 0 marks a candidate never taken
+            score = np.where(keep & ~np.isnan(gain), gain, 0.0)
+            i = int(np.argmax(score))
+            if score[i] > best_gain:
+                best_gain = score[i]
+                best = (j, float(v[boundaries[i // 2]]), i % 2 == 0)
+        return best
 
     def build(idx: np.ndarray, depth: int) -> None:
         split = None if depth >= max_depth or idx.size < 2 else best_split(idx)
@@ -644,6 +648,8 @@ def _parse_tree(reader: _LineReader, position: int, n_features: int) -> Tree:
             # a cycle
             if not (k < left < n_nodes and k < right < n_nodes):
                 raise DataError(f"model file: node {k} has a child outside the tree")
+            if parts[7] not in ("left", "right"):
+                raise DataError(f"model file: node {k} sends missing values to {parts[7]!r}")
             rows.append((j, float(parts[4]), left, right, parts[7] == "left", 0.0))
         else:
             raise DataError(f"model file: bad node line {parts!r}")
@@ -664,6 +670,8 @@ def _parse_model(reader: _LineReader, path: str) -> Model:
         impute = _parse_vector(reader, "impute", "i", n_features)
     else:
         n_trees = int(reader.expect("trees")[1])
+        if n_trees < 0:
+            raise DataError(f"model file: negative tree count {n_trees}")
         trees = tuple(_parse_tree(reader, t, n_features) for t in range(n_trees))
     if reader.expect("end") != ["end"]:
         raise DataError("model file: missing end marker")

@@ -256,6 +256,10 @@ class TestEvalCommand:
             "node 0 split 5 0.5 1 2 left\nnode 1 leaf 0.5\nnode 2 leaf 0.25",
             "node 0 split -1 0.5 1 2 left\nnode 1 leaf 0.5\nnode 2 leaf 0.25",
             pytest.param("", id="no-nodes"),
+            pytest.param(
+                "node 0 split 0 0.5 1 2 lfet\nnode 1 leaf 0.5\nnode 2 leaf 0.25",
+                id="bad-missing-side",
+            ),
         ],
     )
     def test_corrupt_model_exits_2(self, tmp_path, capsys, node):
@@ -267,6 +271,15 @@ class TestEvalCommand:
             "trees 0\n", f"trees 1\ntree 0 nodes {len(lines)}\n{block}"
         )
         path.write_text(text)
+        assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("trees", ["-3", "-1"], ids=["negative-trees", "minus-one-trees"])
+    def test_negative_tree_count_exits_2(self, tmp_path, capsys, trees):
+        path = tmp_path / "m.txt"
+        save_model(empty_model("tree-boost", n_features=5), str(path))
+        path.write_text(path.read_text().replace("trees 0\n", f"trees {trees}\n"))
         assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1

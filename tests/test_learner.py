@@ -10,6 +10,7 @@ from amscascade.errors import ConfigError, DataError, TrainingError
 from amscascade.learner import (
     CostVector,
     LearnerConfig,
+    Tree,
     boost_one_round,
     classify,
     empty_model,
@@ -23,6 +24,7 @@ from amscascade.learner import (
     train,
     weighted_error,
 )
+from amscascade.learner import _build_tree, _goes_left, _leaf_row
 from amscascade.significance import AMS2, AMS3, U_MIN
 
 TWO_ONE_MINUS_LN2 = 0.61370563888010938117  # frozen: 2 * f2*(ln 2)
@@ -437,6 +439,181 @@ class TestSerialization:
         path.write_text("not a model\n")
         with pytest.raises(DataError):
             load_model(str(path))
+
+
+def _reference_safe_ratio(g, h):
+    return g * g / h if h > 0.0 else 0.0
+
+
+def _reference_build_tree(
+    features, g, h, costs, learning_rate, max_depth, min_child_weight
+):
+    """Exact greedy growth with one scalar step per split candidate.
+
+    The oracle for ``_build_tree``'s array scan: it visits every
+    (feature, boundary, missing side) candidate in scan order and keeps a
+    candidate only when its gain is strictly greater than the best so far.
+    """
+    rows = []
+
+    def leaf_value(idx):
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        return -learning_rate * G / H if H > 0.0 else 0.0
+
+    def best_split(idx):
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        parent = _reference_safe_ratio(G, H)
+        best = None
+        for j in range(features.shape[1]):
+            col = features[idx, j]
+            nan_mask = np.isnan(col)
+            present = idx[~nan_mask]
+            if present.size < 2:
+                continue
+            missing = idx[nan_mask]
+            order = np.argsort(col[~nan_mask], kind="stable")
+            sorted_idx = present[order]
+            v = col[~nan_mask][order]
+            boundaries = np.flatnonzero(v[1:] > v[:-1]) + 1
+            if boundaries.size == 0:
+                continue
+            g_cum = np.cumsum(g[sorted_idx])
+            h_cum = np.cumsum(h[sorted_idx])
+            c_cum = np.cumsum(costs[sorted_idx])
+            g_tot, h_tot, c_tot = g_cum[-1], h_cum[-1], c_cum[-1]
+            g_miss = float(g[missing].sum())
+            h_miss = float(h[missing].sum())
+            c_miss = float(costs[missing].sum())
+            for k in boundaries:
+                gl, hl, cl = g_cum[k - 1], h_cum[k - 1], c_cum[k - 1]
+                gr, hr, cr = g_tot - gl, h_tot - hl, c_tot - cl
+                for miss_goes_left in (True, False):
+                    if miss_goes_left:
+                        GL, HL, CL = gl + g_miss, hl + h_miss, cl + c_miss
+                        GR, HR, CR = gr, hr, cr
+                    else:
+                        GL, HL, CL = gl, hl, cl
+                        GR, HR, CR = gr + g_miss, hr + h_miss, cr + c_miss
+                    if CL < min_child_weight or CR < min_child_weight:
+                        continue
+                    gain = (
+                        _reference_safe_ratio(GL, HL)
+                        + _reference_safe_ratio(GR, HR)
+                        - parent
+                    )
+                    if gain <= 0.0:
+                        continue
+                    if best is None or gain > best[0]:
+                        best = (gain, j, float(v[k]), miss_goes_left)
+        return None if best is None else best[1:]
+
+    def build(idx, depth):
+        split = None if depth >= max_depth or idx.size < 2 else best_split(idx)
+        if split is None:
+            rows.append(_leaf_row(leaf_value(idx)))
+            return
+        j, cut, miss_left = split
+        go_left = _goes_left(features[idx, j], cut, miss_left)
+        node = len(rows)
+        rows.append(None)
+        build(idx[go_left], depth + 1)
+        rows[node] = (j, cut, node + 1, len(rows), miss_left, 0.0)
+        build(idx[~go_left], depth + 1)
+
+    build(np.arange(features.shape[0]), 0)
+    return Tree._from_rows(rows)
+
+
+def _split_search_inputs(seed, n=120, zero_cost_share=0.0, nan_share=0.15):
+    """Integer-valued columns (so gains tie) with NaN cells and edge columns.
+
+    Column 1 repeats column 0, so equal gains across features occur; column 2
+    is constant; column 3 has a single present value; column 4 is NaN at
+    random.
+    """
+    rng = np.random.default_rng(seed)
+    features = rng.integers(0, 4, size=(n, 5)).astype(float)
+    features[rng.random(n) < nan_share, 0] = np.nan
+    features[:, 1] = features[:, 0]
+    features[:, 2] = 7.0
+    features[:, 3] = np.nan
+    features[rng.integers(n), 3] = 1.0
+    features[rng.random(n) < 2 * nan_share, 4] = np.nan
+    labels = np.where(rng.random(n) < 0.4, 1, -1)
+    costs = rng.choice([0.5, 1.0, 2.0], size=n)
+    costs[rng.random(n) < zero_cost_share] = 0.0
+    scores = rng.normal(0.0, 0.5, size=n)
+    g = surrogate_gradient(costs, labels, scores)
+    h = surrogate_hessian(costs, labels, scores)
+    return features, g, h, costs
+
+
+def _tree_bytes(tree):
+    return [
+        getattr(tree, name).tobytes()
+        for name in ("feature", "threshold", "left", "right", "missing_left", "value")
+    ]
+
+
+class TestSplitSearchOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize(
+        "min_child_weight,zero_cost_share",
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 0.3), (25.0, 0.2)],
+        ids=["mcw0", "mcw1", "zero-costs", "mcw-prunes"],
+    )
+    def test_trees_match_scalar_scan(self, seed, depth, min_child_weight, zero_cost_share):
+        features, g, h, costs = _split_search_inputs(seed, zero_cost_share=zero_cost_share)
+        args = (features, g, h, costs, 0.3, depth, min_child_weight)
+        expected = _reference_build_tree(*args)
+        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+
+    def test_inputs_cover_both_missing_sides_and_ties(self):
+        # the oracle cases above only show agreement if they reach both
+        # missing sides and split on the first of two equal columns
+        sides, features_used = set(), set()
+        for seed in range(6):
+            for zero_cost_share in (0.0, 0.3):
+                args = _split_search_inputs(seed, zero_cost_share=zero_cost_share)
+                tree = _reference_build_tree(*args, 0.3, 3, 0.0)
+                internal = tree.feature >= 0
+                features_used.update(tree.feature[internal].tolist())
+                # a split on column 0 with NaN rows present takes a side
+                sides.update(tree.missing_left[internal & (tree.feature == 0)].tolist())
+        assert sides == {True, False}
+        assert 0 in features_used and 1 not in features_used
+
+    def test_min_child_weight_prunes_every_candidate(self):
+        features, g, h, costs = _split_search_inputs(0)
+        args = (features, g, h, costs, 0.3, 3, float(costs.sum()))
+        expected = _reference_build_tree(*args)
+        assert expected.n_nodes == 1
+        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+
+    def test_fewer_than_two_present_rows(self):
+        features = np.array([[np.nan], [np.nan], [3.0], [np.nan]])
+        g = np.array([-1.0, 1.0, -1.0, 1.0])
+        h = np.ones(4)
+        args = (features, g, h, np.ones(4), 0.3, 3, 0.0)
+        expected = _reference_build_tree(*args)
+        assert expected.n_nodes == 1
+        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overflowing_gains(self, seed):
+        # gradients near 1e155 overflow g * g to inf, so some gains are
+        # inf - inf = NaN; NaN compares false in both the skip rules and the
+        # strict >, and the first candidate taken decides
+        features, g, h, costs = _split_search_inputs(seed, n=40)
+        g = g * 1e155
+        args = (features, g, h, costs, 0.3, 3, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _reference_build_tree(*args)
+            got = _build_tree(*args)
+        assert _tree_bytes(got) == _tree_bytes(expected)
 
 
 class TestLearnerConfig:

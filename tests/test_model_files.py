@@ -1,0 +1,174 @@
+"""Property tests for the model file format: exact round trips, and loud
+failures on damaged files.
+
+The runs are derandomized with fixed example counts, so the suite is
+deterministic.
+"""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from amscascade.errors import AmsCascadeError
+from amscascade.learner import Model, Tree, _leaf_row, load_model, predict_scores, save_model
+
+PROPERTY_SETTINGS = settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# thresholds and scores may be infinite: save_model writes repr(), which
+# float() reads back for every float but NaN's sign and payload
+extended = st.floats(allow_nan=False)
+
+# a tree shape: a leaf value, or (feature, threshold, missing_left, left, right)
+tree_shapes = st.recursive(
+    finite,
+    lambda sub: st.tuples(st.integers(0, 3), finite, st.booleans(), sub, sub),
+    max_leaves=6,
+)
+
+
+def _tree(shape, n_features):
+    rows = []
+
+    def add(node):
+        if not isinstance(node, tuple):
+            rows.append(_leaf_row(node))
+            return
+        feature, threshold, missing_left, left, right = node
+        k = len(rows)
+        rows.append(None)
+        add(left)
+        rows[k] = (feature % n_features, threshold, k + 1, len(rows), missing_left, 0.0)
+        add(right)
+
+    add(shape)
+    return Tree._from_rows(rows)
+
+
+@st.composite
+def boosted_models(draw):
+    n_features = draw(st.integers(1, 4))
+    shapes = draw(st.lists(tree_shapes, max_size=4))
+    return Model(
+        kind=draw(st.sampled_from(["stump-boost", "tree-boost"])),
+        n_features=n_features,
+        base_score=draw(finite),
+        threshold=draw(extended),
+        trees=tuple(_tree(shape, n_features) for shape in shapes),
+    )
+
+
+@st.composite
+def logistic_models(draw):
+    n_features = draw(st.integers(1, 4))
+    vector = st.lists(finite, min_size=n_features, max_size=n_features)
+    return Model(
+        kind="logistic",
+        n_features=n_features,
+        base_score=draw(finite),
+        threshold=draw(extended),
+        coefficients=np.array(draw(vector)),
+        impute_values=np.array(draw(vector)),
+    )
+
+
+models = st.one_of(boosted_models(), logistic_models())
+
+# fields that reach the parser's range and consistency checks, besides
+# arbitrary text
+FIELDS = st.one_of(
+    st.sampled_from(
+        ["", "0", "1", "2", "-1", "-3", "7", "99", "1e400", "nan", "inf", "-0.0",
+         "x", "left", "right", "lfet", "leaf", "split", "tree", "node", "end"]
+    ),
+    st.text(max_size=8),
+)
+
+
+def _model_bytes(model):
+    arrays = [model.coefficients, model.impute_values]
+    for tree in model.trees:
+        arrays += [tree.feature, tree.threshold, tree.left, tree.right,
+                   tree.missing_left, tree.value]
+    scalars = np.array([model.base_score, model.threshold])
+    return (
+        model.kind,
+        model.n_features,
+        scalars.tobytes(),
+        [None if a is None else a.tobytes() for a in arrays],
+    )
+
+
+def _saved_text(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        save_model(model, path)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+def _load_bytes(data):
+    """load_model on a file holding ``data``; None when it is rejected.
+
+    Only the package's own errors may escape load_model, and a model it
+    accepts must also score rows of its feature count.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        try:
+            model = load_model(path)
+        except AmsCascadeError:
+            return None
+    if 0 <= model.n_features <= 8:
+        rows = np.array([[0.0] * model.n_features, [np.nan] * model.n_features])
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                predict_scores(model, rows)
+        except AmsCascadeError:
+            pass
+    return model
+
+
+@PROPERTY_SETTINGS
+@given(models)
+def test_save_load_round_trip_is_exact(model):
+    text = _saved_text(model)
+    back = _load_bytes(text)
+    assert back is not None
+    assert _model_bytes(back) == _model_bytes(model)
+    assert _saved_text(back) == text
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode)))
+def test_arbitrary_bytes_fail_as_package_errors(data):
+    _load_bytes(data)
+
+
+@PROPERTY_SETTINGS
+@given(models, st.data())
+def test_one_mutated_line_fails_as_package_error(model, data):
+    lines = _saved_text(model).decode().splitlines()
+    # a line past the header, and a value field past the line's keyword;
+    # hypothesis favours small integers, so positions come from the low
+    # digits of a wide draw to spread over the whole file
+    k = 1 + data.draw(st.integers(0, 2**16), label="line") % (len(lines) - 1)
+    fields = lines[k].split()
+    if len(fields) > 1 and data.draw(st.booleans(), label="replace a value"):
+        i = 1 + data.draw(st.integers(0, 2**16), label="field") % (len(fields) - 1)
+        fields[i] = data.draw(FIELDS, label="new value")
+        lines[k] = " ".join(fields)
+    else:
+        lines[k] = data.draw(st.text(max_size=40), label="new line")
+    _load_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
