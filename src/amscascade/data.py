@@ -185,20 +185,40 @@ def _parse_float(text: str, line_no: int, column: str) -> float:
         ) from None
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _csv_rows(handle, path: str):
+    """The rows of a CSV file; undecodable text or a malformed row is a DataError."""
+    reader = csv.reader(handle)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot decode {path!r} as text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise DataError(f"line {reader.line_num}: {exc}") from None
+        yield row
+
+
 def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
     """Parse a weighted dataset from CSV.
 
     Labels must be exactly 's' (mapped to +1) or 'b' (mapped to -1).  A
-    feature cell equal to -999.0 becomes NaN; a literal NaN cell and a
-    weight that is not finite and > 0 raise DataError.  Row order is
-    preserved.  Line numbers in error messages count the header as line 1.
+    feature cell equal to -999.0 becomes NaN; a literal NaN cell, a
+    weight that is not finite and > 0, an event id outside the 64-bit range,
+    a malformed CSV row and text that does not decode raise DataError.  Row
+    order is preserved.  Line numbers in error messages count the header as
+    line 1.
     """
     try:
         handle = open(path, "r", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path!r}: {exc}") from None
     with handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(handle, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -239,11 +259,14 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
                     f"line {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                ids.append(int(row[id_pos]))
+                event_id = int(row[id_pos])
             except ValueError:
                 raise DataError(
                     f"line {line_no}: cannot parse event id {row[id_pos]!r}"
                 ) from None
+            if not _INT64_MIN <= event_id <= _INT64_MAX:
+                raise DataError(f"line {line_no}: event id {event_id} does not fit in 64 bits")
+            ids.append(event_id)
             w = _parse_float(row[w_pos], line_no, schema.weight_column)
             if not 0.0 < w < math.inf:
                 raise DataError(f"line {line_no}: weight must be finite and > 0, got {w!r}")

@@ -62,6 +62,9 @@ class CostVector:
             raise ValueError("costs must be 1-D")
         if not np.all(costs >= 0.0):
             raise ValueError("costs must be nonnegative")
+        # an infinite cost, or finite costs whose total overflows
+        if not np.isfinite(costs.sum()):
+            raise ValueError("costs must be finite, with a finite total")
         if not np.any(costs > 0.0):
             raise ValueError("at least one cost must be positive")
 
@@ -114,9 +117,12 @@ class LearnerConfig:
         return 1 if self.kind == "stump-boost" else self.max_depth
 
 
-def _goes_left(col: np.ndarray, threshold: float, missing_left: bool) -> np.ndarray:
-    """The routing rule: x < threshold goes left, NaN follows missing_left."""
-    return np.where(np.isnan(col), missing_left, col < threshold)
+def _goes_left(col: np.ndarray, threshold, missing_left) -> np.ndarray:
+    """The routing rule: x < threshold goes left, NaN follows missing_left.
+
+    Element-wise over broadcast arrays; NaN compares false to any threshold.
+    """
+    return (col < threshold) | (np.isnan(col) & missing_left)
 
 
 def _leaf_row(value: float) -> tuple:
@@ -165,21 +171,65 @@ class Tree:
         return self.feature.shape[0]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        out = np.empty(features.shape[0], dtype=float)
-        stack = [(0, np.arange(features.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] < 0:
-                out[idx] = self.value[node]
-                continue
-            go_left = _goes_left(
-                features[idx, self.feature[node]],
-                self.threshold[node],
-                self.missing_left[node],
-            )
-            stack.append((int(self.left[node]), idx[go_left]))
-            stack.append((int(self.right[node]), idx[~go_left]))
+        """This tree's output on each row of ``features``."""
+        return _tree_outputs((self,), features)[0]
+
+
+# node x row cells evaluated per block of rows by _tree_outputs, which bounds
+# its temporaries to a few MB
+_BLOCK_CELLS = 1 << 18
+
+
+def _tree_outputs(trees: tuple[Tree, ...], features: np.ndarray) -> np.ndarray:
+    """The ``(len(trees), rows)`` outputs of every tree on every row.
+
+    All trees' nodes are laid end to end in one table, each row's routing
+    decision is taken at every split node at once, and every (tree, row)
+    pair then moves down one level per step; leaves route to themselves, so
+    the number of steps is the depth of the deepest tree.
+    """
+    n_rows = features.shape[0]
+    out = np.empty((len(trees), n_rows))
+    if not trees or n_rows == 0:
         return out
+    sizes = np.fromiter((len(tree.feature) for tree in trees), np.int64, len(trees))
+    roots = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in trees])
+    split = np.flatnonzero(feature >= 0)
+    shift = np.repeat(roots, sizes)[split]
+    left = np.arange(feature.size)
+    right = left.copy()
+    left[split] = np.concatenate([tree.left for tree in trees])[split] + shift
+    right[split] = np.concatenate([tree.right for tree in trees])[split] + shift
+    threshold = np.concatenate([tree.threshold for tree in trees])[split, None]
+    missing_left = np.concatenate([tree.missing_left for tree in trees])[split, None]
+    value = np.concatenate([tree.value for tree in trees])
+    # levels as node masks: a loaded tree may reach one node from two parents
+    depth = 0
+    level = np.zeros(feature.size, dtype=bool)
+    level[roots] = True
+    while True:
+        parents = np.flatnonzero(level & (feature >= 0))
+        if parents.size == 0:
+            break
+        level[:] = False
+        level[left[parents]] = True
+        level[right[parents]] = True
+        depth += 1
+    step = max(1, _BLOCK_CELLS // feature.size)
+    for start in range(0, n_rows, step):
+        block = features[start:start + step]
+        n = block.shape[0]
+        # go_left[k * n + i]: row i of the block leaves node k to the left
+        go_left = np.zeros((feature.size, n), dtype=bool)
+        go_left[split] = _goes_left(block.T[feature[split]], threshold, missing_left)
+        go_left = go_left.ravel()
+        cols = np.arange(n)
+        node = roots[:, None]
+        for _ in range(depth):
+            node = np.where(go_left[node * n + cols], left[node], right[node])
+        out[:, start:start + n] = value[node]
+    return out
 
 
 @dataclass(frozen=True)
@@ -222,10 +272,22 @@ class Model:
 def make_cost_vector(
     dataset: WeightedDataset, u: float, measure: SignificanceMeasure
 ) -> CostVector:
-    """Per-example costs for one round: signal w*u, background w*f*(u)."""
+    """Per-example costs for one round: signal w*u, background w*f*(u).
+
+    Costs that overflow, one by one or in total, raise TrainingError.
+    """
     validate_dual(u)
     background_rate = float(measure.f_conjugate(u))
-    costs = np.where(dataset.labels == 1, dataset.weights * u, dataset.weights * background_rate)
+    with np.errstate(over="ignore"):
+        costs = np.where(
+            dataset.labels == 1, dataset.weights * u, dataset.weights * background_rate
+        )
+        total = costs.sum()
+    if not np.isfinite(total):
+        raise TrainingError(
+            f"example costs overflow at u = {u!r} (background cost rate "
+            f"{background_rate!r}, largest weight {float(dataset.weights.max())!r})"
+        )
     return CostVector(costs=costs, round_dual=u)
 
 
@@ -525,9 +587,10 @@ def predict_scores(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np
         )
     if model.kind == "logistic":
         return model.base_score + _impute(features, model.impute_values) @ model.coefficients
+    outputs = _tree_outputs(model.trees, features)
     scores = np.full(features.shape[0], model.base_score, dtype=float)
-    for tree in model.trees:
-        scores += tree.predict(features)
+    for out in outputs:
+        scores += out
     return scores
 
 
@@ -661,6 +724,8 @@ def _parse_model(reader: _LineReader, path: str) -> Model:
         raise DataError(f"{path!r} is not a model file (bad header)")
     kind = reader.expect("kind")[1]
     n_features = int(reader.expect("features")[1])
+    if n_features < 0:
+        raise DataError(f"model file: negative feature count {n_features}")
     base_score = float(reader.expect("base_score")[1])
     threshold = float(reader.expect("threshold")[1])
     trees: tuple[Tree, ...] = ()

@@ -166,6 +166,22 @@ class TestCascadeCommand:
         assert not (out / "model.txt").exists()
         assert "cascade error" in capsys.readouterr().err
 
+    def test_cost_overflow_exits_3(self, tmp_path, capsys):
+        # one background weight of 1e300 times f*(20) ~ 4.9e8 overflows
+        lines = ["EventId,x0,Weight,Label"]
+        for i in range(20):
+            weight = "1e300" if i == 1 else "1.0"
+            lines.append(f"{i},{i % 5 * 0.5},{weight},{'s' if i % 2 == 0 else 'b'}")
+        data = tmp_path / "heavy.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            ["cascade", "--data", str(data), "--u0", "20", "--out-dir", str(tmp_path / "run")]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("cascade error:") and err.count("\n") == 1
+        assert "u = 20.0" in err
+
     def test_manifest_contents(self, tmp_path, capsys):
         out = tmp_path / "run"
         config = tmp_path / "fast.cfg"
@@ -283,6 +299,21 @@ class TestEvalCommand:
         assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "trees",
+        ["trees 0\n", "trees 1\ntree 0 nodes 1\nnode 0 leaf 0.5\n"],
+        ids=["negative-features", "negative-features-with-tree"],
+    )
+    def test_negative_feature_count_exits_2(self, tmp_path, capsys, trees):
+        path = tmp_path / "m.txt"
+        save_model(empty_model("tree-boost", n_features=5), str(path))
+        text = path.read_text().replace("features 5\n", "features -5\n")
+        path.write_text(text.replace("trees 0\n", trees))
+        assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
+        err = capsys.readouterr().err
+        # the model file itself is named, not a later shape mismatch
+        assert err.startswith("data error: model file") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "edits",

@@ -10,6 +10,7 @@ from amscascade.errors import ConfigError, DataError, TrainingError
 from amscascade.learner import (
     CostVector,
     LearnerConfig,
+    Model,
     Tree,
     boost_one_round,
     classify,
@@ -24,6 +25,7 @@ from amscascade.learner import (
     train,
     weighted_error,
 )
+import amscascade.learner as learner_module
 from amscascade.learner import _build_tree, _goes_left, _leaf_row
 from amscascade.significance import AMS2, AMS3, U_MIN
 
@@ -91,6 +93,23 @@ class TestCostVector:
             CostVector(costs=np.array([1.0, -0.1]), round_dual=1.0)
         with pytest.raises(ValueError):
             CostVector(costs=np.zeros(3), round_dual=1.0)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError):
+            CostVector(costs=np.array([1.0, math.inf]), round_dual=1.0)
+        # each cost finite, the total not
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            CostVector(costs=np.array([1e308, 1e308]), round_dual=1.0)
+        data = WeightedDataset(
+            features=np.array([[0.0], [1.0]]),
+            labels=np.array([1, -1]),
+            weights=np.array([1.0, 1e300]),
+            event_ids=np.array([0, 1]),
+            column_names=("x",),
+        )
+        make_cost_vector(data, 1.0, AMS2)
+        with pytest.raises(TrainingError, match="u = 20.0"):
+            make_cost_vector(data, 20.0, AMS2)
 
 
 class TestWeightedError:
@@ -614,6 +633,195 @@ class TestSplitSearchOracle:
             expected = _reference_build_tree(*args)
             got = _build_tree(*args)
         assert _tree_bytes(got) == _tree_bytes(expected)
+
+
+def _reference_predict(tree, features):
+    """One tree's outputs by a per-node stack walk over row index sets.
+
+    The oracle for ``_tree_outputs``' level-by-level walk: each node routes
+    exactly the rows that reached it, and a leaf writes its value to them.
+    """
+    out = np.empty(features.shape[0], dtype=float)
+    stack = [(0, np.arange(features.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if tree.feature[node] < 0:
+            out[idx] = tree.value[node]
+            continue
+        go_left = _goes_left(
+            features[idx, tree.feature[node]],
+            tree.threshold[node],
+            tree.missing_left[node],
+        )
+        stack.append((int(tree.left[node]), idx[go_left]))
+        stack.append((int(tree.right[node]), idx[~go_left]))
+    return out
+
+
+def _reference_scores(model, features):
+    scores = np.full(features.shape[0], model.base_score, dtype=float)
+    for tree in model.trees:
+        scores += _reference_predict(tree, features)
+    return scores
+
+
+def _prediction_inputs(seed=0, n=60):
+    """A model mixing stumps, depth-3 and single-leaf trees, and rows with
+    NaN cells in two of three columns."""
+    data = gaussian_data(n // 2, n // 2, separation=1.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    features = data.features.copy()
+    features[rng.random(n) < 0.2, 0] = np.nan
+    features[rng.random(n) < 0.2, 2] = np.nan
+    data = WeightedDataset(
+        features=features,
+        labels=data.labels,
+        weights=data.weights,
+        event_ids=data.event_ids,
+        column_names=data.column_names,
+    )
+    costs = uniform_costs(data)
+    stumps = train(data, costs, LearnerConfig(kind="stump-boost", rounds=4, seed=seed))
+    deep = train(data, costs, LearnerConfig(kind="tree-boost", rounds=4, max_depth=3))
+    # one split on each missing side, so NaN cells take both
+    both_sides = Tree._from_rows(
+        [
+            (0, 0.0, 1, 4, True, 0.0),
+            (2, 0.5, 2, 3, False, 0.0),
+            _leaf_row(-0.5),
+            _leaf_row(0.75),
+            _leaf_row(0.125),
+        ]
+    )
+    leaf = Tree._from_rows([_leaf_row(0.3)])
+    trees = (leaf,) + stumps.trees[:2] + deep.trees[:2] + (both_sides, leaf)
+    trees += stumps.trees[2:] + deep.trees[2:]
+    model = Model(kind="tree-boost", n_features=3, base_score=stumps.base_score, trees=trees)
+    return model, features
+
+
+def _wide_range_model(n_features=3, n_trees=40, seed=0):
+    """Leaf values of either sign from 1e-8 to 2e8, where the order of
+    summation shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    trees = []
+    for _ in range(n_trees):
+        low, high = rng.choice([-1.0, 1.0], 2) * rng.uniform(1.0, 2.0, 2) * 10.0 ** rng.integers(-8, 9, 2)
+        trees.append(
+            Tree._from_rows(
+                [(int(rng.integers(n_features)), 0.0, 1, 2, bool(rng.integers(2)), 0.0),
+                 _leaf_row(low), _leaf_row(high)]
+            )
+        )
+    return Model(kind="stump-boost", n_features=n_features, base_score=0.1, trees=tuple(trees))
+
+
+class TestPredictionOracle:
+    def _assert_matches(self, model, features):
+        assert predict_scores(model, features).tobytes() == (
+            _reference_scores(model, features).tobytes()
+        )
+        for tree in model.trees:
+            assert tree.predict(features).tobytes() == _reference_predict(tree, features).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_trees_with_missing_values(self, seed):
+        model, features = _prediction_inputs(seed)
+        self._assert_matches(model, features)
+
+    def test_inputs_cover_both_missing_sides(self):
+        model, features = _prediction_inputs(0)
+        nan_rows = np.isnan(features[:, 0])
+        tree = model.trees[5]
+        assert nan_rows.any()
+        # NaN in column 0 goes left at the root, then right at node 1
+        nan_both = nan_rows & np.isnan(features[:, 2])
+        assert nan_both.any()
+        assert np.all(_reference_predict(tree, features)[nan_both] == 0.75)
+        depths = {int(np.count_nonzero(t.feature >= 0)) for t in model.trees}
+        assert {0, 1}.issubset(depths) and max(depths) >= 3
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_few_rows(self, n_rows):
+        model, features = _prediction_inputs(1)
+        self._assert_matches(model, features[:n_rows])
+        assert predict_scores(model, features[:n_rows]).shape == (n_rows,)
+
+    def test_no_trees(self):
+        model, features = _prediction_inputs(1)
+        empty = Model(kind="tree-boost", n_features=3, base_score=0.25)
+        self._assert_matches(empty, features)
+        self._assert_matches(empty, features[:0])
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 50])
+    def test_summation_order(self, n_rows):
+        model = _wide_range_model()
+        features = np.random.default_rng(n_rows).normal(size=(n_rows, 3))
+        self._assert_matches(model, features)
+
+    def test_wide_range_detects_pairwise_summation(self):
+        # the summation test only holds the order if another order differs
+        # (np.add.reduce sums one row pairwise)
+        model = _wide_range_model()
+        rows = np.random.default_rng(1).normal(size=(5, 3))
+        differs = []
+        for features in np.split(rows, 5):
+            outputs = [np.full(1, model.base_score)]
+            outputs += [_reference_predict(tree, features) for tree in model.trees]
+            reduced = np.add.reduce(np.array(outputs), axis=0)
+            differs.append(reduced.tobytes() != _reference_scores(model, features).tobytes())
+        assert any(differs)
+
+    def test_rows_in_many_blocks(self, monkeypatch):
+        model, features = _prediction_inputs(2)
+        n_nodes = sum(tree.n_nodes for tree in model.trees)
+        # 7 rows per block, and a short last block
+        monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 7 * n_nodes + 1)
+        assert features.shape[0] % 7 != 0
+        self._assert_matches(model, features)
+        # one row per block, below the smallest block
+        monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 1)
+        self._assert_matches(model, features)
+
+    def test_loaded_model(self, tmp_path):
+        model, features = _prediction_inputs(0)
+        path = tmp_path / "model.txt"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        self._assert_matches(loaded, features)
+        assert predict_scores(loaded, features).tobytes() == (
+            predict_scores(model, features).tobytes()
+        )
+
+    def test_loaded_node_with_two_parents(self, tmp_path):
+        # the format only asks children to follow their parent, so a file may
+        # send both sides of a split to one node
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "amscascade model format 1\nkind tree-boost\nfeatures 1\n"
+            "base_score 0.0\nthreshold 0.0\ntrees 1\ntree 0 nodes 4\n"
+            "node 0 split 0 0.0 1 1 left\nnode 1 split 0 1.0 2 3 right\n"
+            "node 2 leaf -1.0\nnode 3 leaf 2.0\nend\n"
+        )
+        model = load_model(str(path))
+        features = np.array([[-1.0], [0.5], [1.5], [np.nan]])
+        self._assert_matches(model, features)
+        np.testing.assert_array_equal(predict_scores(model, features), [-1.0, -1.0, 2.0, 2.0])
+
+    def test_loaded_chain_of_shared_nodes(self, tmp_path):
+        # sixty splits that each send both sides to the next node: the walk
+        # takes one step per level, where following every path would take
+        # 2**60 (so the stack-walk oracle is left out here)
+        nodes = [f"node {k} split 0 0.0 {k + 1} {k + 1} left\n" for k in range(60)]
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "amscascade model format 1\nkind tree-boost\nfeatures 1\n"
+            "base_score 0.0\nthreshold 0.0\ntrees 1\ntree 0 nodes 61\n"
+            + "".join(nodes) + "node 60 leaf 0.5\nend\n"
+        )
+        model = load_model(str(path))
+        features = np.array([[-1.0], [1.0], [np.nan]])
+        np.testing.assert_array_equal(predict_scores(model, features), [0.5, 0.5, 0.5])
 
 
 class TestLearnerConfig:
