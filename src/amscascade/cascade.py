@@ -101,9 +101,12 @@ class CascadeConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.measure, str):
-            resolve_measure(self.measure)  # raises on unknown names
-        if self.u0 is not None and not self.u0 > 0.0:
-            raise ConfigError(f"u0 must be > 0, got {self.u0!r}")
+            try:
+                resolve_measure(self.measure)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        if self.u0 is not None and not (math.isfinite(self.u0) and self.u0 > 0.0):
+            raise ConfigError(f"u0 must be finite and > 0, got {self.u0!r}")
         if not isinstance(self.T, int) or self.T < 1:
             raise ConfigError(f"T must be an integer >= 1, got {self.T!r}")
         if self.variant not in _VARIANTS:
@@ -113,8 +116,8 @@ class CascadeConfig:
                 "extra_rounds_after_stall must be an integer >= 0, got "
                 f"{self.extra_rounds_after_stall!r}"
             )
-        if self.b_reg < 0.0:
-            raise ConfigError(f"b_reg must be >= 0, got {self.b_reg!r}")
+        if not (math.isfinite(self.b_reg) and self.b_reg >= 0.0):
+            raise ConfigError(f"b_reg must be finite and >= 0, got {self.b_reg!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.validation_source is not None and self.validation_source not in _VALIDATION_SOURCES:

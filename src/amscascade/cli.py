@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -272,19 +273,31 @@ def _parse_summary_spec(spec, b_reg):
         raise ConfigError(f"bad summary spec {spec!r}, expected numbers") from None
     if s < 0 or background < 0:
         raise ConfigError("summary counts must be nonnegative")
-    return ConfusionSummary.from_counts(s=s, background=background, p=s, b_reg=b_reg)
+    try:
+        return ConfusionSummary.from_counts(s=s, background=background, p=s, b_reg=b_reg)
+    except ValueError as exc:
+        raise ConfigError(f"bad summary spec {spec!r}: {exc}") from None
+
+
+def _master_seed(args):
+    if args.seed is None:
+        return 0
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed!r}")
+    return args.seed
 
 
 def cmd_eval(args):
     b_reg = CLI_B_REG if args.b_reg is None else args.b_reg
+    if not (math.isfinite(b_reg) and b_reg >= 0.0):
+        raise ConfigError(f"--b-reg must be finite and >= 0, got {b_reg!r}")
     if args.summary is not None:
         summary = _parse_summary_spec(args.summary, b_reg)
     else:
         if args.model is None:
             raise ConfigError("eval requires --model (or --summary)")
         model = load_model(args.model)
-        seed = 0 if args.seed is None else args.seed
-        dataset, _ = _load_dataset(args, seed)
+        dataset, _ = _load_dataset(args, _master_seed(args))
         predictions = classify(model, dataset)
         summary = confusion_summary(dataset, predictions, b_reg)
         if args.submission is not None:
@@ -306,9 +319,10 @@ def cmd_eval(args):
 
 
 def cmd_check(args):
-    seed = 0 if args.seed is None else args.seed
+    if args.instances is not None and args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances!r}")
     results = run_all_checks(
-        seed=seed, instances=args.instances, inject_fault=args.inject_fault
+        seed=_master_seed(args), instances=args.instances, inject_fault=args.inject_fault
     )
     failed = 0
     for result in results:

@@ -165,10 +165,12 @@ class SynthConfig:
             raise ConfigError(f"d must be >= 1, got {self.d!r}")
         if self.n_signal < 1 or self.n_background < 1:
             raise ConfigError("per-class counts must be >= 1")
-        if self.separation < 0.0:
-            raise ConfigError(f"separation must be >= 0, got {self.separation!r}")
-        if self.signal_total <= 0.0 or self.background_total <= 0.0:
-            raise ConfigError("class weight totals must be > 0")
+        if not (math.isfinite(self.separation) and self.separation >= 0.0):
+            raise ConfigError(f"separation must be finite and >= 0, got {self.separation!r}")
+        for name in ("signal_total", "background_total"):
+            total = getattr(self, name)
+            if not (math.isfinite(total) and total > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0, got {total!r}")
 
 
 def default_synth_config() -> SynthConfig:
@@ -186,6 +188,23 @@ def _parse_float(text: str, line_no: int, column: str) -> float:
 
 
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _parse_int64(text: str, line_no: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise DataError(f"line {line_no}: cannot parse {what} {text!r}") from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise DataError(f"line {line_no}: {what} {value} does not fit in 64 bits")
+    return value
+
+
+def _open_text(path: str):
+    try:
+        return open(path, "r", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {path!r}: {exc}") from None
 
 
 def _csv_rows(handle, path: str):
@@ -213,11 +232,7 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
     order is preserved.  Line numbers in error messages count the header as
     line 1.
     """
-    try:
-        handle = open(path, "r", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open {path!r}: {exc}") from None
-    with handle:
+    with _open_text(path) as handle:
         reader = _csv_rows(handle, path)
         try:
             header = next(reader)
@@ -258,15 +273,7 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
                 raise DataError(
                     f"line {line_no}: expected {len(header)} fields, got {len(row)}"
                 )
-            try:
-                event_id = int(row[id_pos])
-            except ValueError:
-                raise DataError(
-                    f"line {line_no}: cannot parse event id {row[id_pos]!r}"
-                ) from None
-            if not _INT64_MIN <= event_id <= _INT64_MAX:
-                raise DataError(f"line {line_no}: event id {event_id} does not fit in 64 bits")
-            ids.append(event_id)
+            ids.append(_parse_int64(row[id_pos], line_no, "event id"))
             w = _parse_float(row[w_pos], line_no, schema.weight_column)
             if not 0.0 < w < math.inf:
                 raise DataError(f"line {line_no}: weight must be finite and > 0, got {w!r}")
@@ -434,9 +441,14 @@ def write_submission(
 
 
 def read_submission(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Parse a submission file back into (event_ids, ranks, selected)."""
-    with open(path, "r", newline="") as handle:
-        reader = csv.reader(handle)
+    """Parse a submission file back into (event_ids, ranks, selected).
+
+    A file that cannot be opened or decoded, a bad header, a malformed row,
+    an ``EventId`` or ``RankOrder`` that is not a 64-bit integer and a class
+    other than 's' or 'b' raise DataError.
+    """
+    with _open_text(path) as handle:
+        reader = _csv_rows(handle, path)
         header = next(reader, None)
         if header != ["EventId", "RankOrder", "Class"]:
             raise DataError(f"{path!r} is not a submission file (bad header)")
@@ -444,8 +456,8 @@ def read_submission(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 3:
                 raise DataError(f"line {line_no}: expected 3 fields, got {len(row)}")
-            ids.append(int(row[0]))
-            ranks.append(int(row[1]))
+            ids.append(_parse_int64(row[0], line_no, "EventId"))
+            ranks.append(_parse_int64(row[1], line_no, "RankOrder"))
             if row[2] not in ("s", "b"):
                 raise DataError(f"line {line_no}: class must be 's' or 'b'")
             sel.append(1 if row[2] == "s" else -1)

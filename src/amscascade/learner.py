@@ -103,9 +103,9 @@ class LearnerConfig:
             )
         if not isinstance(self.max_depth, int) or self.max_depth < 1:
             raise ConfigError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
-        if self.min_child_weight < 0.0:
+        if not (math.isfinite(self.min_child_weight) and self.min_child_weight >= 0.0):
             raise ConfigError(
-                f"min_child_weight must be >= 0, got {self.min_child_weight!r}"
+                f"min_child_weight must be finite and >= 0, got {self.min_child_weight!r}"
             )
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")

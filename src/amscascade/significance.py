@@ -134,10 +134,13 @@ def _f2(t: ArrayLike) -> ArrayLike:
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    out = (1.0 + arr) * np.log1p(arr)
+    out -= arr
+    # the series replaces the closed form only where it is used, |t| < cut
     small = np.abs(arr) < _SERIES_CUT
-    ts = np.where(small, arr, 0.0)
+    ts = arr[small]
     # truncated alternating series: sum_{k>=2} (-1)^k t^k / (k (k - 1))
-    series = ts * ts * (
+    out[small] = ts * ts * (
         1.0 / 2.0
         + ts * (
             -1.0 / 6.0
@@ -150,9 +153,7 @@ def _f2(t: ArrayLike) -> ArrayLike:
             )
         )
     )
-    tl = np.where(small, 1.0, arr)
-    direct = (1.0 + tl) * np.log1p(tl) - tl
-    return _as_result(np.where(small, series, direct), scalar)
+    return _as_result(out, scalar)
 
 
 def _f2_conjugate(u: ArrayLike) -> ArrayLike:
@@ -160,9 +161,11 @@ def _f2_conjugate(u: ArrayLike) -> ArrayLike:
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    out = np.expm1(arr)
+    out -= arr
     small = np.abs(arr) < _SERIES_CUT
-    us = np.where(small, arr, 0.0)
-    series = us * us * (
+    us = arr[small]
+    out[small] = us * us * (
         1.0 / 2.0
         + us * (
             1.0 / 6.0
@@ -175,8 +178,7 @@ def _f2_conjugate(u: ArrayLike) -> ArrayLike:
             )
         )
     )
-    direct = np.expm1(arr) - arr
-    return _as_result(np.where(small, series, direct), scalar)
+    return _as_result(out, scalar)
 
 
 def _f2_prime(t: ArrayLike) -> ArrayLike:

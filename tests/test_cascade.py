@@ -92,8 +92,13 @@ class TestCascadeConfig:
             CascadeConfig(b_reg=-1.0)
         with pytest.raises(ConfigError):
             CascadeConfig(validation_source="test")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             CascadeConfig(measure="ams9")
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                CascadeConfig(b_reg=value)
+            with pytest.raises(ConfigError):
+                CascadeConfig(u0=value)
 
     def test_default_u0_is_all_positive_optimum(self):
         data = synthesize(

@@ -412,6 +412,61 @@ class TestCheckCommand:
         assert out[-1] == "RESULT command=check status=fail suites=5 failed=1"
 
 
+# (config file lines, argv); CONFIG and MODEL stand for paths under tmp_path
+_QUICK_SYNTH = "n_signal=100,n_background=100"
+
+
+def _cascade(*flags, synth=_QUICK_SYNTH):
+    return ["cascade", "--synth", synth, "--config", "CONFIG", *flags]
+
+
+BAD_NUMERIC_INPUTS = {
+    "b-reg-nan-config": ("b_reg = nan\n", _cascade()),
+    "b-reg-inf-config": ("b_reg = inf\n", _cascade()),
+    "u0-inf-config": ("u0 = inf\n", _cascade()),
+    "unknown-measure-config": ("measure = foo\n", _cascade()),
+    "min-child-weight-nan-config": ("learner.min_child_weight = nan\n", _cascade()),
+    "min-child-weight-inf-config": ("learner.min_child_weight = inf\n", _cascade()),
+    "b-reg-nan-flag": ("", _cascade("--b-reg", "nan")),
+    "u0-inf-flag": ("", _cascade("--u0", "inf")),
+    "synth-separation-nan": ("", _cascade(synth=_QUICK_SYNTH + ",separation=nan")),
+    "synth-signal-total-inf": ("", _cascade(synth=_QUICK_SYNTH + ",signal_total=inf")),
+    "synth-background-total-nan": ("", _cascade(synth=_QUICK_SYNTH + ",background_total=nan")),
+    "check-instances-negative": ("", ["check", "--instances", "-2"]),
+    "check-instances-zero": ("", ["check", "--instances", "0"]),
+    "check-seed-negative": ("", ["check", "--seed", "-3", "--instances", "1"]),
+    "eval-summary-nan": ("", ["eval", "--summary", "nan,5"]),
+    "eval-summary-inf": ("", ["eval", "--summary", "5,inf"]),
+    "eval-summary-overflow": ("", ["eval", "--summary", "1e308,1e308"]),
+    "eval-b-reg-nan": ("", ["eval", "--summary", "5,5", "--b-reg", "nan"]),
+    "eval-b-reg-negative": ("", ["eval", "--summary", "5,5", "--b-reg", "-1"]),
+    "eval-seed-negative": (
+        "", ["eval", "--model", "MODEL", "--synth", _QUICK_SYNTH, "--seed", "-1"]
+    ),
+}
+
+
+class TestNumericInputErrors:
+    @pytest.mark.parametrize("case", list(BAD_NUMERIC_INPUTS), ids=list(BAD_NUMERIC_INPUTS))
+    def test_exits_1_with_one_line(self, tmp_path, capsys, case):
+        lines, argv = BAD_NUMERIC_INPUTS[case]
+        config = tmp_path / "run.cfg"
+        write_quick_config(config, lines)
+        model = tmp_path / "model.txt"
+        save_model(empty_model("tree-boost", n_features=5, base_score=-1.0), str(model))
+        out = tmp_path / "run"
+        paths = {"CONFIG": str(config), "MODEL": str(model)}
+        argv = [paths.get(arg, arg) for arg in argv]
+        if argv[0] == "cascade":
+            argv += ["--out-dir", str(out)]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert "RESULT" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,8 +1,10 @@
-"""Property tests for the dataset CSV format: damaged files fail loudly.
+"""Property tests for the dataset and submission CSV formats: damaged
+files fail loudly.
 
 Arbitrary bytes, and a valid file with one cell replaced, either load or
-raise a package error; no other exception escapes ``load_csv``.  The runs
-are derandomized with fixed example counts, so the suite is deterministic.
+raise a package error; no other exception escapes ``load_csv`` or
+``read_submission``.  The runs are derandomized with fixed example counts,
+so the suite is deterministic.
 """
 
 import os
@@ -13,7 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amscascade.data import SynthConfig, load_csv, synthesize, write_csv
+from amscascade.data import (
+    SynthConfig,
+    load_csv,
+    read_submission,
+    synthesize,
+    write_csv,
+    write_submission,
+)
 from amscascade.errors import AmsCascadeError
 
 PROPERTY_SETTINGS = settings(
@@ -95,3 +104,61 @@ def test_one_replaced_cell_fails_as_package_error(column, data):
     cells[column] = data.draw(CELLS, label="new cell")
     lines[k] = ",".join(cells)
     _load_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+
+
+def _valid_submission():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sub.csv")
+        write_submission(path, [7, 8, 9, 10], [0.5, 0.25, 0.75, 0.0], [1, -1, 1, -1])
+        with open(path, "rb") as handle:
+            return handle.read().decode()
+
+
+VALID_SUBMISSION = _valid_submission()
+
+
+def _read_submission_bytes(data):
+    """read_submission on a file holding ``data``; None when it is rejected."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sub.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        try:
+            ids, ranks, selected = read_submission(path)
+        except AmsCascadeError:
+            return None
+    assert ids.shape == ranks.shape == selected.shape
+    assert ids.dtype == ranks.dtype == np.int64
+    assert np.all(np.isin(selected, (-1, 1)))
+    return ids, ranks, selected
+
+
+def test_valid_submission_reads():
+    ids, ranks, selected = _read_submission_bytes(VALID_SUBMISSION.encode())
+    assert ids.tolist() == [7, 8, 9, 10] and ranks.tolist() == [3, 2, 4, 1]
+    assert selected.tolist() == [1, -1, 1, -1]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.text(max_size=200).map(lambda text: ("EventId,RankOrder,Class\n" + text).encode(
+            "utf-8", "surrogatepass"
+        )),
+    )
+)
+def test_arbitrary_submission_bytes_fail_as_package_errors(data):
+    _read_submission_bytes(data)
+
+
+@pytest.mark.parametrize("column", range(3))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_submission_one_replaced_cell_fails_as_package_error(column, data):
+    lines = VALID_SUBMISSION.splitlines()
+    k = data.draw(st.integers(0, 2**16), label="line") % len(lines)
+    cells = lines[k].split(",")
+    cells[column] = data.draw(CELLS, label="new cell")
+    lines[k] = ",".join(cells)
+    _read_submission_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))

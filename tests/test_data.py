@@ -255,6 +255,13 @@ class TestSynthesize:
             SynthConfig(d=0)
         with pytest.raises(ConfigError):
             SynthConfig(separation=-0.1)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                SynthConfig(separation=value)
+            with pytest.raises(ConfigError):
+                SynthConfig(signal_total=value)
+            with pytest.raises(ConfigError):
+                SynthConfig(background_total=value)
 
 
 class TestSubmission:
@@ -279,6 +286,28 @@ class TestSubmission:
         path = tmp_path / "sub.csv"
         write_submission(str(path), [1, 2], [0.25, 0.125], [1, -1])
         assert path.read_bytes() == b"EventId,RankOrder,Class\n1,2,s\n2,1,b\n"
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError, match="absent.csv"):
+            read_submission(str(path))
+
+    @pytest.mark.parametrize(
+        "row,column",
+        [("x,1,s", "EventId"), ("1.5,1,s", "EventId"), ("1,one,s", "RankOrder"),
+         ("1,,b", "RankOrder"), (f"{2**63},1,s", "EventId"), (f"1,{-(2**63) - 1},b", "RankOrder")],
+    )
+    def test_bad_integer_cell_names_line(self, tmp_path, row, column):
+        path = tmp_path / "sub.csv"
+        path.write_text(f"EventId,RankOrder,Class\n2,1,b\n{row}\n")
+        with pytest.raises(DataError, match=f"line 3: .*{column}"):
+            read_submission(str(path))
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "sub.csv"
+        path.write_bytes(b"EventId,RankOrder,Class\n1,1,\xff\n")
+        with pytest.raises(DataError, match="decode"):
+            read_submission(str(path))
 
     def test_duplicate_ids_rejected(self, tmp_path):
         with pytest.raises(DataError):

@@ -840,6 +840,9 @@ class TestLearnerConfig:
             LearnerConfig(seed=-1)
         with pytest.raises(ConfigError):
             LearnerConfig(min_child_weight=-0.5)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                LearnerConfig(min_child_weight=value)
 
     def test_zero_learning_rate_allowed(self):
         assert LearnerConfig(learning_rate=0.0).learning_rate == 0.0

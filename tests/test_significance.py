@@ -6,13 +6,16 @@ under test to generate its own oracle.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from amscascade.checks import GRID_POINTS
 from amscascade.errors import DegenerateInputError
 from amscascade.significance import (
+    _SERIES_CUT,
     AMS2,
     AMS3,
     U_MAX,
@@ -28,6 +31,8 @@ from amscascade.significance import (
     significance,
     significance_curve,
     validate_dual,
+    _f2,
+    _f2_conjugate,
 )
 
 # frozen 40-digit oracle values
@@ -109,6 +114,162 @@ class TestMeasureFunctions:
         assert resolve_measure(AMS2) is AMS2
         with pytest.raises(ValueError):
             resolve_measure("ams4")
+
+
+def _reference_f2(t):
+    """``_f2`` as a whole-array ``np.where`` blend of series and closed form.
+
+    The oracle for the kernel that evaluates the series only where
+    ``|t| < 0.01``: both must give the same bytes and the same warnings.
+    """
+    arr = np.asarray(t, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    small = np.abs(arr) < 0.01
+    ts = np.where(small, arr, 0.0)
+    series = ts * ts * (
+        1.0 / 2.0
+        + ts * (
+            -1.0 / 6.0
+            + ts * (
+                1.0 / 12.0
+                + ts * (
+                    -1.0 / 20.0
+                    + ts * (1.0 / 30.0 + ts * (-1.0 / 42.0 + ts * (1.0 / 56.0 - ts / 72.0)))
+                )
+            )
+        )
+    )
+    tl = np.where(small, 1.0, arr)
+    direct = (1.0 + tl) * np.log1p(tl) - tl
+    out = np.where(small, series, direct)
+    return out.item() if scalar else out
+
+
+def _reference_f2_conjugate(u):
+    """``_f2_conjugate`` as a whole-array ``np.where`` blend (see above)."""
+    arr = np.asarray(u, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    small = np.abs(arr) < 0.01
+    us = np.where(small, arr, 0.0)
+    series = us * us * (
+        1.0 / 2.0
+        + us * (
+            1.0 / 6.0
+            + us * (
+                1.0 / 24.0
+                + us * (
+                    1.0 / 120.0
+                    + us * (1.0 / 720.0 + us * (1.0 / 5040.0 + us * (1.0 / 40320.0 + us / 362880.0)))
+                )
+            )
+        )
+    )
+    direct = np.expm1(arr) - arr
+    out = np.where(small, series, direct)
+    return out.item() if scalar else out
+
+
+_KERNELS = [(_f2, _reference_f2), (_f2_conjugate, _reference_f2_conjugate)]
+_KERNEL_IDS = ["f2", "f2_conjugate"]
+
+
+def _cut_band():
+    """Every float within 200 ulps of each of +-cut, and a linear band
+    around them."""
+    cut = _SERIES_CUT
+    near = [cut]
+    for _ in range(200):
+        near.append(np.nextafter(near[-1], 0.0))
+    far = [cut]
+    for _ in range(200):
+        far.append(np.nextafter(far[-1], 1.0))
+    ulps = np.array(near + far)
+    band = np.linspace(0.9 * cut, 1.1 * cut, 20001)
+    both = np.concatenate([ulps, band])
+    return np.concatenate([both, -both])
+
+
+_EDGES = np.array(
+    [
+        0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+        _SERIES_CUT, -_SERIES_CUT,
+        np.nextafter(_SERIES_CUT, 0.0), np.nextafter(-_SERIES_CUT, 0.0),
+        0.00999999, 1.0, -0.5,
+        # log1p(-1) = -inf, log1p below -1 is NaN
+        -1.0, -2.0,
+        # expm1 overflows past ~709.78
+        709.0, 710.0, 1e308, -1e308,
+        np.inf, -np.inf, np.nan,
+    ]
+)
+
+
+class TestKernelOracle:
+    """Series-only-where-small kernels against the ``np.where`` reference:
+    byte-equal outputs, the same warnings, and Python floats for 0-d input."""
+
+    @staticmethod
+    def _run(kernel, x):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = kernel(x)
+        return out, [(w.category, str(w.message)) for w in caught]
+
+    def _assert_matches(self, kernel, reference, x):
+        got, got_warnings = self._run(kernel, x)
+        want, want_warnings = self._run(reference, x)
+        assert type(got) is type(want)
+        assert np.asarray(got).shape == np.asarray(want).shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert got_warnings == want_warnings
+        return got_warnings
+
+    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    def test_check_grid(self, kernel, reference):
+        grid = np.linspace(0.0, U_MAX, GRID_POINTS)
+        assert np.count_nonzero(grid < _SERIES_CUT) > 500
+        assert self._assert_matches(kernel, reference, grid) == []
+
+    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    def test_band_around_cut(self, kernel, reference):
+        self._assert_matches(kernel, reference, _cut_band())
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 10.0])
+    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    def test_exponential_draws(self, kernel, reference, scale):
+        rng = np.random.default_rng(int(1e4 * scale))
+        draws = rng.exponential(scale, 50_000)
+        self._assert_matches(kernel, reference, draws)
+        self._assert_matches(kernel, reference, -draws)
+        # a 2-d input keeps its shape
+        self._assert_matches(kernel, reference, draws.reshape(250, 200))
+
+    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    def test_edge_values(self, kernel, reference):
+        warned = self._assert_matches(kernel, reference, _EDGES)
+        # the edges reach the closed form's overflow and invalid paths
+        assert warned
+        for x in _EDGES:
+            self._assert_matches(kernel, reference, x)
+            self._assert_matches(kernel, reference, np.array([x]))
+
+    @pytest.mark.parametrize(
+        "x", [0.0, -0.0, 1e-3, -5e-3, _SERIES_CUT, 0.5, 3.0, 2, np.float64(0.004), np.array(1e-3)]
+    )
+    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    def test_zero_dim_returns_python_float(self, kernel, reference, x):
+        self._assert_matches(kernel, reference, x)
+        assert type(kernel(x)) is float
+
+    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    def test_empty_and_input_untouched(self, kernel, reference):
+        self._assert_matches(kernel, reference, np.array([]))
+        x = np.array([1e-3, 0.5, -2e-3])
+        before = x.tobytes()
+        kernel(x)
+        assert x.tobytes() == before
 
 
 class TestFenchelYoung:
