@@ -215,7 +215,13 @@ def _next_dual(summary: ConfusionSummary, measure: SignificanceMeasure) -> float
 
 
 def derive_seed(seed: int, *keys: int) -> int:
-    """The package's one seed derivation: word 0 of ``SeedSequence([seed, *keys])``."""
+    """The package's one seed derivation: word 0 of ``SeedSequence([seed, *keys])``.
+
+    A negative seed or key is a ConfigError.
+    """
+    for value in (seed, *keys):
+        if value < 0:
+            raise ConfigError(f"seeds and seed keys must be >= 0, got {value!r}")
     return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
 
 

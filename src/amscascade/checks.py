@@ -16,6 +16,7 @@ import numpy as np
 
 from .cascade import derive_seed, select_threshold
 from .data import WeightedDataset
+from .errors import ConfigError
 from .learner import surrogate_gradient, surrogate_loss
 from .significance import (
     AMS2,
@@ -277,8 +278,11 @@ def run_all_checks(seed=0, instances=None, inject_fault=False):
     `instances` overrides the per-pair counts of the cheap suites; the grid
     and brute-force suites cap at their defaults to bound runtime. With
     `inject_fault` the Fenchel-Young suite runs against a measure whose
-    conjugate is off by 1e-3 and must report failure.
+    conjugate is off by 1e-3 and must report failure.  An `instances`
+    below 1 is a ConfigError.
     """
+    if instances is not None and instances < 1:
+        raise ConfigError(f"instances must be >= 1, got {instances!r}")
     fy_n = 1000 if instances is None else instances
     dual_n = 200 if instances is None else instances
     grad_n = 100 if instances is None else min(instances, 100)

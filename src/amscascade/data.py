@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -231,7 +233,115 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
     a malformed CSV row and text that does not decode raise DataError.  Row
     order is preserved.  Line numbers in error messages count the header as
     line 1.
+
+    A plain file (see ``_load_csv_columns``) is read column-wise in one
+    streaming pass; any other file, and every rejected one, goes to the
+    row parser, so both the accepted set and the messages are the row
+    parser's.
     """
+    dataset = _load_csv_columns(path, schema)
+    return dataset if dataset is not None else _load_csv_rows(path, schema)
+
+
+# a header the csv module splits exactly at its commas: printable ASCII
+# without the quote character, ending in a line feed
+_PLAIN_HEADER = re.compile(rb'[ !#-~]*\n')
+# body bytes whose numbers np.loadtxt reads as float() and int() do: no
+# whitespace, '_', quotes, '#', '\r' or nan/inf spellings
+_PLAIN_BODY_BYTES = b"0123456789.eE+-,\nsb"
+
+
+def _plain_lines(handle, field_limit: int):
+    """The body lines of ``handle``; ValueError at the first one that is not plain.
+
+    An empty line (which np.loadtxt skips and the row parser rejects) and a
+    line long enough to hold a field over the csv module's limit are not
+    plain either.
+    """
+    for line in handle:
+        if line == b"\n" or len(line) > field_limit or line.translate(None, _PLAIN_BODY_BYTES):
+            raise ValueError("not a plain line")
+        yield line
+
+
+def _load_csv_columns(path: str, schema: CsvSchema) -> Optional[WeightedDataset]:
+    """``load_csv`` by one np.loadtxt pass, or None where the row parser must decide.
+
+    It returns a dataset only when the row parser would return the same
+    bytes: a plain header naming distinct id, weight, label and feature
+    columns, and a body of plain lines whose cells parse with the dtype of
+    their column and pass the row parser's checks.  The lines stream from
+    the file, so no decoded copy of the whole text is held.
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        return None
+    with handle:
+        header_line = handle.readline()
+        if not _PLAIN_HEADER.fullmatch(header_line):
+            return None
+        header = header_line[:-1].decode("ascii").split(",")
+        positions = {name: i for i, name in enumerate(header)}
+        roles = (schema.id_column, schema.weight_column, schema.label_column)
+        if schema.feature_columns is None:
+            feature_names = tuple(c for c in header if c not in roles)
+        else:
+            feature_names = tuple(schema.feature_columns)
+        # one parse type per column, so a column read in two roles is left
+        # to the row parser.  Labels get two characters so that 'sb' is not
+        # cut to 's', and unread columns one, which any cell fits.
+        kinds = dict.fromkeys(feature_names, "f8")
+        kinds.update(zip(roles, ("i8", "f8", "U2")))
+        if (
+            not feature_names
+            or len(positions) != len(header)
+            or len(kinds) != len(roles) + len(set(feature_names))
+            or not kinds.keys() <= positions.keys()
+        ):
+            return None
+        dtype = np.dtype([(f"c{i}", kinds.get(name, "U1")) for i, name in enumerate(header)])
+        with warnings.catch_warnings():
+            # e.g. numpy < 2 reads an int64 cell '1.0' with a DeprecationWarning,
+            # and an empty body with a UserWarning
+            warnings.simplefilter("error")
+            try:
+                table = np.loadtxt(
+                    _plain_lines(handle, csv.field_size_limit()),
+                    dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                )
+            except (ValueError, Warning):
+                return None
+
+    def column(name: str) -> np.ndarray:
+        return table[f"c{positions[name]}"]
+
+    weights = column(schema.weight_column)
+    labels = column(schema.label_column)
+    if not (
+        table.size
+        and np.all((weights > 0.0) & (weights < math.inf))
+        and np.all((labels == "s") | (labels == "b"))
+    ):
+        return None
+    features = np.empty((table.size, len(feature_names)))
+    for j, name in enumerate(feature_names):
+        features[:, j] = column(name)
+    if np.isnan(features).any():
+        return None
+    features[features == MISSING_VALUE] = np.nan
+    return WeightedDataset(
+        features=features,
+        labels=np.where(labels == "s", 1, -1),
+        weights=weights,
+        event_ids=column(schema.id_column),
+        column_names=feature_names,
+    )
+
+
+def _load_csv_rows(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
+    """``load_csv`` one row at a time: the reference parser, and the only
+    source of its DataError messages."""
     with _open_text(path) as handle:
         reader = _csv_rows(handle, path)
         try:
@@ -431,13 +541,12 @@ def write_submission(
         raise DataError("selected must take values in {-1, +1}")
     ranks = np.empty(ids.size, dtype=np.int64)
     ranks[_submission_order(ids, sc)] = np.arange(1, ids.size + 1)
+    classes = np.where(sel == 1, "s", "b").tolist()
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["EventId", "RankOrder", "Class"])
-        for i in range(ids.size):
-            writer.writerow(
-                [str(int(ids[i])), str(int(ranks[i])), "s" if sel[i] == 1 else "b"]
-            )
+        handle.write("EventId,RankOrder,Class\n")
+        handle.writelines(
+            f"{i},{r},{c}\n" for i, r, c in zip(ids.tolist(), ranks.tolist(), classes)
+        )
 
 
 def read_submission(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from amscascade.cascade import (
     Ensemble,
     RoundRecord,
     default_u0,
+    derive_seed,
     ensemble_average,
     ensemble_scores,
     format_cascade_config,
@@ -110,6 +111,13 @@ class TestCascadeConfig:
         np.testing.assert_allclose(default_u0(data, 0.0, AMS2), LN_125, rtol=1e-12)
         np.testing.assert_allclose(default_u0(data, 0.0, AMS3), 0.25, rtol=1e-12)
         np.testing.assert_allclose(default_u0(data, 100.0, AMS3), 0.2, rtol=1e-12)
+
+
+class TestDeriveSeed:
+    def test_negative_seed_or_key_is_config_error(self):
+        for seed, keys in ((-3, (1,)), (-1, ()), (3, (-1,)), (0, (5, -2))):
+            with pytest.raises(ConfigError, match=">= 0"):
+                derive_seed(seed, *keys)
 
 
 class TestFreshCascade:

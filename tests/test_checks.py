@@ -1,6 +1,7 @@
 """Tests for the built-in verification suites."""
 
 import numpy as np
+import pytest
 
 from amscascade.checks import (
     check_duality,
@@ -11,6 +12,7 @@ from amscascade.checks import (
     perturbed_conjugate_measure,
     run_all_checks,
 )
+from amscascade.errors import ConfigError
 from amscascade.significance import AMS2
 
 
@@ -29,6 +31,11 @@ class TestSuites:
             assert isinstance(result.passed, bool)
             assert isinstance(result.worst, float)
             assert result.detail == ""
+
+    def test_instances_below_one_is_config_error(self):
+        for instances in (0, -2):
+            with pytest.raises(ConfigError, match="instances"):
+                run_all_checks(instances=instances)
 
     def test_deterministic(self):
         assert run_all_checks(seed=11, instances=10) == run_all_checks(
