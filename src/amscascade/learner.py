@@ -340,6 +340,15 @@ def _build_tree(
     max_depth: int,
     min_child_weight: float,
 ) -> Tree:
+    # Each feature's present rows are sorted once per tree, at the root, by
+    # (value, row index).  A split filters every such list into its children
+    # through one row-membership mask; the filter keeps the order, so each
+    # node sees exactly the sequence a stable argsort of its own ascending
+    # rows would give, and every cumulative sum runs in the same order.
+    n = features.shape[0]
+    columns = np.ascontiguousarray(features.T)
+    missing_cells = np.isnan(columns)
+    in_left = np.empty(n, dtype=bool)  # the splitting node's left rows
     rows: list[tuple] = []
 
     def leaf_value(idx: np.ndarray) -> float:
@@ -347,7 +356,7 @@ def _build_tree(
         H = float(h[idx].sum())
         return -learning_rate * G / H if H > 0.0 else 0.0
 
-    def best_split(idx: np.ndarray):
+    def best_split(idx: np.ndarray, sorted_rows: list[np.ndarray]):
         # returns (feature, threshold, missing_left) or None.  Each feature's
         # candidates form a (boundary, missing side) grid, column 0 sending the
         # missing rows left; ties go to the first candidate in scan order:
@@ -356,27 +365,23 @@ def _build_tree(
         parent = _safe_ratio(g[idx].sum(), h[idx].sum())
         best = None
         best_gain = 0.0
-        for j in range(features.shape[1]):
-            col = features[idx, j]
-            nan_mask = np.isnan(col)
-            present = idx[~nan_mask]
-            if present.size < 2:
+        for j, sorted_idx in enumerate(sorted_rows):
+            if sorted_idx.size < 2:
                 continue
-            missing = idx[nan_mask]
-            order = np.argsort(col[~nan_mask], kind="stable")
-            sorted_idx = present[order]
-            v = col[~nan_mask][order]
+            v = columns[j][sorted_idx]
             boundaries = np.flatnonzero(v[1:] > v[:-1]) + 1
             if boundaries.size == 0:
                 continue
-            grid = []
-            for values in (g, h, costs):
+            missing = idx[missing_cells[j][idx]]
+            grid = np.empty((6, boundaries.size, 2))
+            for left, right, values in zip(grid[::2], grid[1::2], (g, h, costs)):
                 cum = np.cumsum(values[sorted_idx])
-                below = cum[boundaries - 1]
-                above = cum[-1] - below
                 miss = float(values[missing].sum())
-                grid.append(np.column_stack((below + miss, below)))
-                grid.append(np.column_stack((above, above + miss)))
+                below, above = left[:, 1], right[:, 0]
+                np.take(cum, boundaries - 1, out=below)
+                np.subtract(cum[-1], below, out=above)
+                np.add(below, miss, out=left[:, 0])
+                np.add(above, miss, out=right[:, 1])
             GL, GR, HL, HR, CL, CR = grid
             gain = (_safe_ratio(GL, HL) + _safe_ratio(GR, HR)) - parent
             # the skip rules negated: a NaN cost or gain compares false, so it
@@ -397,20 +402,35 @@ def _build_tree(
                 best = (j, float(v[boundaries[i // 2]]), i % 2 == 0)
         return best
 
-    def build(idx: np.ndarray, depth: int) -> None:
-        split = None if depth >= max_depth or idx.size < 2 else best_split(idx)
+    def build(idx: np.ndarray, sorted_rows: Optional[list[np.ndarray]], depth: int) -> None:
+        split = None if depth >= max_depth or idx.size < 2 else best_split(idx, sorted_rows)
         if split is None:
             rows.append(_leaf_row(leaf_value(idx)))
             return
         j, cut, miss_left = split
-        go_left = _goes_left(features[idx, j], cut, miss_left)
+        go_left = _goes_left(columns[j][idx], cut, miss_left)
+        # children at the depth limit search no split, so need no lists; the
+        # lists live along one root-to-node path, at most max_depth x d x n
+        # entries
+        left_rows = right_rows = None
+        if depth + 1 < max_depth:
+            in_left[idx] = go_left
+            left_rows, right_rows = [], []
+            for sorted_idx in sorted_rows:
+                side = in_left[sorted_idx]
+                left_rows.append(sorted_idx[side])
+                right_rows.append(sorted_idx[~side])
         node = len(rows)
         rows.append(None)  # filled in once the left subtree's size is known
-        build(idx[go_left], depth + 1)
+        build(idx[go_left], left_rows, depth + 1)
         rows[node] = (j, cut, node + 1, len(rows), miss_left, 0.0)
-        build(idx[~go_left], depth + 1)
+        build(idx[~go_left], right_rows, depth + 1)
 
-    build(np.arange(features.shape[0]), 0)
+    root_rows = []
+    for col, missing in zip(columns, missing_cells):
+        present = np.flatnonzero(~missing)
+        root_rows.append(present[np.argsort(col[present], kind="stable")])
+    build(np.arange(n), root_rows, 0)
     return Tree._from_rows(rows)
 
 
@@ -532,7 +552,7 @@ def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     if cum[-1] <= 0.0:
         return float(np.median(values))
     pos = np.searchsorted(cum, 0.5 * cum[-1])
-    return float(values[order][min(pos, values.size - 1)])
+    return float(values[order[min(pos, values.size - 1)]])
 
 
 def _impute(features: np.ndarray, values: np.ndarray) -> np.ndarray:

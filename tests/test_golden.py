@@ -24,7 +24,7 @@ from amscascade.cascade import (
     write_trace_csv,
 )
 from amscascade.data import SplitSpec, SynthConfig, WeightedDataset, split, synthesize
-from amscascade.learner import CostVector, LearnerConfig, save_model, train
+from amscascade.learner import CostVector, LearnerConfig, Tree, save_model, train
 
 SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,background_total=350"
 
@@ -58,6 +58,10 @@ EXPECTED = {
     "missing": {
         "tree-boost": "c4e51b0714f62f8e873fd315686e20158e526cf8143b332485e2f91bb8df853d",
         "stump-boost": "d96f9e77a494e146985db4db8c25860095db90928d46aad37acd7cc62fae4b1b",
+    },
+    "deep-fresh": {
+        "model": "ead3203c4fc9b9c33df1d7e65a910ecc32aa8456180595d87cd7840397eca3e4",
+        "trace": "24637a8a61866cf4baf592868c371b4dd00cdf0123893b86626e1de70c4014bf",
     },
 }
 
@@ -192,3 +196,31 @@ def test_missing_value_tree_bytes(tmp_path, config):
     # both missing-value sides are taken, so both routing paths are pinned
     assert " left\n" in text and " right\n" in text
     assert sha256(path.read_bytes()) == EXPECTED["missing"][config.kind]
+
+
+def tree_depth(tree: Tree, node: int = 0) -> int:
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, int(tree.left[node])), tree_depth(tree, int(tree.right[node])))
+
+
+def test_deep_fresh_run_bytes(tmp_path):
+    # depth-4 trees on subsampled rows with NaN cells: the grower's row
+    # partitions reach three levels below the root
+    train_ds, val_ds = split(
+        with_missing_cells(seed=25), SplitSpec(validation_fraction=0.5, seed=26)
+    )
+    config = CascadeConfig(
+        T=3,
+        extra_rounds_after_stall=0,
+        b_reg=10.0,
+        seed=5,
+        learner=LearnerConfig(
+            kind="tree-boost", rounds=6, learning_rate=0.3, max_depth=4, subsample=0.8
+        ),
+    )
+    model, trace = run_cascade_fresh(train_ds, val_ds, config)
+    assert max(tree_depth(tree) for tree in model.trees) == 4
+    sides = {bool(side) for tree in model.trees for side in tree.missing_left[tree.feature >= 0]}
+    assert sides == {True, False}
+    assert run_digests(model, trace, tmp_path) == EXPECTED["deep-fresh"]

@@ -576,9 +576,17 @@ def _tree_bytes(tree):
     ]
 
 
+def _tree_depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(
+        _tree_depth(tree, int(tree.left[node])), _tree_depth(tree, int(tree.right[node]))
+    )
+
+
 class TestSplitSearchOracle:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 3, 5])
     @pytest.mark.parametrize(
         "min_child_weight,zero_cost_share",
         [(0.0, 0.0), (1.0, 0.0), (0.0, 0.3), (25.0, 0.2)],
@@ -605,6 +613,15 @@ class TestSplitSearchOracle:
         assert sides == {True, False}
         assert 0 in features_used and 1 not in features_used
 
+    def test_deep_inputs_reach_the_depth_limit(self):
+        # the depth-5 oracle cases above partition each feature's sorted rows
+        # several levels down only if their trees grow that deep
+        depths = [
+            _tree_depth(_reference_build_tree(*_split_search_inputs(seed), 0.3, 5, 0.0))
+            for seed in range(6)
+        ]
+        assert max(depths) == 5
+
     def test_min_child_weight_prunes_every_candidate(self):
         features, g, h, costs = _split_search_inputs(0)
         args = (features, g, h, costs, 0.3, 3, float(costs.sum()))
@@ -620,6 +637,68 @@ class TestSplitSearchOracle:
         expected = _reference_build_tree(*args)
         assert expected.n_nodes == 1
         assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+
+    def test_child_with_fewer_than_two_present_rows(self):
+        # the root splits on column 0; in its left child column 1 has one
+        # present row and column 2 none, while column 3 still splits it.  The
+        # present row sits inside column 1's other values, so no cut of
+        # column 1 reproduces column 0's partition
+        rng = np.random.default_rng(0)
+        n = 60
+        features = rng.normal(size=(n, 4))
+        left = rng.random(n) < 0.5
+        features[:, 0] = np.where(left, 0.0, 1.0)
+        features[left, 1] = np.nan
+        features[np.flatnonzero(left)[0], 1] = 0.0
+        features[left, 2] = np.nan
+        g = np.where(left, -2.0, 2.0) + 0.5 * features[:, 3]
+        h = np.ones(n)
+        args = (features, g, h, np.ones(n), 0.3, 3, 0.0)
+        expected = _reference_build_tree(*args)
+        assert expected.feature[0] == 0 and expected.threshold[0] == 1.0
+        assert expected.feature[1] == 3
+        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ties_straddling_the_cut(self, seed):
+        # column 0 ties all rows of one block at 0 and all others at 1;
+        # column 1 gives the block distinct values rising with the row index.
+        # Both cut at the block's edge with the rows summed in the same
+        # order, so the gains tie exactly and column 0 wins.  Any other order
+        # within column 0's tied rows rounds its sums differently, which in
+        # some of these seeds lets column 1 win.
+        rng = np.random.default_rng(seed)
+        n = 200
+        block = rng.random(n) < 0.5
+        features = np.empty((n, 2))
+        features[:, 0] = np.where(block, 0.0, 1.0)
+        features[:, 1] = np.where(block, np.arange(n) / n, 2.0)
+        g = np.where(block, -1.0, 1.0) * rng.uniform(0.5, 1.5, size=n)
+        h = rng.uniform(0.5, 1.5, size=n)
+        args = (features, g, h, np.ones(n), 0.3, 3, 0.0)
+        expected = _reference_build_tree(*args)
+        assert expected.feature[0] == 0 and expected.threshold[0] == 1.0
+        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subsampled_round(self, seed):
+        # _fit_round grows the tree on the round's sampled rows only
+        features, _, _, costs = _split_search_inputs(seed)
+        n = features.shape[0]
+        rng = np.random.default_rng(seed + 100)
+        labels = np.where(rng.random(n) < 0.4, 1, -1)
+        scores = rng.normal(0.0, 0.5, size=n)
+        config = LearnerConfig(
+            kind="tree-boost", learning_rate=0.3, max_depth=4, min_child_weight=0.0,
+            seed=seed, subsample=0.7,
+        )
+        tree = learner_module._fit_round(features, labels, costs, scores, config, 2)
+        rows = np.sort(learner_module._round_rng(seed, 2).permutation(n)[:round(0.7 * n)])
+        g = surrogate_gradient(costs, labels, scores)[rows]
+        h = surrogate_hessian(costs, labels, scores)[rows]
+        expected = _reference_build_tree(features[rows], g, h, costs[rows], 0.3, 4, 0.0)
+        assert _tree_depth(expected) >= 3
+        assert _tree_bytes(tree) == _tree_bytes(expected)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_overflowing_gains(self, seed):
