@@ -515,16 +515,16 @@ _CASCADE_KEYS = {
     "extra_rounds_after_stall": int,
     "b_reg": float,
     "seed": int,
-    "validation_source": str,
     "update_duals": bool,
+    "validation_source": str,
 }
+# no learner seed: run_cascade derives each round's learner seed from `seed`
 _LEARNER_KEYS = {
     "kind": str,
     "rounds": int,
     "learning_rate": float,
     "max_depth": int,
     "min_child_weight": float,
-    "seed": int,
     "subsample": float,
 }
 
@@ -577,31 +577,19 @@ def parse_cascade_config(text: str, base: Optional[CascadeConfig] = None) -> Cas
 
 
 def format_cascade_config(config: CascadeConfig) -> str:
-    """Render a config in the same flat key-value format parse reads."""
-    measure = config.measure if isinstance(config.measure, str) else config.measure.name
-    lines = [
-        f"measure = {measure}",
-        f"T = {config.T}",
-        f"variant = {config.variant}",
-        f"extra_rounds_after_stall = {config.extra_rounds_after_stall}",
-        f"b_reg = {config.b_reg!r}",
-        f"seed = {config.seed}",
-        f"update_duals = {'true' if config.update_duals else 'false'}",
-    ]
-    if config.u0 is not None:
-        lines.insert(1, f"u0 = {config.u0!r}")
-    if config.validation_source is not None:
-        lines.append(f"validation_source = {config.validation_source}")
-    learner = config.learner
-    lines.extend(
-        [
-            f"learner.kind = {learner.kind}",
-            f"learner.rounds = {learner.rounds}",
-            f"learner.learning_rate = {learner.learning_rate!r}",
-            f"learner.max_depth = {learner.max_depth}",
-            f"learner.min_child_weight = {learner.min_child_weight!r}",
-            f"learner.seed = {learner.seed}",
-            f"learner.subsample = {learner.subsample!r}",
-        ]
-    )
+    """Render a config in the same flat key-value format parse reads, in table order."""
+    tables = (("", config, _CASCADE_KEYS), ("learner.", config.learner, _LEARNER_KEYS))
+    lines = []
+    for prefix, fields, keys in tables:
+        for key, target in keys.items():
+            value = getattr(fields, key)
+            if value is None:
+                continue
+            if isinstance(value, SignificanceMeasure):
+                value = value.name
+            elif target is bool:
+                value = "true" if value else "false"
+            elif target is float:
+                value = repr(value)
+            lines.append(f"{prefix}{key} = {value}")
     return "\n".join(lines) + "\n"

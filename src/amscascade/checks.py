@@ -59,6 +59,20 @@ def perturbed_conjugate_measure(measure, offset=1e-3):
     )
 
 
+def _verdict(name, errors, tolerance, describe):
+    """Result of a suite from its per-instance errors, in draw order.
+
+    The worst error is the first maximum; a NaN error is the maximum and
+    fails. ``describe(k)`` details instance k, called only on failure.
+    """
+    if not errors:
+        raise ConfigError(f"{name}: no instances to check")
+    k = int(np.argmax(errors))
+    worst = float(errors[k])
+    passed = bool(worst <= tolerance)
+    return CheckResult(name, passed, len(errors), worst, "" if passed else describe(k))
+
+
 def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
     """Conjugacy identity: the linearization gap vanishes at u = f'(c/a).
 
@@ -66,26 +80,16 @@ def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
     cancellation stays well under the 1e-9 budget.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    detail = ""
+    cases, gaps = [], []
     for measure in measures:
         a = rng.uniform(0.5, 1e4, instances)
         c = rng.uniform(1e-6, 1e3, instances)
         for i in range(instances):
-            gap = float(abs(fenchel_young_gap(measure, a[i], c[i])))
-            if gap > worst:
-                worst = gap
-                if gap > FY_TOLERANCE:
-                    detail = (
-                        f"measure={measure.name} a={float(a[i])!r} "
-                        f"c={float(c[i])!r} gap={gap:.3e}"
-                    )
-    return CheckResult(
-        name="fenchel-young",
-        passed=bool(worst <= FY_TOLERANCE),
-        instances=instances * len(measures),
-        worst=worst,
-        detail=detail,
+            cases.append((measure.name, float(a[i]), float(c[i])))
+            gaps.append(float(abs(fenchel_young_gap(measure, a[i], c[i]))))
+    template = "measure={} a={!r} c={!r} gap={:.3e}"
+    return _verdict(
+        "fenchel-young", gaps, FY_TOLERANCE, lambda k: template.format(*cases[k], gaps[k])
     )
 
 
@@ -96,9 +100,7 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
     comparison never touches the clamp boundaries.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    detail = ""
-    count = 0
+    cases, rels = [], []
     for measure in measures:
         for _ in range(instances):
             ratio = float(10.0 ** rng.uniform(-4.0, 1.0))
@@ -112,21 +114,11 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
             sig = significance(summary, measure)
             target = -0.5 * sig * sig
             risk = dual_risk(summary, optimal_u(summary, measure), measure)
-            rel = abs(risk - target) / abs(target)
-            count += 1
-            if rel > worst:
-                worst = rel
-                if rel > DUALITY_RTOL:
-                    detail = (
-                        f"measure={measure.name} s={s!r} background={background!r} "
-                        f"b_reg={b_reg!r} rel={rel:.3e}"
-                    )
-    return CheckResult(
-        name="duality-identity",
-        passed=bool(worst <= DUALITY_RTOL),
-        instances=count,
-        worst=worst,
-        detail=detail,
+            cases.append((measure.name, s, background, b_reg))
+            rels.append(abs(risk - target) / abs(target))
+    template = "measure={} s={!r} background={!r} b_reg={!r} rel={:.3e}"
+    return _verdict(
+        "duality-identity", rels, DUALITY_RTOL, lambda k: template.format(*cases[k], rels[k])
     )
 
 
@@ -137,9 +129,7 @@ def check_grid_optimum(
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, U_MAX, grid_points)
     step = U_MAX / (grid_points - 1)
-    worst = 0.0
-    detail = ""
-    count = 0
+    cases, diffs = [], []
     for measure in measures:
         for _ in range(instances):
             s = float(rng.uniform(1.0, 1e4))
@@ -151,22 +141,11 @@ def check_grid_optimum(
             )
             closed = optimal_u(summary, measure)
             gridded = float(grid[int(np.argmin(dual_risk(summary, grid, measure)))])
-            diff = abs(closed - gridded)
-            count += 1
-            if diff > worst:
-                worst = diff
-                if diff > step * (1.0 + 1e-9) + 1e-12:
-                    detail = (
-                        f"measure={measure.name} s={s!r} background={background!r} "
-                        f"b_reg={b_reg!r} closed={closed!r} grid={gridded!r}"
-                    )
-    return CheckResult(
-        name="grid-optimum",
-        passed=bool(worst <= step * (1.0 + 1e-9) + 1e-12),
-        instances=count,
-        worst=worst,
-        detail=detail,
-    )
+            cases.append((measure.name, s, background, b_reg, closed, gridded))
+            diffs.append(abs(closed - gridded))
+    template = "measure={} s={!r} background={!r} b_reg={!r} closed={!r} grid={!r}"
+    tolerance = step * (1.0 + 1e-9) + 1e-12
+    return _verdict("grid-optimum", diffs, tolerance, lambda k: template.format(*cases[k]))
 
 
 def check_gradient(seed=0, instances=100, n_events=50):
@@ -177,9 +156,8 @@ def check_gradient(seed=0, instances=100, n_events=50):
     """
     rng = np.random.default_rng(seed)
     eps = 1e-5
-    worst = 0.0
-    detail = ""
-    for k in range(instances):
+    rels = []
+    for _ in range(instances):
         labels = rng.choice([-1.0, 1.0], n_events)
         costs = rng.uniform(0.1, 5.0, n_events)
         scores = rng.uniform(-2.0, 2.0, n_events)
@@ -192,17 +170,9 @@ def check_gradient(seed=0, instances=100, n_events=50):
             bumped[j] = scores[j] - eps
             lo = surrogate_loss(costs, labels, bumped)
             fd[j] = (hi - lo) / (2.0 * eps)
-        rel = float(np.max(np.abs(fd - grad) / np.maximum(np.abs(grad), 1e-300)))
-        if rel > worst:
-            worst = rel
-            if rel > GRADIENT_RTOL:
-                detail = f"instance={k} rel={rel:.3e}"
-    return CheckResult(
-        name="gradient-fd",
-        passed=bool(worst <= GRADIENT_RTOL),
-        instances=instances,
-        worst=worst,
-        detail=detail,
+        rels.append(float(np.max(np.abs(fd - grad) / np.maximum(np.abs(grad), 1e-300))))
+    return _verdict(
+        "gradient-fd", rels, GRADIENT_RTOL, lambda k: f"instance={k} rel={rels[k]:.3e}"
     )
 
 
@@ -237,6 +207,8 @@ def _brute_force_threshold(scores, dataset, measure, b_reg):
 
 def check_threshold_scan(seed=0, instances=50, n_events=1000):
     """Incremental threshold scan against the O(n^2) brute-force oracle."""
+    if instances < 1:
+        raise ConfigError("threshold-scan: no instances to check")
     rng = np.random.default_rng(seed)
     mismatches = 0
     detail = ""

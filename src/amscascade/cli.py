@@ -184,15 +184,8 @@ def _resolve_cascade_config(args):
             raise ConfigError(f"cannot open config {args.config!r}: {exc}") from None
         base = parse_cascade_config(text, base=base)
     overrides = {}
-    for flag, key in (
-        ("measure", "measure"),
-        ("variant", "variant"),
-        ("T", "T"),
-        ("u0", "u0"),
-        ("b_reg", "b_reg"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, flag)
+    for key in ("measure", "variant", "T", "u0", "b_reg", "seed"):
+        value = getattr(args, key)
         if value is not None:
             overrides[key] = value
     return replace(base, **overrides) if overrides else base

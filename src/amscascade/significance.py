@@ -192,11 +192,6 @@ def _f3(t: ArrayLike) -> ArrayLike:
     return _as_result(0.5 * arr * arr, arr.ndim == 0)
 
 
-def _f3_conjugate(u: ArrayLike) -> ArrayLike:
-    arr = np.asarray(u, dtype=float)
-    return _as_result(0.5 * arr * arr, arr.ndim == 0)
-
-
 def _f3_prime(t: ArrayLike) -> ArrayLike:
     arr = np.asarray(t, dtype=float)
     return _as_result(arr + 0.0, arr.ndim == 0)
@@ -234,7 +229,7 @@ AMS2 = SignificanceMeasure(
 
 AMS3 = SignificanceMeasure(
     f=_f3,
-    f_conjugate=_f3_conjugate,
+    f_conjugate=_f3,  # x^2 / 2 is its own conjugate
     f_prime=_f3_prime,
     h=_sqrt2x,
     name="ams3",
@@ -320,6 +315,11 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
     return ConfusionSummary.from_counts(s, fp, p, b_reg)
 
 
+def _evaluate(ratio: ArrayLike, b: ArrayLike, measure: SignificanceMeasure) -> ArrayLike:
+    """h(b * f(ratio)) with ratio = s / b: the one copy of the measure's formula."""
+    return measure.h(b * np.asarray(measure.f(ratio)))
+
+
 def significance(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:
     """Evaluate h(b * f(s / b)) for one summary; 0 in the s = 0 limit."""
     if summary.s == 0.0:
@@ -328,7 +328,8 @@ def significance(summary: ConfusionSummary, measure: SignificanceMeasure) -> flo
         raise DegenerateInputError(
             "significance undefined: no background weight selected and b_reg = 0"
         )
-    return float(measure.h(summary.b * measure.f(summary.s / summary.b)))
+    # not through significance_curve: its masking costs more than this formula
+    return float(_evaluate(summary.s / summary.b, summary.b, measure))
 
 
 def significance_curve(
@@ -344,7 +345,7 @@ def significance_curve(
     b = np.asarray(b, dtype=float)
     ok = b > 0.0
     ratio = np.where(ok, s / np.where(ok, b, 1.0), 0.0)
-    values = np.asarray(measure.h(b * np.asarray(measure.f(ratio))))
+    values = np.asarray(_evaluate(ratio, b, measure))
     values = np.where(ok, values, np.inf)
     return np.where(s == 0.0, 0.0, values)
 

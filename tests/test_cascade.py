@@ -702,6 +702,9 @@ class TestConfigFile:
             parse_cascade_config("rounds = 5\n")
         with pytest.raises(ConfigError, match="unknown key"):
             parse_cascade_config("learner.depth = 5\n")
+        # run_cascade derives every learner seed from the cascade seed
+        with pytest.raises(ConfigError, match="unknown key 'learner.seed'"):
+            parse_cascade_config("learner.seed = 1\n")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -712,6 +715,46 @@ class TestConfigFile:
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_cascade_config("just some words\n")
+
+    # recorded from the hand-written formatter before it was built from the
+    # key tables; only the learner.seed line was deleted since
+    LEARNER_TEXT = (
+        "learner.kind = tree-boost\nlearner.rounds = 50\nlearner.learning_rate = 0.1\n"
+        "learner.max_depth = 3\nlearner.min_child_weight = 1.0\n"
+    )
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (
+                CascadeConfig(),
+                "measure = ams2\nT = 10\nvariant = fresh\nextra_rounds_after_stall = 10\n"
+                "b_reg = 0.0\nseed = 0\nupdate_duals = true\n"
+                + LEARNER_TEXT + "learner.subsample = 1.0\n",
+            ),
+            (
+                CascadeConfig(u0=0.5, validation_source="training"),
+                "measure = ams2\nu0 = 0.5\nT = 10\nvariant = fresh\n"
+                "extra_rounds_after_stall = 10\nb_reg = 0.0\nseed = 0\nupdate_duals = true\n"
+                "validation_source = training\n"
+                + LEARNER_TEXT + "learner.subsample = 1.0\n",
+            ),
+            (
+                CascadeConfig(
+                    measure=AMS3,
+                    variant="warmstart",
+                    update_duals=False,
+                    learner=LearnerConfig(subsample=0.5),
+                ),
+                "measure = ams3\nT = 10\nvariant = warmstart\nextra_rounds_after_stall = 10\n"
+                "b_reg = 0.0\nseed = 0\nupdate_duals = false\n"
+                + LEARNER_TEXT + "learner.subsample = 0.5\n",
+            ),
+        ],
+        ids=["default", "u0-training", "ams3-instance-warmstart"],
+    )
+    def test_format_text(self, config, expected):
+        assert format_cascade_config(config) == expected
 
     def test_base_overlay(self):
         base = CascadeConfig(T=5, seed=1)

@@ -126,6 +126,19 @@ class TestCascadeCommand:
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
 
+    def test_learner_seed_in_config_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("learner.seed = 1\n")
+        out = tmp_path / "run"
+        code = run_cli(
+            ["cascade", "--synth", SYNTH, "--config", str(config), "--out-dir", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: config line 1: unknown key 'learner.seed'\n"
+        )
+
     def test_dataset_flag_conflicts(self, tmp_path, capsys):
         assert run_cli(["cascade", "--synth", "default", "--data", "x.csv"]) == 1
         assert run_cli(["cascade"]) == 1
