@@ -79,6 +79,8 @@ def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
     Ranges keep both sides of the identity small enough that float
     cancellation stays well under the 1e-9 budget.
     """
+    if instances < 1:
+        raise ConfigError("fenchel-young: no instances to check")
     rng = np.random.default_rng(seed)
     cases, gaps = [], []
     for measure in measures:

@@ -14,6 +14,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,15 @@ MISSING_VALUE = -999.0
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _sorted_present_rows(features: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each column's non-NaN rows, sorted by (value, row index)."""
+    order = []
+    for col in features.T:
+        present = np.flatnonzero(~np.isnan(col))
+        order.append(_frozen(present[np.argsort(col[present], kind="stable")]))
+    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,13 @@ class WeightedDataset:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+    @cached_property
+    def _column_order(self) -> tuple[np.ndarray, ...]:
+        # sorted on first use and kept: the learners read it in every tree
+        # and every cascade round, and rounds change only the costs, never
+        # the features.  Not a field, so ==, repr and replace() ignore it
+        return _sorted_present_rows(self.features)
 
     @property
     def signal_total(self) -> float:

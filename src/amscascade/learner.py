@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import expit
 
-from .data import WeightedDataset
+from .data import WeightedDataset, _sorted_present_rows
 from .errors import ConfigError, DataError, TrainingError
 from .significance import SignificanceMeasure, validate_dual
 
@@ -339,8 +339,9 @@ def _build_tree(
     learning_rate: float,
     max_depth: int,
     min_child_weight: float,
+    root_rows: Sequence[np.ndarray],
 ) -> Tree:
-    # Each feature's present rows are sorted once per tree, at the root, by
+    # root_rows[j] lists the rows where feature j is present, sorted by
     # (value, row index).  A split filters every such list into its children
     # through one row-membership mask; the filter keeps the order, so each
     # node sees exactly the sequence a stable argsort of its own ascending
@@ -356,7 +357,7 @@ def _build_tree(
         H = float(h[idx].sum())
         return -learning_rate * G / H if H > 0.0 else 0.0
 
-    def best_split(idx: np.ndarray, sorted_rows: list[np.ndarray]):
+    def best_split(idx: np.ndarray, sorted_rows: Sequence[np.ndarray]):
         # returns (feature, threshold, missing_left) or None.  Each feature's
         # candidates form a (boundary, missing side) grid, column 0 sending the
         # missing rows left; ties go to the first candidate in scan order:
@@ -402,7 +403,9 @@ def _build_tree(
                 best = (j, float(v[boundaries[i // 2]]), i % 2 == 0)
         return best
 
-    def build(idx: np.ndarray, sorted_rows: Optional[list[np.ndarray]], depth: int) -> None:
+    def build(
+        idx: np.ndarray, sorted_rows: Optional[Sequence[np.ndarray]], depth: int
+    ) -> None:
         split = None if depth >= max_depth or idx.size < 2 else best_split(idx, sorted_rows)
         if split is None:
             rows.append(_leaf_row(leaf_value(idx)))
@@ -426,10 +429,6 @@ def _build_tree(
         rows[node] = (j, cut, node + 1, len(rows), miss_left, 0.0)
         build(idx[~go_left], right_rows, depth + 1)
 
-    root_rows = []
-    for col, missing in zip(columns, missing_cells):
-        present = np.flatnonzero(~missing)
-        root_rows.append(present[np.argsort(col[present], kind="stable")])
     build(np.arange(n), root_rows, 0)
     return Tree._from_rows(rows)
 
@@ -464,7 +463,12 @@ def _fit_round(
     scores: np.ndarray,
     config: LearnerConfig,
     round_index: int,
+    root_rows: Optional[Sequence[np.ndarray]] = None,
 ) -> Tree:
+    # root_rows is the training set's column order (WeightedDataset's
+    # _column_order); it is derived from features when not given
+    if root_rows is None:
+        root_rows = _sorted_present_rows(features)
     g = surrogate_gradient(cost_arr, labels, scores)
     h = surrogate_hessian(cost_arr, labels, scores)
     n = features.shape[0]
@@ -472,16 +476,21 @@ def _fit_round(
         rng = _round_rng(config.seed, round_index)
         m = max(1, int(round(config.subsample * n)))
         rows = np.sort(rng.permutation(n)[:m])
-    else:
-        rows = np.arange(n)
+        # renumber each sorted list to subsample positions, dropping the rows
+        # not sampled; rows ascend, so the order stays (value, row index)
+        position = np.full(n, -1)
+        position[rows] = np.arange(m)
+        root_rows = [kept[kept >= 0] for kept in (position[r] for r in root_rows)]
+        features, g, h, cost_arr = features[rows], g[rows], h[rows], cost_arr[rows]
     return _build_tree(
-        features[rows],
-        g[rows],
-        h[rows],
-        cost_arr[rows],
+        features,
+        g,
+        h,
+        cost_arr,
         config.learning_rate,
         config.depth,
         config.min_child_weight,
+        root_rows,
     )
 
 
@@ -500,7 +509,8 @@ def train(dataset: WeightedDataset, costs: CostVector, config: LearnerConfig) ->
     trees: list[Tree] = []
     for t in range(config.rounds):
         tree = _fit_round(
-            dataset.features, dataset.labels, costs.costs, scores, config, t
+            dataset.features, dataset.labels, costs.costs, scores, config, t,
+            dataset._column_order,
         )
         scores = scores + tree.predict(dataset.features)
         trees.append(tree)
@@ -534,7 +544,8 @@ def boost_one_round(
         )
     scores = predict_scores(model, dataset)
     tree = _fit_round(
-        dataset.features, dataset.labels, costs.costs, scores, config, model.n_trees
+        dataset.features, dataset.labels, costs.costs, scores, config, model.n_trees,
+        dataset._column_order,
     )
     return replace(model, trees=model.trees + (tree,))
 
@@ -546,13 +557,17 @@ def empty_model(kind: str, n_features: int, base_score: float = 0.0) -> Model:
     return Model(kind=kind, n_features=n_features, base_score=base_score)
 
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
+def _weighted_median(col: np.ndarray, order: np.ndarray, weights: np.ndarray) -> float:
+    """The weighted median of ``col``'s present values.
+
+    ``order`` lists the present rows sorted by (value, row index); with no
+    positive weight among them it is the plain median.
+    """
     cum = np.cumsum(weights[order])
     if cum[-1] <= 0.0:
-        return float(np.median(values))
+        return float(np.median(col[order]))
     pos = np.searchsorted(cum, 0.5 * cum[-1])
-    return float(values[order[min(pos, values.size - 1)]])
+    return float(col[order[min(pos, order.size - 1)]])
 
 
 def _impute(features: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -560,17 +575,27 @@ def _impute(features: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(features), values, features)
 
 
+def _design_matrix(features: np.ndarray, impute: np.ndarray) -> np.ndarray:
+    """``[1, features]`` with each NaN in column j replaced by impute[j].
+
+    Written in place, without the imputed copy of ``features`` that
+    ``_impute`` would make.
+    """
+    design = np.empty((features.shape[0], features.shape[1] + 1))
+    design[:, 0] = 1.0
+    np.copyto(design[:, 1:], features)
+    np.copyto(design[:, 1:], impute, where=np.isnan(features))
+    return design
+
+
 def _train_logistic(dataset: WeightedDataset, costs: CostVector) -> Model:
     impute = np.zeros(dataset.d)
-    for j in range(dataset.d):
-        col = dataset.features[:, j]
-        present = ~np.isnan(col)
-        if present.any():
-            impute[j] = _weighted_median(col[present], costs.costs[present])
-    x = _impute(dataset.features, impute)
+    for j, order in enumerate(dataset._column_order):
+        if order.size:
+            impute[j] = _weighted_median(dataset.features[:, j], order, costs.costs)
     y = dataset.labels.astype(float)
     c = costs.costs
-    design = np.hstack([np.ones((dataset.n, 1)), x])
+    design = _design_matrix(dataset.features, impute)
     beta = np.zeros(design.shape[1])
     ridge = 1e-8 * np.eye(design.shape[1])
     for _ in range(100):

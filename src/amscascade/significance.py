@@ -262,22 +262,23 @@ def custom_measure(
     (eps = 1e-6, tolerance 1e-4) on a sample of the nonnegative axis, and
     the conventions f(0) = 0, f*(0) = 0, f* >= 0 are verified.  Evaluators
     are treated as black boxes; no symbolic differentiation is attempted.
+    Every check is written so that a NaN fails it.
     """
     eps = 1e-6
     for t in np.geomspace(1e-3, 50.0, 25):
         fd = (float(f(t + eps)) - float(f(t - eps))) / (2.0 * eps)
         analytic = float(f_prime(t))
-        if abs(fd - analytic) > 1e-4 * max(1.0, abs(analytic)):
+        if not abs(fd - analytic) <= 1e-4 * max(1.0, abs(analytic)):
             raise ValueError(
                 f"f_prime inconsistent with f at t={t!r}: "
                 f"finite difference {fd!r} vs supplied {analytic!r}"
             )
-    if abs(float(f(0.0))) > _ABS_TOL:
+    if not abs(float(f(0.0))) <= _ABS_TOL:
         raise ValueError("custom measure requires f(0) = 0")
-    if abs(float(f_conjugate(0.0))) > _ABS_TOL:
+    if not abs(float(f_conjugate(0.0))) <= _ABS_TOL:
         raise ValueError("custom measure requires f_conjugate(0) = 0")
     for u in np.geomspace(1e-3, min(dual_domain[1], 20.0), 10):
-        if float(f_conjugate(u)) < -_ABS_TOL:
+        if not float(f_conjugate(u)) >= -_ABS_TOL:
             raise ValueError(f"f_conjugate must be nonnegative on [0, inf); fails at u={u!r}")
     return SignificanceMeasure(
         f=f,

@@ -55,6 +55,11 @@ class TestSuites:
         with pytest.raises(ConfigError, match="no instances"):
             suite(seed=1, instances=0)
 
+    @pytest.mark.parametrize("suite", SUITES, ids=lambda suite: suite.__name__)
+    def test_negative_instances_is_config_error(self, suite):
+        with pytest.raises(ConfigError, match="no instances"):
+            suite(seed=1, instances=-1)
+
     def test_deterministic(self):
         assert run_all_checks(seed=11, instances=10) == run_all_checks(
             seed=11, instances=10

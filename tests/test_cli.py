@@ -482,11 +482,16 @@ class TestNumericInputErrors:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # pytest's pythonpath setting does not reach the child interpreter
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "amscascade.cli", "eval", "--summary", "100,400",
              "--b-reg", "0"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1].endswith("ams2=4.81077 ams3=5")

@@ -1,9 +1,12 @@
 """Tests for dataset loading, synthesis, splitting, and submission files."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amscascade.data import (
     CsvSchema,
@@ -18,6 +21,7 @@ from amscascade.data import (
     write_csv,
     write_submission,
 )
+from amscascade.data import _sorted_present_rows
 from amscascade.errors import ConfigError, DataError
 
 
@@ -86,6 +90,77 @@ class TestWeightedDataset:
                 event_ids=good.event_ids,
                 column_names=("a",),
             )
+
+
+def _dataset_of(features):
+    n, d = features.shape
+    return WeightedDataset(
+        features=features,
+        labels=np.where(np.arange(n) % 2 == 0, 1, -1),
+        weights=np.ones(n),
+        event_ids=np.arange(n),
+        column_names=tuple(f"f{j}" for j in range(d)),
+    )
+
+
+# a small pool of cells makes ties, signed zeros and NaN frequent
+CELLS = st.sampled_from([math.nan, -0.0, 0.0, 1.0, -2.5, math.inf]) | st.floats()
+
+
+@st.composite
+def feature_matrices(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    features = np.array(draw(st.lists(CELLS, min_size=n * d, max_size=n * d))).reshape(n, d)
+    if draw(st.booleans()):
+        features[:, draw(st.integers(0, d - 1))] = math.nan
+    return features
+
+
+class TestColumnOrder:
+    """The per-column sorted present rows that both learners share."""
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(feature_matrices())
+    def test_order_is_each_columns_stable_argsort(self, features):
+        order = _dataset_of(features)._column_order
+        assert len(order) == features.shape[1]
+        for col, rows in zip(features.T, order):
+            present = np.flatnonzero(~np.isnan(col))
+            expected = present[np.argsort(col[present], kind="stable")]
+            assert rows.dtype == expected.dtype
+            np.testing.assert_array_equal(rows, expected)
+            # independently: sorted by (value, row index), -0.0 tying 0.0
+            v = col[rows]
+            assert np.all((v[:-1] < v[1:]) | ((v[:-1] == v[1:]) & (rows[:-1] < rows[1:])))
+
+    def test_all_nan_and_one_row_columns(self):
+        order = _sorted_present_rows(np.array([[math.nan, -0.0, 3.0]]))
+        assert [rows.tolist() for rows in order] == [[], [0], [0]]
+
+    def test_cached_read_only_and_not_a_field(self):
+        data = _dataset_of(np.array([[1.0, math.nan], [-0.0, 2.0], [0.0, 2.0]]))
+        twin = replace(data)
+        text = repr(data)
+        order = data._column_order
+        assert data._column_order is order
+        for rows in order:
+            assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            order[0][0] = 2
+        assert [rows.tolist() for rows in order] == [[1, 2, 0], [1, 2]]
+        assert "_column_order" not in {f.name for f in fields(data)}
+        assert repr(data) == text == repr(twin)
+        assert data == twin
+        # copies compute their own order, on first use
+        assert "_column_order" not in vars(twin)
+        assert "_column_order" not in vars(data.take(np.arange(2)))
 
 
 class TestLoadCsv:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from amscascade.data import SynthConfig, WeightedDataset, synthesize
+from amscascade.data import SynthConfig, WeightedDataset, _sorted_present_rows, synthesize
 from amscascade.errors import ConfigError, DataError, TrainingError
 from amscascade.learner import (
     CostVector,
@@ -411,6 +413,15 @@ class TestLogistic:
         scores = predict_scores(model, data)
         assert np.all(np.isfinite(scores))
 
+    def test_prediction_leaves_column_order_uncomputed(self):
+        train_data = gaussian_data(50, 50, seed=2)
+        test_data = gaussian_data(20, 20, seed=3)
+        model = train(train_data, uniform_costs(train_data), LearnerConfig(kind="logistic"))
+        predict_scores(model, test_data)
+        classify(model, test_data)
+        assert "_column_order" in vars(train_data)
+        assert "_column_order" not in vars(test_data)
+
     def test_deterministic(self):
         data = gaussian_data(100, 100, seed=3)
         costs = uniform_costs(data)
@@ -458,6 +469,70 @@ class TestSerialization:
         path.write_text("not a model\n")
         with pytest.raises(DataError):
             load_model(str(path))
+
+
+def _reference_weighted_median(values, weights):
+    """The weighted median with its own stable argsort of ``values``, the
+    present values of one column in row order: the oracle for
+    ``_weighted_median``, which reads the order from the dataset."""
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    if cum[-1] <= 0.0:
+        return float(np.median(values))
+    pos = np.searchsorted(cum, 0.5 * cum[-1])
+    return float(values[order[min(pos, values.size - 1)]])
+
+
+# ties, signed zeros and NaN are frequent among these cells, and zero costs
+# among these costs, so the all-zero-cost np.median fallback is reached
+MEDIAN_CELLS = st.sampled_from([math.nan, -0.0, 0.0, 1.0, 1.0, -3.0]) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+MEDIAN_COSTS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+class TestLogisticInputs:
+    """The imputation values and design matrix of ``_train_logistic``."""
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.lists(st.tuples(MEDIAN_CELLS, MEDIAN_COSTS), min_size=1, max_size=15))
+    def test_weighted_median_matches_sort_per_call(self, cells):
+        col = np.array([value for value, _ in cells])
+        costs = np.array([cost for _, cost in cells])
+        present = ~np.isnan(col)
+        if not present.any():
+            return
+        (order,) = _sorted_present_rows(col[:, None])
+        got = learner_module._weighted_median(col, order, costs)
+        expected = _reference_weighted_median(col[present], costs[present])
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0, 2.0], [-0.0, 0.0, 0.0, -0.0], [3.0, 1.0]])
+    def test_weighted_median_zero_cost_fallback(self, values):
+        col = np.array(values + [math.nan])
+        (order,) = _sorted_present_rows(col[:, None])
+        got = learner_module._weighted_median(col, order, np.zeros(col.size))
+        expected = np.median(np.array(values))
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_design_matrix_matches_hstack(self, seed):
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(50, 4))
+        features[rng.random((50, 4)) < 0.3] = np.nan
+        features[:, 2] = np.nan
+        features[rng.random(50) < 0.2, 3] = -0.0
+        impute = np.array([0.5, -0.0, 0.0, 1.25])
+        got = learner_module._design_matrix(features, impute)
+        expected = np.hstack([np.ones((50, 1)), learner_module._impute(features, impute)])
+        assert got.flags.c_contiguous and got.dtype == expected.dtype
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def _reference_safe_ratio(g, h):
@@ -596,7 +671,7 @@ class TestSplitSearchOracle:
         features, g, h, costs = _split_search_inputs(seed, zero_cost_share=zero_cost_share)
         args = (features, g, h, costs, 0.3, depth, min_child_weight)
         expected = _reference_build_tree(*args)
-        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
 
     def test_inputs_cover_both_missing_sides_and_ties(self):
         # the oracle cases above only show agreement if they reach both
@@ -627,7 +702,7 @@ class TestSplitSearchOracle:
         args = (features, g, h, costs, 0.3, 3, float(costs.sum()))
         expected = _reference_build_tree(*args)
         assert expected.n_nodes == 1
-        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
 
     def test_fewer_than_two_present_rows(self):
         features = np.array([[np.nan], [np.nan], [3.0], [np.nan]])
@@ -636,7 +711,7 @@ class TestSplitSearchOracle:
         args = (features, g, h, np.ones(4), 0.3, 3, 0.0)
         expected = _reference_build_tree(*args)
         assert expected.n_nodes == 1
-        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
 
     def test_child_with_fewer_than_two_present_rows(self):
         # the root splits on column 0; in its left child column 1 has one
@@ -657,7 +732,7 @@ class TestSplitSearchOracle:
         expected = _reference_build_tree(*args)
         assert expected.feature[0] == 0 and expected.threshold[0] == 1.0
         assert expected.feature[1] == 3
-        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_ties_straddling_the_cut(self, seed):
@@ -678,7 +753,7 @@ class TestSplitSearchOracle:
         args = (features, g, h, np.ones(n), 0.3, 3, 0.0)
         expected = _reference_build_tree(*args)
         assert expected.feature[0] == 0 and expected.threshold[0] == 1.0
-        assert _tree_bytes(_build_tree(*args)) == _tree_bytes(expected)
+        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_subsampled_round(self, seed):
@@ -700,6 +775,32 @@ class TestSplitSearchOracle:
         assert _tree_depth(expected) >= 3
         assert _tree_bytes(tree) == _tree_bytes(expected)
 
+    @pytest.mark.parametrize("subsample", [0.3, 0.7, 0.01])
+    def test_subsample_lists_are_the_samples_own_order(self, subsample, monkeypatch):
+        # _fit_round filters the full set's lists down to the sampled rows;
+        # they must equal the order of the sample's own feature matrix
+        features, _, _, costs = _split_search_inputs(1)
+        features[::7, 2] = -0.0
+        features[::5, 2] = 0.0
+        n = features.shape[0]
+        grown = []
+        monkeypatch.setattr(
+            learner_module, "_build_tree", lambda *args: grown.append(args) or None
+        )
+        config = LearnerConfig(kind="tree-boost", seed=4, subsample=subsample)
+        learner_module._fit_round(
+            features, np.where(np.arange(n) % 3 == 0, 1, -1), costs, np.zeros(n), config, 1,
+            _sorted_present_rows(features),
+        )
+        rows = np.sort(learner_module._round_rng(4, 1).permutation(n)[:max(1, round(subsample * n))])
+        (args,) = grown
+        np.testing.assert_array_equal(args[0], features[rows])
+        expected = _sorted_present_rows(features[rows])
+        assert len(args[-1]) == len(expected)
+        for got, want in zip(args[-1], expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_overflowing_gains(self, seed):
         # gradients near 1e155 overflow g * g to inf, so some gains are
@@ -710,7 +811,7 @@ class TestSplitSearchOracle:
         args = (features, g, h, costs, 0.3, 3, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = _reference_build_tree(*args)
-            got = _build_tree(*args)
+            got = _build_tree(*args, _sorted_present_rows(features))
         assert _tree_bytes(got) == _tree_bytes(expected)
 
 

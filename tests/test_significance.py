@@ -578,3 +578,18 @@ class TestCustomMeasure:
                 f_prime=AMS3.f_prime,
                 h=AMS3.h,
             )
+
+    @pytest.mark.parametrize(
+        "f,f_conjugate,f_prime",
+        [
+            (AMS2.f, lambda u: math.nan, AMS2.f_prime),
+            (AMS2.f, lambda u: 0.0 if u == 0.0 else math.nan, AMS2.f_prime),
+            (lambda t: math.nan, AMS2.f_conjugate, lambda t: math.nan),
+            (AMS2.f, AMS2.f_conjugate, lambda t: math.nan),
+            (lambda t: 0.0 if t == 0.0 else math.nan, AMS2.f_conjugate, AMS2.f_prime),
+        ],
+        ids=["conjugate", "conjugate-off-origin", "f-and-f-prime", "f-prime", "f-off-origin"],
+    )
+    def test_nan_rejected(self, f, f_conjugate, f_prime):
+        with pytest.raises(ValueError):
+            custom_measure(f=f, f_conjugate=f_conjugate, f_prime=f_prime, h=AMS2.h)
