@@ -27,6 +27,7 @@ from .significance import (
     fenchel_young_gap,
     optimal_u,
     significance,
+    significance_curve,
 )
 
 FY_TOLERANCE = 1e-9
@@ -179,32 +180,26 @@ def check_gradient(seed=0, instances=100, n_events=50):
 
 
 def _brute_force_threshold(scores, dataset, measure, b_reg):
-    """Quadratic-time reference: recompute the summary at every cut."""
+    """Quadratic-time reference: recompute the summary at every cut.
+
+    The masked (s, b) sums at every cut are the oracle's independent path;
+    ``significance_curve`` scores them, the same formula ``select_threshold``
+    applies to its cumulative sums. The first maximum wins.
+    """
     sorted_desc = np.sort(scores)[::-1]
     candidates = [sorted_desc[0]]
     for k in range(1, scores.size):
         if sorted_desc[k - 1] > sorted_desc[k]:
             candidates.append(sorted_desc[k])
     candidates.append(-math.inf)
-    best_sig = -1.0
-    best_cut = None
     signal_mask = dataset.labels == 1
-    for cut in candidates:
+    s = np.empty(len(candidates))
+    b = np.empty(len(candidates))
+    for i, cut in enumerate(candidates):
         selected = scores > cut
-        s = float(dataset.weights[selected & signal_mask].sum())
-        b = float(dataset.weights[selected & ~signal_mask].sum()) + b_reg
-        if s == 0.0:
-            sig = 0.0
-        elif b <= 0.0:
-            sig = math.inf
-        else:
-            sig = significance(
-                ConfusionSummary.from_counts(s=s, background=b, p=s), measure
-            )
-        if sig > best_sig:
-            best_sig = sig
-            best_cut = cut
-    return best_cut
+        s[i] = dataset.weights[selected & signal_mask].sum()
+        b[i] = dataset.weights[selected & ~signal_mask].sum() + b_reg
+    return candidates[int(np.argmax(significance_curve(s, b, measure)))]
 
 
 def check_threshold_scan(seed=0, instances=50, n_events=1000):

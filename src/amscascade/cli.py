@@ -180,8 +180,8 @@ def _resolve_cascade_config(args):
         try:
             with open(args.config, "r") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot open config {args.config!r}: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         base = parse_cascade_config(text, base=base)
     overrides = {}
     for key in ("measure", "variant", "T", "u0", "b_reg", "seed"):
@@ -189,6 +189,27 @@ def _resolve_cascade_config(args):
         if value is not None:
             overrides[key] = value
     return replace(base, **overrides) if overrides else base
+
+
+def _check_output_paths(out_dir, submission):
+    """Reject output paths that cannot be written, before any work is done.
+
+    ``out_dir`` (None for eval) may be missing, but its nearest existing
+    ancestor must be a directory. ``submission`` must name a file in an
+    existing directory or in ``out_dir``.
+    """
+    if out_dir is not None:
+        probe = os.path.abspath(out_dir)
+        while not os.path.exists(probe):
+            probe = os.path.dirname(probe)
+        if not os.path.isdir(probe):
+            raise ConfigError(f"--out-dir {out_dir!r}: {probe!r} is not a directory")
+    if submission is None:
+        return
+    parent = os.path.dirname(os.path.abspath(submission))
+    in_out_dir = out_dir is not None and parent == os.path.abspath(out_dir)
+    if os.path.isdir(submission) or not (os.path.isdir(parent) or in_out_dir):
+        raise ConfigError(f"--submission {submission!r}: not a file in an existing directory")
 
 
 def _write_manifest(path, config, fingerprint, val_frac, outputs):
@@ -213,6 +234,7 @@ def _write_selection(path, model, dataset):
 def cmd_cascade(args):
     config = _resolve_cascade_config(args)
     val_frac = DEFAULT_VAL_FRAC if args.val_frac is None else args.val_frac
+    _check_output_paths(args.out_dir, args.submission)
     dataset, fingerprint = _load_dataset(args, config.seed)
     train_ds, val_ds = split(
         dataset, SplitSpec(validation_fraction=val_frac, seed=derive_seed(config.seed, 102))
@@ -289,6 +311,7 @@ def cmd_eval(args):
     else:
         if args.model is None:
             raise ConfigError("eval requires --model (or --summary)")
+        _check_output_paths(None, args.submission)
         model = load_model(args.model)
         dataset, _ = _load_dataset(args, _master_seed(args))
         predictions = classify(model, dataset)

@@ -316,21 +316,13 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
     return ConfusionSummary.from_counts(s, fp, p, b_reg)
 
 
-def _evaluate(ratio: ArrayLike, b: ArrayLike, measure: SignificanceMeasure) -> ArrayLike:
-    """h(b * f(ratio)) with ratio = s / b: the one copy of the measure's formula."""
-    return measure.h(b * np.asarray(measure.f(ratio)))
-
-
 def significance(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:
-    """Evaluate h(b * f(s / b)) for one summary; 0 in the s = 0 limit."""
-    if summary.s == 0.0:
-        return 0.0
-    if summary.b <= 0.0:
+    """``significance_curve`` at one summary, but b <= 0 with s != 0 raises."""
+    if summary.s != 0.0 and summary.b <= 0.0:
         raise DegenerateInputError(
             "significance undefined: no background weight selected and b_reg = 0"
         )
-    # not through significance_curve: its masking costs more than this formula
-    return float(_evaluate(summary.s / summary.b, summary.b, measure))
+    return float(significance_curve(summary.s, summary.b, measure))
 
 
 def significance_curve(
@@ -340,13 +332,13 @@ def significance_curve(
 
     ``b`` must already include any regularizer.  Entries with s = 0 give 0;
     entries with b = 0 and s > 0 give +inf (the supremum of the measure as
-    the selected background vanishes).  Used by threshold scans.
+    the selected background vanishes).  The one copy of the formula.
     """
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
     ok = b > 0.0
     ratio = np.where(ok, s / np.where(ok, b, 1.0), 0.0)
-    values = np.asarray(_evaluate(ratio, b, measure))
+    values = np.asarray(measure.h(b * np.asarray(measure.f(ratio))))
     values = np.where(ok, values, np.inf)
     return np.where(s == 0.0, 0.0, values)
 

@@ -1,10 +1,13 @@
 """Tests for the built-in verification suites."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from amscascade import checks
 from amscascade.checks import (
@@ -17,6 +20,7 @@ from amscascade.checks import (
     perturbed_conjugate_measure,
     run_all_checks,
 )
+from amscascade.data import WeightedDataset
 from amscascade.errors import ConfigError
 from amscascade.significance import AMS2, AMS3
 
@@ -160,3 +164,96 @@ class TestFailureReports:
         assert check_gradient(seed=5, instances=6) == CheckResult(
             "gradient-fd", False, 6, 0.0009990120948396566, "instance=3 rel=9.990e-04"
         )
+
+    def test_threshold_scan_report(self, monkeypatch):
+        exact = checks.select_threshold
+        calls = itertools.count(1)
+
+        def nothing_selected_every_third_call(scores, dataset, measure, b_reg=0.0):
+            cut = exact(scores, dataset, measure, b_reg=b_reg)
+            return float(scores.max()) if next(calls) % 3 == 0 else cut
+
+        monkeypatch.setattr(checks, "select_threshold", nothing_selected_every_third_call)
+        assert check_threshold_scan(seed=5, instances=9, n_events=200) == CheckResult(
+            "threshold-scan", False, 9, 3.0,
+            "instance=2 measure=ams2 b_reg=0.0 fast=2.46690278881854 brute=-inf",
+        )
+
+
+def _scalar_loop_threshold(scores, dataset, measure, b_reg):
+    """The oracle as a scalar loop: the formula on Python floats at every cut.
+
+    Kept as the reference for the oracle that scores all cuts in one
+    ``significance_curve`` call; the strict ``>`` keeps the first maximum.
+    """
+    sorted_desc = np.sort(scores)[::-1]
+    candidates = [sorted_desc[0]]
+    for k in range(1, scores.size):
+        if sorted_desc[k - 1] > sorted_desc[k]:
+            candidates.append(sorted_desc[k])
+    candidates.append(-math.inf)
+    best_sig, best_cut = -1.0, None
+    for cut in candidates:
+        selected = scores > cut
+        s = float(dataset.weights[selected & (dataset.labels == 1)].sum())
+        b = float(dataset.weights[selected & (dataset.labels == -1)].sum()) + b_reg
+        if s == 0.0:
+            sig = 0.0
+        elif b <= 0.0:
+            sig = math.inf
+        else:
+            sig = float(measure.h(b * np.asarray(measure.f(s / b))))
+        if sig > best_sig:
+            best_sig, best_cut = sig, cut
+    return best_cut
+
+
+@st.composite
+def _oracle_instances(draw):
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):  # heavy ties: a handful of rounded scores
+        scores = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        scores = np.asarray(scores, dtype=float) / 4.0
+    else:
+        scores = np.asarray(
+            draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)), dtype=float
+        ).round(draw(st.integers(0, 3)))
+    labels = np.asarray(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # a lone signal event on top: b = 0 there when b_reg = 0
+        top = int(np.argmax(scores))
+        scores[top] = scores.max() + 1.0
+        labels[top] = 1
+    weights = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    return scores, labels, weights
+
+
+class TestThresholdOracleDifferential:
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        _oracle_instances(),
+        st.sampled_from([0.0, 10.0]),
+        st.sampled_from([AMS2, AMS3]),
+    )
+    @example((np.array([0.5]), np.array([1]), [1.0]), 0.0, AMS2)
+    @example((np.array([0.5]), np.array([-1]), [1.0]), 0.0, AMS3)
+    @example((np.array([0.5, 0.5]), np.array([1, -1]), [1.0, 0.5]), 10.0, AMS2)
+    @example((np.array([1.0, 0.0]), np.array([1, -1]), [0.3, 2.0]), 0.0, AMS3)
+    def test_same_cut_as_scalar_loop(self, instance, b_reg, measure):
+        scores, labels, weights = instance
+        dataset = WeightedDataset(
+            features=np.zeros((scores.size, 1)),
+            labels=labels,
+            weights=weights,
+            event_ids=np.arange(scores.size),
+            column_names=("x0",),
+        )
+        vectorised = checks._brute_force_threshold(scores, dataset, measure, b_reg)
+        reference = _scalar_loop_threshold(scores, dataset, measure, b_reg)
+        assert vectorised == reference
+        assert type(vectorised) is type(reference)

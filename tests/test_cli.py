@@ -480,6 +480,57 @@ class TestNumericInputErrors:
         assert not out.exists()
 
 
+# argv whose output paths or config file are unusable; the placeholders
+# name files and directories under tmp_path
+BAD_PATH_INPUTS = {
+    "out-dir-is-file": ["cascade", "--synth", _QUICK_SYNTH, "--out-dir", "{file}"],
+    "out-dir-under-file": ["cascade", "--synth", _QUICK_SYNTH, "--out-dir", "{file}/sub"],
+    "cascade-submission-in-missing-dir": [
+        "cascade", "--synth", _QUICK_SYNTH, "--out-dir", "{out}",
+        "--submission", "{missing}/s.csv",
+    ],
+    "submission-is-directory": [
+        "cascade", "--synth", _QUICK_SYNTH, "--out-dir", "{out}", "--submission", "{dir}",
+    ],
+    "eval-submission-in-missing-dir": [
+        "eval", "--model", "{model}", "--synth", _QUICK_SYNTH,
+        "--submission", "{missing}/s.csv",
+    ],
+    "undecodable-config": [
+        "cascade", "--synth", _QUICK_SYNTH, "--config", "{undecodable}", "--out-dir", "{out}",
+    ],
+}
+
+
+def _tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {path: path.is_file() and path.read_bytes() for path in root.rglob("*")}
+
+
+class TestPathInputErrors:
+    @pytest.mark.parametrize("case", list(BAD_PATH_INPUTS), ids=list(BAD_PATH_INPUTS))
+    def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, case):
+        paths = {
+            "dir": tmp_path,
+            "file": tmp_path / "file.txt",
+            "model": tmp_path / "model.txt",
+            "undecodable": tmp_path / "utf16.cfg",
+            "out": tmp_path / "run",
+            "missing": tmp_path / "missing",
+        }
+        paths["file"].write_text("not a directory\n")
+        paths["undecodable"].write_bytes(b"\xff\xfeT = 3\n")
+        save_model(empty_model("tree-boost", n_features=5, base_score=-1.0), str(paths["model"]))
+        before = _tree(tmp_path)
+        argv = [arg.format(**paths) for arg in BAD_PATH_INPUTS[case]]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert "RESULT" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert _tree(tmp_path) == before
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         # pytest's pythonpath setting does not reach the child interpreter

@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from amscascade.checks import GRID_POINTS
 from amscascade.errors import DegenerateInputError
@@ -381,15 +383,16 @@ class TestSignificance:
     def test_zero_signal_gives_zero(self):
         summary = make_summary(s=0.0, b=5.0, p=3.0)
         assert significance(summary, AMS2) == 0.0
+        assert significance(make_summary(s=0.0, b=0.0), AMS3) == 0.0
 
     def test_poisson_form_frozen_oracle(self):
         summary = make_summary(s=100.0, b=400.0)
         np.testing.assert_allclose(significance(summary, AMS2), AMS2_100_400, rtol=1e-12)
 
     def test_degenerate_error(self):
-        summary = make_summary(s=1.0, b=0.0)
-        with pytest.raises(DegenerateInputError):
-            significance(summary, AMS2)
+        for s, p in ((1.0, 1.0), (-1e-9, 0.0)):
+            with pytest.raises(DegenerateInputError):
+                significance(make_summary(s=s, b=0.0, p=p), AMS2)
 
     def test_quadratic_closed_form_random(self):
         # AMS3 significance must equal s / sqrt(b) to 1e-12
@@ -419,6 +422,58 @@ class TestSignificance:
         assert curve[0] == 0.0
         np.testing.assert_allclose(curve[1], 2.0 / math.sqrt(8.0), rtol=1e-15)
         assert curve[2] == math.inf
+
+
+def _reference_significance(summary, measure):
+    """significance() as the scalar formula on Python floats, for comparison
+    with the same formula evaluated through significance_curve."""
+    if summary.s == 0.0:
+        return 0.0
+    if summary.b <= 0.0:
+        raise DegenerateInputError("no background weight selected")
+    return float(measure.h(summary.b * np.asarray(measure.f(summary.s / summary.b))))
+
+
+def _outcome(evaluate, summary, measure):
+    try:
+        return float.hex(evaluate(summary, measure))
+    except DegenerateInputError:
+        return "degenerate"
+
+
+# exact zeros and values within the summary's -1e-9 tolerance of zero; a
+# positive background stays above 1e-3, so s / b cannot overflow
+_SIGNAL = st.one_of(st.sampled_from([0.0, -0.0, -1e-9, -5e-10, 5e-10]), st.floats(0.0, 1e6))
+_BACKGROUND = st.one_of(st.sampled_from([0.0, -0.0, -5e-10]), st.floats(1e-3, 1e7))
+
+
+class TestSignificanceOnePath:
+    @settings(
+        max_examples=500,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        s=_SIGNAL,
+        background=_BACKGROUND,
+        b_reg=st.sampled_from([0.0, 10.0]),
+        measure=st.sampled_from([AMS2, AMS3]),
+    )
+    @example(s=0.0, background=0.0, b_reg=0.0, measure=AMS2)
+    @example(s=-1e-9, background=0.0, b_reg=0.0, measure=AMS3)
+    @example(s=-5e-10, background=2.0, b_reg=0.0, measure=AMS2)
+    @example(s=3.0, background=0.0, b_reg=0.0, measure=AMS2)
+    @example(s=3.0, background=-5e-10, b_reg=0.0, measure=AMS3)
+    def test_bitwise_equal_to_scalar_formula(self, s, background, b_reg, measure):
+        assume(s + background >= -1e-9)  # the summary's own tolerance on n = s + b
+        summary = ConfusionSummary.from_counts(
+            s=s, background=background, p=max(s, 0.0), b_reg=b_reg
+        )
+        assert _outcome(significance, summary, measure) == _outcome(
+            _reference_significance, summary, measure
+        )
 
 
 class TestDualRisk:
