@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import WeightedDataset
 from .errors import CascadeError, ConfigError
@@ -404,11 +403,24 @@ def monotonicity_audit(
 
 
 def _rank_normalize(scores: np.ndarray) -> np.ndarray:
+    """Zero-based average ranks over n - 1; any NaN makes every entry NaN.
+
+    Each run of equal sorted values (``-0.0 == 0.0``) shares the mean of its
+    zero-based positions ``(start + end - 1) / 2``, an exact half-integer,
+    so the result matches ``(rankdata(scores) - 1) / (n - 1)`` bit for bit.
+    """
     n = scores.shape[0]
     if n == 1:
         return np.array([0.5])
-    ranks = rankdata(scores, method="average")
-    return (ranks - 1.0) / (n - 1.0)
+    if np.isnan(scores).any():
+        return np.full(n, np.nan)
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], n]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0, ends - starts)
+    return ranks / (n - 1.0)
 
 
 def ensemble_average(

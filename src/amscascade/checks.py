@@ -241,6 +241,10 @@ def check_threshold_scan(seed=0, instances=50, n_events=1000):
     )
 
 
+# caps the cheap suites' loops; fenchel-young draws its instances up front
+MAX_INSTANCES = 1_000_000
+
+
 def run_all_checks(seed=0, instances=None, inject_fault=False):
     """Run every suite with seeds derived from one master seed.
 
@@ -248,10 +252,10 @@ def run_all_checks(seed=0, instances=None, inject_fault=False):
     and brute-force suites cap at their defaults to bound runtime. With
     `inject_fault` the Fenchel-Young suite runs against a measure whose
     conjugate is off by 1e-3 and must report failure.  An `instances`
-    below 1 is a ConfigError.
+    outside [1, MAX_INSTANCES] is a ConfigError.
     """
-    if instances is not None and instances < 1:
-        raise ConfigError(f"instances must be >= 1, got {instances!r}")
+    if instances is not None and not 1 <= instances <= MAX_INSTANCES:
+        raise ConfigError(f"instances must be in [1, {MAX_INSTANCES}], got {instances!r}")
     fy_n = 1000 if instances is None else instances
     dual_n = 200 if instances is None else instances
     grad_n = 100 if instances is None else min(instances, 100)

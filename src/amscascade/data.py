@@ -163,13 +163,23 @@ class SplitSpec:
             )
 
 
+# synthesize holds a few copies of its (n_signal + n_background) x d matrix,
+# so this many float64 values is 400 MB a copy
+SYNTH_MAX_VALUES = 50_000_000
+# class totals this far inside float64's range keep s**2, b * e**U_MAX and
+# every weight sum finite
+SYNTH_MAX_TOTAL = 1e100
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Two-Gaussian synthetic dataset parameters.
 
     Classes are unit-covariance Gaussians in d dimensions whose means are
     ``separation`` apart along the first axis.  Per-class weights are
-    constant and sum to the configured class totals.
+    constant and sum to the configured class totals.  The feature matrix may
+    hold at most SYNTH_MAX_VALUES values, and each total is at most
+    SYNTH_MAX_TOTAL; both are checked before anything is allocated.
     """
 
     d: int = 5
@@ -184,12 +194,18 @@ class SynthConfig:
             raise ConfigError(f"d must be >= 1, got {self.d!r}")
         if self.n_signal < 1 or self.n_background < 1:
             raise ConfigError("per-class counts must be >= 1")
+        values = (self.n_signal + self.n_background) * self.d
+        if values > SYNTH_MAX_VALUES:
+            raise ConfigError(
+                f"(n_signal + n_background) * d = {values} feature values exceeds "
+                f"the limit of {SYNTH_MAX_VALUES}"
+            )
         if not (math.isfinite(self.separation) and self.separation >= 0.0):
             raise ConfigError(f"separation must be finite and >= 0, got {self.separation!r}")
         for name in ("signal_total", "background_total"):
             total = getattr(self, name)
-            if not (math.isfinite(total) and total > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0, got {total!r}")
+            if not 0.0 < total <= SYNTH_MAX_TOTAL:
+                raise ConfigError(f"{name} must be > 0 and <= {SYNTH_MAX_TOTAL:g}, got {total!r}")
 
 
 def default_synth_config() -> SynthConfig:

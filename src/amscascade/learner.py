@@ -39,6 +39,7 @@ __all__ = [
     "empty_model",
     "predict_scores",
     "classify",
+    "hard_labels",
     "save_model",
     "load_model",
 ]
@@ -640,9 +641,13 @@ def predict_scores(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np
 
 
 def classify(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np.ndarray:
-    """Hard labels: +1 where the score strictly exceeds the threshold."""
-    scores = predict_scores(model, data)
-    return np.where(scores > model.threshold, 1, -1).astype(np.int64)
+    """Hard labels of the model's scores at its threshold."""
+    return hard_labels(predict_scores(model, data), model.threshold)
+
+
+def hard_labels(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """+1 where the score strictly exceeds the threshold, else -1 (int64)."""
+    return np.where(scores > threshold, 1, -1).astype(np.int64)
 
 
 _FORMAT_HEADER = "amscascade model format 1"

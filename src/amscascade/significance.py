@@ -135,7 +135,8 @@ def _f2(t: ArrayLike) -> ArrayLike:
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = (1.0 + arr) * np.log1p(arr)
-    out -= arr
+    # f(inf) = inf; subtracting there would give inf - inf = nan
+    np.subtract(out, arr, out=out, where=~np.isinf(arr))
     # the series replaces the closed form only where it is used, |t| < cut
     small = np.abs(arr) < _SERIES_CUT
     ts = arr[small]
@@ -337,7 +338,9 @@ def significance_curve(
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
     ok = b > 0.0
-    ratio = np.where(ok, s / np.where(ok, b, 1.0), 0.0)
+    # a subnormal b can overflow s / b to inf, where the measure is +inf too
+    with np.errstate(over="ignore"):
+        ratio = np.where(ok, s / np.where(ok, b, 1.0), 0.0)
     values = np.asarray(measure.h(b * np.asarray(measure.f(ratio))))
     values = np.where(ok, values, np.inf)
     return np.where(s == 0.0, 0.0, values)
@@ -368,7 +371,13 @@ def optimal_u(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:
         raise DegenerateInputError("optimal dual weight undefined: b + b_reg = 0")
     if summary.s == 0.0:
         return U_MIN
-    return clamp_dual(float(measure.f_prime(summary.s / summary.b)))
+    u = float(measure.f_prime(summary.s / summary.b))
+    if math.isinf(u):
+        raise DegenerateInputError(
+            f"optimal dual weight undefined: f'(s / b) is infinite at s={summary.s!r}, "
+            f"b={summary.b!r}"
+        )
+    return clamp_dual(u)
 
 
 def fenchel_young_gap(measure: SignificanceMeasure, a: float, c: float) -> float:

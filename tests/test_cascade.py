@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from amscascade.cascade import (
     CascadeConfig,
     CascadeTrace,
     Ensemble,
     RoundRecord,
+    _rank_normalize,
     default_u0,
     derive_seed,
     ensemble_average,
@@ -505,6 +508,43 @@ class TestEnsemble:
         ensemble = ensemble_average(models)
         ens_sig = best_val_sig(ensemble_scores(ensemble, val_ds))
         assert ens_sig >= min(member_sigs)
+
+
+# few distinct values, so draws tie often; -0.0 ties with 0.0, as in rankdata
+_RANK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.inf, -math.inf, math.nan, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestRankNormalize:
+    """``_rank_normalize`` against scipy's ``rankdata``, the test-only oracle."""
+
+    @settings(
+        max_examples=400,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.lists(_RANK_VALUES, min_size=2, max_size=40))
+    @example([0.0, -0.0])
+    @example([1.0, 2.0])
+    @example([math.nan, 1.0])
+    @example([3.0] * 7)
+    @example([math.inf, -math.inf, math.inf, 0.0, -0.0])
+    def test_bit_equal_to_rankdata(self, values):
+        from scipy.stats import rankdata
+
+        scores = np.array(values, dtype=float)
+        got = _rank_normalize(scores)
+        expected = (rankdata(scores, method="average") - 1.0) / (scores.size - 1.0)
+        assert got.dtype == expected.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("value", [0.0, -math.inf, math.nan])
+    def test_single_score_is_midpoint(self, value):
+        assert _rank_normalize(np.array([value])).tolist() == [0.5]
 
 
 class TestSelectThreshold:

@@ -10,7 +10,7 @@ import pytest
 
 from amscascade import cli
 from amscascade.data import read_submission
-from amscascade.learner import Model, empty_model, save_model
+from amscascade.learner import Model, empty_model, predict_scores, save_model
 
 SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,background_total=350"
 
@@ -362,6 +362,29 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
+    def test_scores_each_file_once(self, tmp_path, capsys, monkeypatch):
+        # the labels, the summary and the submission all come from one scoring
+        calls = []
+
+        def counted(model, data):
+            calls.append(data)
+            return predict_scores(model, data)
+
+        monkeypatch.setattr(cli, "predict_scores", counted)
+        monkeypatch.setattr(cli, "classify", None)
+        config = tmp_path / "fast.cfg"
+        write_quick_config(config)
+        out = tmp_path / "run"
+        cascade = ["cascade", "--synth", SYNTH, "--config", str(config), "--out-dir", str(out)]
+        assert run_cli([*cascade, "--submission", str(tmp_path / "c.csv")]) == 0
+        model = str(out / "model.txt")
+        assert run_cli(
+            ["eval", "--model", model, "--synth", SYNTH, "--submission", str(tmp_path / "e.csv")]
+        ) == 0
+        assert len(calls) == 2
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()
+        capsys.readouterr()
+
     def test_model_required(self, capsys):
         assert run_cli(["eval", "--synth", "default"]) == 1
         capsys.readouterr()
@@ -447,6 +470,13 @@ BAD_NUMERIC_INPUTS = {
     "synth-background-total-nan": ("", _cascade(synth=_QUICK_SYNTH + ",background_total=nan")),
     "check-instances-negative": ("", ["check", "--instances", "-2"]),
     "check-instances-zero": ("", ["check", "--instances", "0"]),
+    # sizes and totals past the documented limits fail before any allocation
+    "synth-n-signal-huge": ("", ["cascade", "--synth", "n_signal=100000000000"]),
+    "synth-d-huge": ("", ["cascade", "--synth", "d=100000000"]),
+    "check-instances-huge": ("", ["check", "--instances", "100000000000000000000"]),
+    "synth-totals-huge": (
+        "", ["cascade", "--synth", "background_total=1e308,signal_total=1e308"]
+    ),
     "check-seed-negative": ("", ["check", "--seed", "-3", "--instances", "1"]),
     "eval-summary-nan": ("", ["eval", "--summary", "nan,5"]),
     "eval-summary-inf": ("", ["eval", "--summary", "5,inf"]),
@@ -531,21 +561,27 @@ class TestPathInputErrors:
         assert _tree(tmp_path) == before
 
 
+def _run_python(*args):
+    # pytest's pythonpath setting does not reach the child interpreter
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # pytest's pythonpath setting does not reach the child interpreter
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "amscascade.cli", "eval", "--summary", "100,400",
-             "--b-reg", "0"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = _run_python("-m", "amscascade.cli", "eval", "--summary", "100,400", "--b-reg", "0")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[-1].endswith("ams2=4.81077 ams3=5")
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs about a second of start-up; it is a test oracle only
+        proc = _run_python(
+            "-c",
+            "import sys, amscascade, amscascade.cli; sys.exit('scipy.stats' in sys.modules)",
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_help_does_not_throw_config_error(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -143,7 +143,8 @@ def _reference_f2(t):
         )
     )
     tl = np.where(small, 1.0, arr)
-    direct = (1.0 + tl) * np.log1p(tl) - tl
+    # at +-inf the closed form skips "- t": f(inf) = inf, not inf - inf = nan
+    direct = (1.0 + tl) * np.log1p(tl) - np.where(np.isinf(arr), 0.0, tl)
     out = np.where(small, series, direct)
     return out.item() if scalar else out
 
@@ -415,6 +416,15 @@ class TestSignificance:
                 hi = significance(make_summary(s=s_hi, b=b, p=s_hi), measure)
                 assert hi >= lo
 
+    @pytest.mark.parametrize("measure", [AMS2, AMS3])
+    def test_overflowing_ratio_gives_inf(self, measure):
+        # s / b overflows to inf with a subnormal background; no warning is
+        # raised (warnings are errors here), and AMS2's f(inf) is not inf - inf
+        summary = ConfusionSummary.from_counts(s=1e6, background=1e-309, p=1e6)
+        assert significance(summary, measure) == math.inf
+        curve = significance_curve(np.array([1e6, 2.0]), np.array([1e-309, 8.0]), measure)
+        assert curve[0] == math.inf and curve[1] == significance(make_summary(2.0, 8.0), measure)
+
     def test_curve_matches_scalar_and_handles_edges(self):
         s = np.array([0.0, 2.0, 3.0])
         b = np.array([5.0, 8.0, 0.0])
@@ -539,6 +549,12 @@ class TestOptimalU:
         summary = make_summary(s=0.0, b=0.0, p=1.0)
         with pytest.raises(DegenerateInputError):
             optimal_u(summary, AMS2)
+
+    @pytest.mark.parametrize("measure", [AMS2, AMS3])
+    def test_infinite_derivative_is_degenerate(self, measure):
+        summary = ConfusionSummary.from_counts(s=1e6, background=1e-309, p=1e6)
+        with pytest.raises(DegenerateInputError, match="infinite"):
+            optimal_u(summary, measure)
 
     def test_clamped_to_ceiling(self):
         summary = make_summary(s=1e4, b=1e-4, p=1e4)
