@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import WeightedDataset
-from .errors import CascadeError, ConfigError
+from .errors import CascadeError, ConfigError, DegenerateInputError
 from .learner import (
     LearnerConfig,
     Model,
@@ -179,11 +179,10 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Rank-averaged model mixture with optional score threshold."""
+    """Rank-averaged model mixture."""
 
     models: tuple[Model, ...]
     weights: tuple[float, ...]
-    threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.models:
@@ -199,18 +198,27 @@ class Ensemble:
 def default_u0(
     train_data: WeightedDataset, b_reg: float, measure: SignificanceMeasure
 ) -> float:
-    """Dual optimum of the constant all-positive classifier."""
+    """Dual optimum of the constant all-positive classifier.
+
+    A background too small for ``f'(signal / background)`` to be finite
+    gives the ceiling U_MAX, the limit as the background vanishes.
+    """
     denominator = train_data.background_total + b_reg
     if denominator <= 0.0:
         raise CascadeError("training set has no background weight and b_reg = 0")
-    return clamp_dual(float(measure.f_prime(train_data.signal_total / denominator)))
+    u = float(measure.f_prime(train_data.signal_total / denominator))
+    return U_MAX if u == math.inf else clamp_dual(u)
 
 
 def _next_dual(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:
     # degenerate summaries floor/ceiling the dual instead of aborting the run
     if summary.b <= 0.0:
         return U_MIN if summary.s == 0.0 else U_MAX
-    return optimal_u(summary, measure)
+    try:
+        return optimal_u(summary, measure)
+    except DegenerateInputError:
+        # f'(s / b) is infinite, as in the b = 0 limit: ceil the dual the same way
+        return U_MAX
 
 
 def derive_seed(seed: int, *keys: int) -> int:

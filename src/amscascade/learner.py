@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import expit
 
-from .data import WeightedDataset, _sorted_present_rows
+from .data import WeightedDataset
 from .errors import ConfigError, DataError, TrainingError
 from .significance import SignificanceMeasure, validate_dual
 
@@ -275,7 +275,8 @@ def make_cost_vector(
 ) -> CostVector:
     """Per-example costs for one round: signal w*u, background w*f*(u).
 
-    Costs that overflow, one by one or in total, raise TrainingError.
+    Costs that overflow, one by one or in total, or that all underflow to
+    0, raise TrainingError.
     """
     validate_dual(u)
     background_rate = float(measure.f_conjugate(u))
@@ -284,9 +285,10 @@ def make_cost_vector(
             dataset.labels == 1, dataset.weights * u, dataset.weights * background_rate
         )
         total = costs.sum()
-    if not np.isfinite(total):
+    if not (np.isfinite(total) and total > 0.0):
+        fault = "all underflow to 0" if total == 0.0 else "overflow"
         raise TrainingError(
-            f"example costs overflow at u = {u!r} (background cost rate "
+            f"example costs {fault} at u = {u!r} (background cost rate "
             f"{background_rate!r}, largest weight {float(dataset.weights.max())!r})"
         )
     return CostVector(costs=costs, round_dual=u)
@@ -448,7 +450,9 @@ def _base_score(costs: np.ndarray, labels: np.ndarray) -> float:
     neg = float(costs[labels == -1].sum())
     if pos <= 0.0 or neg <= 0.0:
         return 0.0
-    return math.log(pos / neg)
+    ratio = pos / neg
+    # where the ratio under- or overflows, the difference of the logs is finite
+    return math.log(ratio) if 0.0 < ratio < math.inf else math.log(pos) - math.log(neg)
 
 
 def _round_rng(seed: int, round_index: int) -> np.random.Generator:
@@ -458,21 +462,16 @@ def _round_rng(seed: int, round_index: int) -> np.random.Generator:
 
 
 def _fit_round(
-    features: np.ndarray,
-    labels: np.ndarray,
+    dataset: WeightedDataset,
     cost_arr: np.ndarray,
     scores: np.ndarray,
     config: LearnerConfig,
     round_index: int,
-    root_rows: Optional[Sequence[np.ndarray]] = None,
 ) -> Tree:
-    # root_rows is the training set's column order (WeightedDataset's
-    # _column_order); it is derived from features when not given
-    if root_rows is None:
-        root_rows = _sorted_present_rows(features)
-    g = surrogate_gradient(cost_arr, labels, scores)
-    h = surrogate_hessian(cost_arr, labels, scores)
-    n = features.shape[0]
+    features, root_rows = dataset.features, dataset._column_order
+    g = surrogate_gradient(cost_arr, dataset.labels, scores)
+    h = surrogate_hessian(cost_arr, dataset.labels, scores)
+    n = dataset.n
     if config.subsample < 1.0:
         rng = _round_rng(config.seed, round_index)
         m = max(1, int(round(config.subsample * n)))
@@ -509,10 +508,7 @@ def train(dataset: WeightedDataset, costs: CostVector, config: LearnerConfig) ->
     scores = np.full(dataset.n, base, dtype=float)
     trees: list[Tree] = []
     for t in range(config.rounds):
-        tree = _fit_round(
-            dataset.features, dataset.labels, costs.costs, scores, config, t,
-            dataset._column_order,
-        )
+        tree = _fit_round(dataset, costs.costs, scores, config, t)
         scores = scores + tree.predict(dataset.features)
         trees.append(tree)
     return Model(
@@ -544,10 +540,7 @@ def boost_one_round(
             f"dataset has {dataset.d} features, model expects {model.n_features}"
         )
     scores = predict_scores(model, dataset)
-    tree = _fit_round(
-        dataset.features, dataset.labels, costs.costs, scores, config, model.n_trees,
-        dataset._column_order,
-    )
+    tree = _fit_round(dataset, costs.costs, scores, config, model.n_trees)
     return replace(model, trees=model.trees + (tree,))
 
 
@@ -601,8 +594,8 @@ def _train_logistic(dataset: WeightedDataset, costs: CostVector) -> Model:
     ridge = 1e-8 * np.eye(design.shape[1])
     for _ in range(100):
         f = design @ beta
-        grad = design.T @ (-c * y * expit(-y * f))
-        hess = (design * (c * expit(-y * f) * expit(y * f))[:, None]).T @ design
+        grad = design.T @ surrogate_gradient(c, y, f)
+        hess = (design * surrogate_hessian(c, y, f)[:, None]).T @ design
         step = np.linalg.solve(hess + ridge, grad)
         beta = beta - step
         if float(np.max(np.abs(step))) < 1e-10:

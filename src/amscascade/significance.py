@@ -13,6 +13,7 @@ closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -77,31 +78,23 @@ class ConfusionSummary:
         s: weighted true positives (selected signal weight).
         b: weighted false positives plus ``b_reg``.
         p: total signal weight in the dataset.
-        s_tilde: weighted false negatives, ``p - s``.
-        n: weighted predicted positives, ``s + b``.
         b_reg: the additive part of ``b`` (>= 0).
     """
 
     s: float
     b: float
     p: float
-    s_tilde: float
-    n: float
     b_reg: float = 0.0
 
     def __post_init__(self) -> None:
+        # the derived counts are checked like the stored ones: s > p shows as
+        # a negative s_tilde, and an overflowing s + b as an infinite n
         for name in ("s", "b", "p", "s_tilde", "n", "b_reg"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value < -_ABS_TOL:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
-        if abs(self.s_tilde - (self.p - self.s)) > _ABS_TOL:
-            raise ValueError("s_tilde must equal p - s")
-        if abs(self.n - (self.s + self.b)) > _ABS_TOL:
-            raise ValueError("n must equal s + b")
-        if self.s > self.p + _ABS_TOL:
-            raise ValueError("s cannot exceed p")
         if self.b_reg > self.b + _ABS_TOL:
             raise ValueError("b cannot be smaller than its additive part b_reg")
 
@@ -110,8 +103,17 @@ class ConfusionSummary:
         cls, s: float, background: float, p: float, b_reg: float = 0.0
     ) -> "ConfusionSummary":
         """Build a summary from raw counts, folding ``b_reg`` into ``b``."""
-        b = background + b_reg
-        return cls(s=s, b=b, p=p, s_tilde=p - s, n=s + b, b_reg=b_reg)
+        return cls(s=s, b=background + b_reg, p=p, b_reg=b_reg)
+
+    @property
+    def s_tilde(self) -> float:
+        """Weighted false negatives, ``p - s``."""
+        return self.p - self.s
+
+    @property
+    def n(self) -> float:
+        """Weighted predicted positives, ``s + b``."""
+        return self.s + self.b
 
     @property
     def raw_background(self) -> float:
@@ -122,85 +124,85 @@ class ConfusionSummary:
 ArrayLike = Union[float, np.ndarray]
 
 
-def _as_result(x: np.ndarray, scalar: bool) -> ArrayLike:
-    return x.item() if scalar else x
+def _elementwise(kernel: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Lift a kernel written for float arrays of at least one dimension.
+
+    The lifted function takes a scalar or an array of any shape and returns
+    a Python float for 0-d input, an array of the input's shape otherwise.
+    """
+
+    @functools.wraps(kernel)
+    def lifted(x: ArrayLike) -> ArrayLike:
+        arr = np.asarray(x, dtype=float)
+        out = kernel(np.atleast_1d(arr))
+        return out.item() if arr.ndim == 0 else out
+
+    return lifted
 
 
 _SERIES_CUT = 0.01
 
 
-def _f2(t: ArrayLike) -> ArrayLike:
+def _near_zero_series(
+    out: np.ndarray, x: np.ndarray, coeffs: tuple[float, ...], divisor: float
+) -> None:
+    """Overwrite ``out`` where ``|x| < _SERIES_CUT`` with a truncated series.
+
+    The series is ``x^2 (c_0 + x (c_1 + ... + x (c_last + x / divisor)))`` in
+    Horner form, evaluated on the selected entries only.
+    """
+    small = np.abs(x) < _SERIES_CUT
+    xs = x[small]
+    acc = coeffs[-1] + xs / divisor
+    for c in reversed(coeffs[:-1]):
+        acc = c + xs * acc
+    out[small] = xs * xs * acc
+
+
+# sum_{k>=2} (-1)^k t^k / (k (k - 1)) and sum_{k>=2} u^k / k!, through k = 9
+_F2_SERIES = (1.0 / 2.0, -1.0 / 6.0, 1.0 / 12.0, -1.0 / 20.0, 1.0 / 30.0, -1.0 / 42.0, 1.0 / 56.0)
+_F2_CONJUGATE_SERIES = (
+    1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0, 1.0 / 120.0, 1.0 / 720.0, 1.0 / 5040.0, 1.0 / 40320.0
+)
+
+
+@_elementwise
+def _f2(t: np.ndarray) -> np.ndarray:
     """(1 + t) * ln(1 + t) - t, series-evaluated near 0 to avoid cancellation."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = (1.0 + arr) * np.log1p(arr)
+    out = (1.0 + t) * np.log1p(t)
     # f(inf) = inf; subtracting there would give inf - inf = nan
-    np.subtract(out, arr, out=out, where=~np.isinf(arr))
-    # the series replaces the closed form only where it is used, |t| < cut
-    small = np.abs(arr) < _SERIES_CUT
-    ts = arr[small]
-    # truncated alternating series: sum_{k>=2} (-1)^k t^k / (k (k - 1))
-    out[small] = ts * ts * (
-        1.0 / 2.0
-        + ts * (
-            -1.0 / 6.0
-            + ts * (
-                1.0 / 12.0
-                + ts * (
-                    -1.0 / 20.0
-                    + ts * (1.0 / 30.0 + ts * (-1.0 / 42.0 + ts * (1.0 / 56.0 - ts / 72.0)))
-                )
-            )
-        )
-    )
-    return _as_result(out, scalar)
+    np.subtract(out, t, out=out, where=~np.isinf(t))
+    _near_zero_series(out, t, _F2_SERIES, -72.0)
+    return out
 
 
-def _f2_conjugate(u: ArrayLike) -> ArrayLike:
+@_elementwise
+def _f2_conjugate(u: np.ndarray) -> np.ndarray:
     """exp(u) - u - 1, series-evaluated near 0 to avoid cancellation."""
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.expm1(arr)
-    out -= arr
-    small = np.abs(arr) < _SERIES_CUT
-    us = arr[small]
-    out[small] = us * us * (
-        1.0 / 2.0
-        + us * (
-            1.0 / 6.0
-            + us * (
-                1.0 / 24.0
-                + us * (
-                    1.0 / 120.0
-                    + us * (1.0 / 720.0 + us * (1.0 / 5040.0 + us * (1.0 / 40320.0 + us / 362880.0)))
-                )
-            )
-        )
-    )
-    return _as_result(out, scalar)
+    out = np.expm1(u)
+    out -= u
+    _near_zero_series(out, u, _F2_CONJUGATE_SERIES, 362880.0)
+    return out
 
 
-def _f2_prime(t: ArrayLike) -> ArrayLike:
-    arr = np.asarray(t, dtype=float)
-    out = np.log1p(arr)
-    return _as_result(out, arr.ndim == 0)
+@_elementwise
+def _f2_prime(t: np.ndarray) -> np.ndarray:
+    return np.log1p(t)
 
 
-def _f3(t: ArrayLike) -> ArrayLike:
-    arr = np.asarray(t, dtype=float)
-    return _as_result(0.5 * arr * arr, arr.ndim == 0)
+@_elementwise
+def _f3(t: np.ndarray) -> np.ndarray:
+    return 0.5 * t * t
 
 
-def _f3_prime(t: ArrayLike) -> ArrayLike:
-    arr = np.asarray(t, dtype=float)
-    return _as_result(arr + 0.0, arr.ndim == 0)
+@_elementwise
+def _f3_prime(t: np.ndarray) -> np.ndarray:
+    return t + 0.0
 
 
-def _sqrt2x(x: ArrayLike) -> ArrayLike:
-    arr = np.asarray(x, dtype=float)
-    return _as_result(np.sqrt(2.0 * arr), arr.ndim == 0)
+@_elementwise
+def _sqrt2x(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(2.0 * x)
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,6 @@ class SignificanceMeasure:
     f_conjugate: Callable[[ArrayLike], ArrayLike]
     f_prime: Callable[[ArrayLike], ArrayLike]
     h: Callable[[ArrayLike], ArrayLike]
-    dual_domain: tuple[float, float] = (0.0, math.inf)
     name: str = "custom"
 
 
@@ -254,7 +255,6 @@ def custom_measure(
     f_conjugate: Callable[[ArrayLike], ArrayLike],
     f_prime: Callable[[ArrayLike], ArrayLike],
     h: Callable[[ArrayLike], ArrayLike],
-    dual_domain: tuple[float, float] = (0.0, math.inf),
     name: str = "custom",
 ) -> SignificanceMeasure:
     """Register a user-supplied measure, checking the triple's consistency.
@@ -278,17 +278,10 @@ def custom_measure(
         raise ValueError("custom measure requires f(0) = 0")
     if not abs(float(f_conjugate(0.0))) <= _ABS_TOL:
         raise ValueError("custom measure requires f_conjugate(0) = 0")
-    for u in np.geomspace(1e-3, min(dual_domain[1], 20.0), 10):
+    for u in np.geomspace(1e-3, U_MAX, 10):
         if not float(f_conjugate(u)) >= -_ABS_TOL:
             raise ValueError(f"f_conjugate must be nonnegative on [0, inf); fails at u={u!r}")
-    return SignificanceMeasure(
-        f=f,
-        f_conjugate=f_conjugate,
-        f_prime=f_prime,
-        h=h,
-        dual_domain=dual_domain,
-        name=name,
-    )
+    return SignificanceMeasure(f=f, f_conjugate=f_conjugate, f_prime=f_prime, h=h, name=name)
 
 
 def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSummary:
@@ -338,10 +331,11 @@ def significance_curve(
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
     ok = b > 0.0
-    # a subnormal b can overflow s / b to inf, where the measure is +inf too
+    # a subnormal b can overflow s / b, and a huge b the product b * f(s / b);
+    # either gives +inf without a warning
     with np.errstate(over="ignore"):
         ratio = np.where(ok, s / np.where(ok, b, 1.0), 0.0)
-    values = np.asarray(measure.h(b * np.asarray(measure.f(ratio))))
+        values = np.asarray(measure.h(b * np.asarray(measure.f(ratio))))
     values = np.where(ok, values, np.inf)
     return np.where(s == 0.0, 0.0, values)
 
@@ -357,7 +351,7 @@ def dual_risk(
     """
     arr = np.asarray(u, dtype=float)
     out = summary.b * np.asarray(measure.f_conjugate(arr)) + (summary.s_tilde - summary.p) * arr
-    return _as_result(np.asarray(out), arr.ndim == 0)
+    return out.item() if arr.ndim == 0 else out
 
 
 def optimal_u(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:

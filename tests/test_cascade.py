@@ -36,9 +36,11 @@ from amscascade.learner import (
     predict_scores,
     train,
 )
+import amscascade.cascade as cascade_module
 from amscascade.significance import (
     AMS2,
     AMS3,
+    U_MAX,
     ConfusionSummary,
     confusion_summary,
     dual_risk,
@@ -114,6 +116,51 @@ class TestCascadeConfig:
         np.testing.assert_allclose(default_u0(data, 0.0, AMS2), LN_125, rtol=1e-12)
         np.testing.assert_allclose(default_u0(data, 0.0, AMS3), 0.25, rtol=1e-12)
         np.testing.assert_allclose(default_u0(data, 100.0, AMS3), 0.2, rtol=1e-12)
+
+
+class TestSubnormalBackground:
+    """A background so small that f'(s / b) is infinite ceils the dual."""
+
+    @staticmethod
+    def _split():
+        rng = np.random.default_rng(5)
+        labels = np.repeat([1, -1], 100)
+        data = WeightedDataset(
+            features=rng.normal(size=(200, 2)) + (labels[:, None] == 1),
+            labels=labels,
+            weights=np.where(labels == 1, 1.0, 1e-320),
+            event_ids=np.arange(200),
+            column_names=("x0", "x1"),
+        )
+        return split(data, SplitSpec(validation_fraction=0.3, seed=1))
+
+    @pytest.mark.parametrize("measure", [AMS2, AMS3], ids=["ams2", "ams3"])
+    def test_default_u0_is_ceiling(self, measure):
+        train_ds, _ = self._split()
+        assert default_u0(train_ds, 0.0, measure) == U_MAX
+
+    @pytest.mark.parametrize("u0", [None, 1.0])
+    @pytest.mark.parametrize("run", [run_cascade_fresh, run_cascade_warmstart])
+    def test_run_completes_at_ceiling(self, run, u0, monkeypatch):
+        calls = []
+
+        def counted(summary, measure):
+            calls.append(summary)
+            return optimal_u(summary, measure)
+
+        monkeypatch.setattr(cascade_module, "optimal_u", counted)
+        train_ds, val_ds = self._split()
+        variant = "fresh" if run is run_cascade_fresh else "warmstart"
+        config = CascadeConfig(
+            variant=variant, T=2, u0=u0, b_reg=0.0, learner=quick_learner(rounds=2)
+        )
+        _, trace = run(train_ds, val_ds, config)
+        assert len(trace.records) == 2
+        # the closed form is still asked once per round
+        assert len(calls) == 2
+        assert all(record.u_next == U_MAX for record in trace.records)
+        assert trace.records[0].u_prev == (U_MAX if u0 is None else u0)
+        assert trace.records[1].u_prev == U_MAX
 
 
 class TestDeriveSeed:

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amscascade import cli
+from amscascade.checks import MAX_INSTANCES
 from amscascade.data import read_submission
 from amscascade.learner import Model, empty_model, predict_scores, save_model
 
@@ -195,6 +200,50 @@ class TestCascadeCommand:
         assert err.startswith("cascade error:") and err.count("\n") == 1
         assert "u = 20.0" in err
 
+    @pytest.mark.parametrize("u0", [[], ["--u0", "1.0"]], ids=["default-u0", "u0-1"])
+    def test_subnormal_background_ceils_the_dual(self, tmp_path, capsys, u0):
+        # f'(s / b) is infinite for a background of 1e-320 per event
+        lines = ["EventId,x0,Weight,Label"]
+        for i in range(200):
+            signal = i < 100
+            weight = "1" if signal else "1e-320"
+            lines.append(f"{i},{(i * 7) % 11 + 5 * signal},{weight},{'s' if signal else 'b'}")
+        data = tmp_path / "subnormal.csv"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        argv = ["cascade", "--data", str(data), "--b-reg", "0", "--T", "2", "--out-dir", str(out)]
+        # the class cost ratio at u = U_MAX overflows; the scores stay finite
+        argv += ["--submission", str(tmp_path / "s.csv")]
+        assert run_cli(argv + u0) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].startswith("RESULT command=cascade status=ok ")
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["20.0", "20.0"]
+
+    @pytest.mark.parametrize(
+        "synth,flags",
+        [
+            # signal costs ~1e-302 against background costs ~1e98: the ratio
+            # of the class totals underflows to 0, whose log was a traceback
+            (
+                "n_signal=50,n_background=50,d=2,signal_total=1e-300,background_total=1e100",
+                ["--T", "1", "--u0", "1"],
+            ),
+            # subnormal weights: at round 2's u = U_MIN every cost is 0
+            (
+                "n_signal=16,n_background=9,d=1,signal_total=1e-320,background_total=1e-320",
+                ["--T", "2", "--variant", "warmstart", "--u0", "1"],
+            ),
+        ],
+        ids=["cost-ratio-underflow", "costs-underflow"],
+    )
+    def test_underflowing_costs_exit_3(self, tmp_path, capsys, synth, flags):
+        argv = ["cascade", "--synth", synth, *flags, "--out-dir", str(tmp_path)]
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cascade error:") and err.count("\n") == 1
+
     def test_manifest_contents(self, tmp_path, capsys):
         out = tmp_path / "run"
         config = tmp_path / "fast.cfg"
@@ -238,6 +287,13 @@ class TestEvalCommand:
         assert out.splitlines()[-1] == (
             "RESULT command=eval status=ok s=100 b=400 ams2=4.81077 ams3=5"
         )
+
+    def test_summary_mode_overflow_prints_no_warning(self, capsys):
+        # b * f(s / b) overflows: the values print as inf, stderr stays empty
+        assert run_cli(["eval", "--summary", "1e308,1e300"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].endswith("ams2=inf ams3=inf")
 
     def test_summary_mode_default_b_reg(self, capsys):
         assert run_cli(["eval", "--summary", "100,400"]) == 0
@@ -588,3 +644,175 @@ class TestEntryPoint:
             run_cli(["--help"])
         assert info.value.code == 0
         capsys.readouterr()
+
+
+# -- argv fuzzing -------------------------------------------------------------
+# Placeholders in braces name the files made by ``fuzz_paths``.  Every draw
+# that would do real work stays tiny: --synth sizes are at most 50 events and
+# 3 features or are rejected by validation, --T is at most 2, and --instances
+# is at most 2 or is rejected.
+
+
+@st.composite
+def _mostly(draw, usual, rare):
+    """A draw from ``usual``, or about one time in eight from ``rare``."""
+    # a middle value, as hypothesis favours the bounds of a range
+    return draw(rare) if draw(st.integers(0, 7)) == 3 else draw(usual)
+
+
+_NUMBERS = _mostly(
+    st.sampled_from(["0", "1", "2", "0.3", "0.5", "10", "1e-320", "1e-300", "1e300", "1e308"]),
+    st.sampled_from(["-1", "-1e308", "1e400", "inf", "-inf", "nan", "abc", ""]),
+)
+_BAD_INTS = st.sampled_from(["abc", "1.5", "nan", "", "0x10"])
+_SEEDS = _mostly(st.integers(0, 10**30).map(str), st.integers(-3, -1).map(str) | _BAD_INTS)
+_SIZES = _mostly(st.integers(1, 50), st.integers(-2, 0) | st.integers(10**8, 10**30))
+_DATA_PATHS = _mostly(
+    st.sampled_from(["{csv}", "{subnormal_csv}"]),
+    st.sampled_from(["{bad_csv}", "{empty}", "{dir}", "{missing}", "{file}/x"]),
+)
+_MODEL_PATHS = _mostly(
+    st.just("{model}"),
+    st.sampled_from(["{model5}", "{bad_model}", "{empty}", "{dir}", "{missing}"]),
+)
+_CONFIG_PATHS = _mostly(
+    st.just("{config}"),
+    st.sampled_from(
+        ["{bad_config}", "{logistic_warm_config}", "{undecodable}", "{dir}", "{missing}"]
+    ),
+)
+_OUT_DIRS = _mostly(st.just("{out}"), st.sampled_from(["{file}", "{file}/sub", "{missing}/a/b"]))
+_SUBMISSIONS = _mostly(
+    st.just("{dir}/s.csv"), st.sampled_from(["{dir}", "{missing}/s.csv", "{file}/s.csv"])
+)
+
+
+@st.composite
+def _synth_specs(draw):
+    items = [
+        f"n_signal={draw(_SIZES)}",
+        f"n_background={draw(_SIZES)}",
+        f"d={draw(_mostly(st.integers(1, 3), st.integers(-1, 0) | st.integers(10**8, 10**20)))}",
+    ]
+    for key in draw(st.lists(
+        st.sampled_from(["separation", "signal_total", "background_total"]), max_size=3
+    )):
+        items.append(f"{key}={draw(_NUMBERS)}")
+    items += draw(_mostly(st.just([]), st.sampled_from([["foo"], ["x=1"], ["d=abc"], ["="]])))
+    return ",".join(draw(st.permutations(items)))
+
+
+def _flags(draw, grammar):
+    """Each (flag, value strategy) pair of ``grammar`` present or not."""
+    argv = []
+    for flag, values in grammar:
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["cascade", "eval", "check"]))
+    grammar = [("--seed", _SEEDS)]
+    if command == "check":
+        instances = _mostly(
+            st.integers(1, 2).map(str),
+            st.integers(-3, 0).map(str) | st.integers(MAX_INSTANCES + 1, 10**30).map(str)
+            | _BAD_INTS,
+        )
+        argv = ["check", "--instances", draw(instances)]
+        grammar.append(("--inject-fault", None))
+    else:
+        argv = [command]
+        # rarely both sources or neither, which the CLI rejects
+        source = draw(_mostly(
+            st.sampled_from(["--data", "--synth"]), st.sampled_from(["both", "neither"])
+        ))
+        if source in ("--data", "both"):
+            argv += ["--data", draw(_DATA_PATHS)]
+        if source in ("--synth", "both"):
+            argv += ["--synth", draw(_synth_specs())]
+        grammar.append(("--b-reg", _NUMBERS))
+    if command == "cascade":
+        argv += ["--T", draw(_mostly(st.integers(1, 2), st.integers(-(2**70), 0)).map(str))]
+        grammar += [
+            ("--measure", _mostly(st.sampled_from(["ams2", "ams3"]), st.just("ams4"))),
+            ("--variant", _mostly(st.sampled_from(["fresh", "warmstart"]), st.just("loop"))),
+            ("--u0", _NUMBERS),
+            ("--val-frac", _NUMBERS),
+            ("--out-dir", _OUT_DIRS),
+            ("--submission", _SUBMISSIONS),
+            ("--config", _CONFIG_PATHS),
+        ]
+    if command == "eval":
+        summary = _mostly(
+            st.tuples(_NUMBERS, _NUMBERS).map(",".join), st.sampled_from(["1", "1,2,3", "a,b"])
+        )
+        mode = draw(_mostly(st.sampled_from(["--model", "--summary"]), st.just("neither")))
+        if mode != "neither":
+            argv += [mode, draw(_MODEL_PATHS if mode == "--model" else summary)]
+        grammar.append(("--submission", _SUBMISSIONS))
+    argv += _flags(draw, grammar)
+    # a stray token: an unknown flag or a flag left without its value
+    return argv + draw(_mostly(st.just([]), st.sampled_from([["--bogus"], ["--seed"], ["x"]])))
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {name: root / name for name in (
+        "csv", "subnormal_csv", "bad_csv", "empty", "dir", "missing", "file", "model",
+        "model5", "bad_model", "config", "bad_config", "logistic_warm_config",
+        "undecodable", "out", "cwd",
+    )}
+    rows = ["EventId,x0,x1,Weight,Label"]
+    rows += [f"{i},{i % 7},{(i * 3) % 5},{1 + i % 3},{'s' if i % 3 == 0 else 'b'}"
+             for i in range(30)]
+    paths["csv"].write_text("\n".join(rows) + "\n")
+    rows = ["EventId,x0,x1,Weight,Label"]
+    rows += [f"{i},{i % 7 + 3 * (i < 20)},{i % 5},{'1' if i < 20 else '1e-320'},"
+             f"{'s' if i < 20 else 'b'}" for i in range(40)]
+    paths["subnormal_csv"].write_text("\n".join(rows) + "\n")
+    paths["bad_csv"].write_text("EventId,x0,Weight,Label\n0,1.0,abc,s\n")
+    paths["empty"].write_text("")
+    paths["dir"].mkdir()
+    paths["cwd"].mkdir()
+    paths["file"].write_text("not a directory\n")
+    save_model(empty_model("tree-boost", n_features=2, base_score=-1.0), str(paths["model"]))
+    save_model(empty_model("tree-boost", n_features=5, base_score=0.5), str(paths["model5"]))
+    paths["bad_model"].write_text("amscascade-model 1\nkind tree-boost\nfeatures x\n")
+    write_quick_config(paths["config"], "learner.rounds = 2\nT = 2\n")
+    paths["bad_config"].write_text("T = x\n")
+    paths["logistic_warm_config"].write_text(
+        "variant = warmstart\nlearner.kind = logistic\nmeasure = ams3\n"
+    )
+    paths["undecodable"].write_bytes(b"\xff\xfeT = 3\n")
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _main(argv, cwd):
+    """``cli.main`` run in ``cwd`` (the default --out-dir), with its output."""
+    out, err = io.StringIO(), io.StringIO()
+    previous = os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestArgvFuzz:
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(argv=_argvs())
+    def test_documented_exit_and_one_line(self, fuzz_paths, argv):
+        argv = [arg.format(**fuzz_paths) for arg in argv]
+        # a traceback here would be an exception out of main
+        code, out, err = _main(argv, fuzz_paths["cwd"])
+        assert code in range(5), (argv, code)
+        assert "Traceback" not in err
+        assert len(err.splitlines()) <= 1, (argv, err)
+        if code == 0:
+            assert out.splitlines()[-1].startswith("RESULT "), (argv, out)

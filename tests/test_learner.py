@@ -113,6 +113,19 @@ class TestCostVector:
         with pytest.raises(TrainingError, match="u = 20.0"):
             make_cost_vector(data, 20.0, AMS2)
 
+    def test_underflow_rejected(self):
+        # subnormal weights times u = U_MIN round every cost to 0
+        data = WeightedDataset(
+            features=np.array([[0.0], [1.0]]),
+            labels=np.array([1, -1]),
+            weights=np.array([1e-320, 1e-320]),
+            event_ids=np.array([0, 1]),
+            column_names=("x",),
+        )
+        make_cost_vector(data, 1.0, AMS2)
+        with pytest.raises(TrainingError, match="all underflow to 0 at u = 1e-06"):
+            make_cost_vector(data, U_MIN, AMS2)
+
 
 class TestWeightedError:
     def test_all_correct_is_zero(self):
@@ -279,6 +292,23 @@ class TestTrain:
         save_model(m1, str(p1))
         save_model(m2, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "signal_cost,background_cost", [(1e-300, 1e100), (1.0, 1e-320)], ids=["under", "over"]
+    )
+    def test_base_score_finite_when_cost_ratio_leaves_range(self, signal_cost, background_cost):
+        # the class cost ratio under- or overflows a float; its log does not
+        data = gaussian_data(20, 20, seed=3)
+        costs = np.where(data.labels == 1, signal_cost, background_cost)
+        model = train(
+            data,
+            CostVector(costs=costs, round_dual=1.0),
+            LearnerConfig(kind="stump-boost", rounds=2),
+        )
+        pos = float(costs[data.labels == 1].sum())
+        neg = float(costs[data.labels == -1].sum())
+        assert model.base_score == math.log(pos) - math.log(neg)
+        assert np.all(np.isfinite(predict_scores(model, data)))
 
 
 class TestWarmStart:
@@ -620,6 +650,15 @@ def _reference_build_tree(
     return Tree._from_rows(rows)
 
 
+def _dataset_of(features, labels):
+    """A unit-weight dataset over ``features`` and ``labels``."""
+    n, d = features.shape
+    return WeightedDataset(
+        features=features, labels=labels, weights=np.ones(n), event_ids=np.arange(n),
+        column_names=tuple(f"x{j}" for j in range(d)),
+    )
+
+
 def _split_search_inputs(seed, n=120, zero_cost_share=0.0, nan_share=0.15):
     """Integer-valued columns (so gains tie) with NaN cells and edge columns.
 
@@ -767,7 +806,7 @@ class TestSplitSearchOracle:
             kind="tree-boost", learning_rate=0.3, max_depth=4, min_child_weight=0.0,
             seed=seed, subsample=0.7,
         )
-        tree = learner_module._fit_round(features, labels, costs, scores, config, 2)
+        tree = learner_module._fit_round(_dataset_of(features, labels), costs, scores, config, 2)
         rows = np.sort(learner_module._round_rng(seed, 2).permutation(n)[:round(0.7 * n)])
         g = surrogate_gradient(costs, labels, scores)[rows]
         h = surrogate_hessian(costs, labels, scores)[rows]
@@ -788,10 +827,8 @@ class TestSplitSearchOracle:
             learner_module, "_build_tree", lambda *args: grown.append(args) or None
         )
         config = LearnerConfig(kind="tree-boost", seed=4, subsample=subsample)
-        learner_module._fit_round(
-            features, np.where(np.arange(n) % 3 == 0, 1, -1), costs, np.zeros(n), config, 1,
-            _sorted_present_rows(features),
-        )
+        dataset = _dataset_of(features, np.where(np.arange(n) % 3 == 0, 1, -1))
+        learner_module._fit_round(dataset, costs, np.zeros(n), config, 1)
         rows = np.sort(learner_module._round_rng(4, 1).permutation(n)[:max(1, round(subsample * n))])
         (args,) = grown
         np.testing.assert_array_equal(args[0], features[rows])

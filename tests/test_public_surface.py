@@ -1,0 +1,72 @@
+"""The package's public names and the fields of its value types, pinned.
+
+A new export, config knob or stored field must show up here as an edit to
+the pin, so that adding one is a visible decision.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import amscascade
+
+PUBLIC_NAMES = (
+    "AMS2", "AMS3", "AmsCascadeError", "AuditReport", "CascadeConfig", "CascadeError",
+    "CascadeTrace", "CheckResult", "ConfigError", "ConfusionSummary", "CostVector",
+    "CsvSchema", "DataError", "DegenerateInputError", "Ensemble", "LearnerConfig",
+    "MISSING_VALUE", "Model", "RoundRecord", "SignificanceMeasure", "SplitSpec",
+    "SynthConfig", "TrainingError", "Tree", "U_MAX", "U_MIN", "WeightedDataset",
+    "boost_one_round", "classify", "confusion_summary", "custom_measure",
+    "default_synth_config", "default_u0", "dual_risk", "empty_model", "ensemble_average",
+    "ensemble_scores", "fenchel_young_gap", "format_cascade_config", "load_csv",
+    "load_model", "make_cost_vector", "monotonicity_audit", "optimal_u",
+    "parse_cascade_config", "predict_scores", "read_submission", "rerun_cascade",
+    "resolve_measure", "run_all_checks", "run_cascade", "run_cascade_fresh",
+    "run_cascade_warmstart", "save_model", "select_threshold", "significance",
+    "significance_curve", "split", "surrogate_gradient", "surrogate_hessian",
+    "surrogate_loss", "synthesize", "train", "weighted_error", "write_csv",
+    "write_submission", "write_trace_csv",
+)
+
+FIELDS = {
+    "CascadeConfig": (
+        "measure", "u0", "T", "variant", "extra_rounds_after_stall", "b_reg", "learner",
+        "seed", "validation_source", "update_duals",
+    ),
+    "LearnerConfig": (
+        "kind", "rounds", "learning_rate", "max_depth", "min_child_weight", "seed",
+        "subsample",
+    ),
+    "SynthConfig": (
+        "d", "n_signal", "n_background", "separation", "signal_total", "background_total",
+    ),
+    "SplitSpec": ("validation_fraction", "seed", "renormalize"),
+    "CsvSchema": ("id_column", "weight_column", "label_column", "feature_columns"),
+    "ConfusionSummary": ("s", "b", "p", "b_reg"),
+    "SignificanceMeasure": ("f", "f_conjugate", "f_prime", "h", "name"),
+    "Ensemble": ("models", "weights"),
+    "CostVector": ("costs", "round_dual"),
+    "Model": (
+        "kind", "n_features", "base_score", "threshold", "trees", "coefficients",
+        "impute_values",
+    ),
+    "Tree": ("feature", "threshold", "left", "right", "missing_left", "value"),
+}
+
+
+def test_public_names():
+    assert tuple(amscascade.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(amscascade, name), name
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_dataclass_fields(name):
+    fields = dataclasses.fields(getattr(amscascade, name))
+    assert tuple(field.name for field in fields) == FIELDS[name]
+
+
+def test_custom_measure_parameters():
+    parameters = inspect.signature(amscascade.custom_measure).parameters
+    assert tuple(parameters) == ("f", "f_conjugate", "f_prime", "h", "name")

@@ -178,6 +178,46 @@ _KERNELS = [(_f2, _reference_f2), (_f2_conjugate, _reference_f2_conjugate)]
 _KERNEL_IDS = ["f2", "f2_conjugate"]
 
 
+def _elementwise_reference(formula):
+    """``formula`` on a float array; a Python float for 0-d input."""
+
+    def reference(x):
+        arr = np.asarray(x, dtype=float)
+        out = np.asarray(formula(arr))
+        return out.item() if arr.ndim == 0 else out
+
+    return reference
+
+
+_RISK_SUMMARY = ConfusionSummary.from_counts(s=3.0, background=7.0, p=5.0, b_reg=1.0)
+
+
+def _risk(measure):
+    def kernel(u):
+        return dual_risk(_RISK_SUMMARY, u, measure)
+
+    def formula(u):
+        conjugate = np.asarray(measure.f_conjugate(u))
+        return _RISK_SUMMARY.b * conjugate + (_RISK_SUMMARY.s_tilde - _RISK_SUMMARY.p) * u
+
+    return kernel, _elementwise_reference(formula)
+
+
+# every element-wise evaluator of the module, each with an independent
+# statement of its formula under the same 0-d / array convention
+_ELEMENTWISE = _KERNELS + [
+    (AMS2.f_prime, _elementwise_reference(np.log1p)),
+    (AMS3.f, _elementwise_reference(lambda t: 0.5 * t * t)),
+    (AMS3.f_prime, _elementwise_reference(lambda t: t + 0.0)),
+    (AMS2.h, _elementwise_reference(lambda x: np.sqrt(2.0 * x))),
+    _risk(AMS2),
+    _risk(AMS3),
+]
+_ELEMENTWISE_IDS = _KERNEL_IDS + [
+    "f2_prime", "f3", "f3_prime", "sqrt2x", "dual_risk_ams2", "dual_risk_ams3",
+]
+
+
 def _cut_band():
     """Every float within 200 ulps of each of +-cut, and a linear band
     around them."""
@@ -261,18 +301,30 @@ class TestKernelOracle:
     @pytest.mark.parametrize(
         "x", [0.0, -0.0, 1e-3, -5e-3, _SERIES_CUT, 0.5, 3.0, 2, np.float64(0.004), np.array(1e-3)]
     )
-    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    @pytest.mark.parametrize("kernel,reference", _ELEMENTWISE, ids=_ELEMENTWISE_IDS)
     def test_zero_dim_returns_python_float(self, kernel, reference, x):
         self._assert_matches(kernel, reference, x)
-        assert type(kernel(x)) is float
+        assert type(self._run(kernel, x)[0]) is float
 
-    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    @pytest.mark.parametrize("kernel,reference", _ELEMENTWISE, ids=_ELEMENTWISE_IDS)
     def test_empty_and_input_untouched(self, kernel, reference):
         self._assert_matches(kernel, reference, np.array([]))
         x = np.array([1e-3, 0.5, -2e-3])
         before = x.tobytes()
-        kernel(x)
+        self._run(kernel, x)
         assert x.tobytes() == before
+
+    @pytest.mark.parametrize("kernel,reference", _ELEMENTWISE, ids=_ELEMENTWISE_IDS)
+    def test_shapes_kept(self, kernel, reference):
+        rng = np.random.default_rng(7)
+        for shape in [(1,), (5,), (1, 1), (3, 4), (2, 3, 2)]:
+            x = rng.exponential(0.5, size=shape)
+            x.flat[0] = 1e-3
+            got = self._run(kernel, x)[0]
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            self._assert_matches(kernel, reference, x)
+        # a Python list is an array too
+        self._assert_matches(kernel, reference, [1e-3, 2.0])
 
 
 class TestFenchelYoung:
@@ -355,16 +407,16 @@ class TestConfusionSummary:
             confusion_summary(data, np.array([1, 0]), b_reg=0.0)
 
     def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            ConfusionSummary(s=-1.0, b=0.0, p=1.0, s_tilde=2.0, n=-1.0)
-        with pytest.raises(ValueError):
-            ConfusionSummary(s=1.0, b=0.0, p=3.0, s_tilde=1.0, n=1.0)  # s_tilde wrong
-        with pytest.raises(ValueError):
-            ConfusionSummary(s=1.0, b=2.0, p=1.0, s_tilde=0.0, n=4.0)  # n wrong
-        with pytest.raises(ValueError):
-            ConfusionSummary(s=2.0, b=0.0, p=1.0, s_tilde=-1.0, n=2.0)  # s > p
-        with pytest.raises(ValueError):
-            ConfusionSummary(s=1.0, b=1.0, p=1.0, s_tilde=0.0, n=2.0, b_reg=5.0)
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            ConfusionSummary(s=-1.0, b=0.0, p=1.0)
+        # s > p shows as a negative s_tilde = p - s
+        with pytest.raises(ValueError, match="s_tilde must be nonnegative"):
+            ConfusionSummary(s=2.0, b=0.0, p=1.0)
+        with pytest.raises(ValueError, match="b_reg"):
+            ConfusionSummary(s=1.0, b=1.0, p=1.0, b_reg=5.0)
+        # n = s + b is checked like a stored count: an overflow is not finite
+        with pytest.raises(ValueError, match="n must be finite"):
+            ConfusionSummary.from_counts(s=1e308, background=1e308, p=1e308)
 
     def test_from_counts(self):
         summary = ConfusionSummary.from_counts(s=3.0, background=7.0, p=4.0, b_reg=10.0)
@@ -424,6 +476,14 @@ class TestSignificance:
         assert significance(summary, measure) == math.inf
         curve = significance_curve(np.array([1e6, 2.0]), np.array([1e-309, 8.0]), measure)
         assert curve[0] == math.inf and curve[1] == significance(make_summary(2.0, 8.0), measure)
+
+    @pytest.mark.parametrize("measure", [AMS2, AMS3])
+    def test_overflowing_product_does_not_warn(self, measure):
+        # b * f(s / b) overflows although s / b = 1e8 does not; the true
+        # significance is about 5.9e154 (AMS2) or 1e158 (AMS3), and the
+        # overflow gives inf, without a warning
+        summary = ConfusionSummary.from_counts(s=1e308, background=1e300, p=1e308)
+        assert significance(summary, measure) > 1e150
 
     def test_curve_matches_scalar_and_handles_edges(self):
         s = np.array([0.0, 2.0, 3.0])
