@@ -211,14 +211,12 @@ def default_u0(
 
 
 def _next_dual(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:
-    # degenerate summaries floor/ceiling the dual instead of aborting the run
-    if summary.b <= 0.0:
-        return U_MIN if summary.s == 0.0 else U_MAX
     try:
         return optimal_u(summary, measure)
     except DegenerateInputError:
-        # f'(s / b) is infinite, as in the b = 0 limit: ceil the dual the same way
-        return U_MAX
+        # b = 0, or f'(s / b) is infinite: floor the dual when nothing was
+        # selected and ceil it otherwise, instead of aborting the run
+        return U_MIN if summary.s == 0.0 else U_MAX
 
 
 def derive_seed(seed: int, *keys: int) -> int:

@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import __version__
 from .cascade import (
     CascadeConfig,
@@ -142,37 +140,33 @@ def _parse_synth_spec(spec):
     return SynthConfig(**params)
 
 
-def _dataset_fingerprint(dataset, content_hash):
+def _load_dataset(args, seed):
+    """Resolve --data / --synth into a dataset."""
+    if args.data is not None and args.synth is not None:
+        raise ConfigError("--data and --synth are mutually exclusive")
+    if args.data is not None:
+        return load_csv(args.data)
+    if args.synth is not None:
+        return synthesize(_parse_synth_spec(args.synth), derive_seed(seed, 101))
+    raise ConfigError("one of --data or --synth is required")
+
+
+def _dataset_fingerprint(args, dataset):
+    """The manifest's dataset record; its hash streams the --data file or the --synth arrays."""
+    digest = hashlib.sha256()
+    if args.data is not None:
+        with open(args.data, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+    else:
+        for array in (dataset.features, dataset.labels, dataset.weights, dataset.event_ids):
+            digest.update(array.tobytes())
     return {
         "rows": dataset.n,
         "signal_weight_total": dataset.signal_total,
         "background_weight_total": dataset.background_total,
-        "content_hash": content_hash,
+        "content_hash": digest.hexdigest(),
     }
-
-
-def _load_dataset(args, seed):
-    """Resolve --data / --synth into a dataset plus its manifest fingerprint."""
-    if args.data is not None and args.synth is not None:
-        raise ConfigError("--data and --synth are mutually exclusive")
-    if args.data is not None:
-        try:
-            with open(args.data, "rb") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise DataError(f"cannot open {args.data!r}: {exc}") from None
-        dataset = load_csv(args.data)
-        return dataset, _dataset_fingerprint(dataset, hashlib.sha256(raw).hexdigest())
-    if args.synth is not None:
-        config = _parse_synth_spec(args.synth)
-        dataset = synthesize(config, derive_seed(seed, 101))
-        digest = hashlib.sha256()
-        digest.update(dataset.features.tobytes())
-        digest.update(dataset.labels.astype(np.int64).tobytes())
-        digest.update(dataset.weights.tobytes())
-        digest.update(dataset.event_ids.astype(np.int64).tobytes())
-        return dataset, _dataset_fingerprint(dataset, digest.hexdigest())
-    raise ConfigError("one of --data or --synth is required")
 
 
 def _resolve_cascade_config(args):
@@ -231,7 +225,7 @@ def cmd_cascade(args):
     config = _resolve_cascade_config(args)
     val_frac = DEFAULT_VAL_FRAC if args.val_frac is None else args.val_frac
     _check_output_paths(args.out_dir, args.submission)
-    dataset, fingerprint = _load_dataset(args, config.seed)
+    dataset = _load_dataset(args, config.seed)
     train_ds, val_ds = split(
         dataset, SplitSpec(validation_fraction=val_frac, seed=derive_seed(config.seed, 102))
     )
@@ -247,7 +241,7 @@ def cmd_cascade(args):
         "submission": args.submission,
     }
     # manifest first, so a failed run still leaves an auditable record
-    _write_manifest(manifest_path, config, fingerprint, val_frac, outputs)
+    _write_manifest(manifest_path, config, _dataset_fingerprint(args, dataset), val_frac, outputs)
 
     model, trace = run_cascade(train_ds, val_ds, config)
     save_model(model, model_path)
@@ -305,14 +299,20 @@ def cmd_eval(args):
     b_reg = CLI_B_REG if args.b_reg is None else args.b_reg
     if not (math.isfinite(b_reg) and b_reg >= 0.0):
         raise ConfigError(f"--b-reg must be finite and >= 0, got {b_reg!r}")
+    seed = _master_seed(args)
     if args.summary is not None:
+        given = {"--model": args.model, "--data": args.data, "--synth": args.synth,
+                 "--submission": args.submission}
+        unused = ", ".join(flag for flag, value in given.items() if value is not None)
+        if unused:
+            raise ConfigError(f"--summary cannot be combined with {unused}")
         summary = _parse_summary_spec(args.summary, b_reg)
     else:
         if args.model is None:
             raise ConfigError("eval requires --model (or --summary)")
         _check_output_paths(None, args.submission)
         model = load_model(args.model)
-        dataset, _ = _load_dataset(args, _master_seed(args))
+        dataset = _load_dataset(args, seed)
         scores = predict_scores(model, dataset)
         predictions = hard_labels(scores, model.threshold)
         summary = confusion_summary(dataset, predictions, b_reg)
@@ -325,7 +325,7 @@ def cmd_eval(args):
     print(f"selected background weight b = {summary.b:.6g} (includes b_reg {b_reg:.6g})")
     print(f"AMS2 = {ams2:.6g}")
     print(f"AMS3 = {ams3:.6g}")
-    if args.summary is None and args.submission is not None:
+    if args.submission is not None:
         print(f"submission written to {args.submission}")
     print(
         f"RESULT command=eval status=ok s={summary.s:.6g} b={summary.b:.6g} "

@@ -129,11 +129,12 @@ class WeightedDataset:
 
     def take(self, indices: np.ndarray, weights: Optional[np.ndarray] = None) -> "WeightedDataset":
         """Row subset (optionally with replacement weights), new dataset."""
+        # array indexing copies; the constructor freezes what it keeps, so copy caller weights
         return WeightedDataset(
-            features=self.features[indices].copy(),
-            labels=self.labels[indices].copy(),
-            weights=(self.weights[indices] if weights is None else weights).copy(),
-            event_ids=self.event_ids[indices].copy(),
+            features=self.features[indices],
+            labels=self.labels[indices],
+            weights=self.weights[indices] if weights is None else np.array(weights, dtype=float),
+            event_ids=self.event_ids[indices],
             column_names=self.column_names,
         )
 
@@ -190,10 +191,10 @@ class SynthConfig:
     background_total: float = 410999.0
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ConfigError(f"d must be >= 1, got {self.d!r}")
-        if self.n_signal < 1 or self.n_background < 1:
-            raise ConfigError("per-class counts must be >= 1")
+        for name in ("d", "n_signal", "n_background"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         values = (self.n_signal + self.n_background) * self.d
         if values > SYNTH_MAX_VALUES:
             raise ConfigError(
@@ -315,23 +316,17 @@ def _load_csv_columns(path: str, schema: CsvSchema) -> Optional[WeightedDataset]
         if not _PLAIN_HEADER.fullmatch(header_line):
             return None
         header = header_line[:-1].decode("ascii").split(",")
-        positions = {name: i for i, name in enumerate(header)}
+        try:
+            positions, feature_names = _header_columns(header, schema, path)
+        except DataError:
+            return None
         roles = (schema.id_column, schema.weight_column, schema.label_column)
-        if schema.feature_columns is None:
-            feature_names = tuple(c for c in header if c not in roles)
-        else:
-            feature_names = tuple(schema.feature_columns)
         # one parse type per column, so a column read in two roles is left
         # to the row parser.  Labels get two characters so that 'sb' is not
         # cut to 's', and unread columns one, which any cell fits.
         kinds = dict.fromkeys(feature_names, "f8")
         kinds.update(zip(roles, ("i8", "f8", "U2")))
-        if (
-            not feature_names
-            or len(positions) != len(header)
-            or len(kinds) != len(roles) + len(set(feature_names))
-            or not kinds.keys() <= positions.keys()
-        ):
+        if len(kinds) != len(roles) + len(set(feature_names)):
             return None
         dtype = np.dtype([(f"c{i}", kinds.get(name, "U1")) for i, name in enumerate(header)])
         with warnings.catch_warnings():
@@ -372,6 +367,31 @@ def _load_csv_columns(path: str, schema: CsvSchema) -> Optional[WeightedDataset]
     )
 
 
+def _header_columns(header: list[str], schema: CsvSchema, path: str) -> tuple[dict, tuple]:
+    """Each column's position in ``header`` and the feature columns, or a DataError."""
+    positions = {name: i for i, name in enumerate(header)}
+    if len(positions) != len(header):
+        raise DataError(f"{path!r} has duplicate column names")
+    for role, name in (
+        ("id", schema.id_column),
+        ("weight", schema.weight_column),
+        ("label", schema.label_column),
+    ):
+        if name not in positions:
+            raise DataError(f"{path!r} is missing the {role} column {name!r}")
+    if schema.feature_columns is None:
+        reserved = {schema.id_column, schema.weight_column, schema.label_column}
+        feature_names = tuple(c for c in header if c not in reserved)
+    else:
+        feature_names = tuple(schema.feature_columns)
+        for name in feature_names:
+            if name not in positions:
+                raise DataError(f"{path!r} is missing the feature column {name!r}")
+    if not feature_names:
+        raise DataError(f"{path!r} has no feature columns")
+    return positions, feature_names
+
+
 def _load_csv_rows(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
     """``load_csv`` one row at a time: the reference parser, and the only
     source of its DataError messages."""
@@ -381,26 +401,7 @@ def _load_csv_rows(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDatase
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path!r} is empty; expected a header row") from None
-        positions = {name: i for i, name in enumerate(header)}
-        if len(positions) != len(header):
-            raise DataError(f"{path!r} has duplicate column names")
-        for role, name in (
-            ("id", schema.id_column),
-            ("weight", schema.weight_column),
-            ("label", schema.label_column),
-        ):
-            if name not in positions:
-                raise DataError(f"{path!r} is missing the {role} column {name!r}")
-        if schema.feature_columns is None:
-            reserved = {schema.id_column, schema.weight_column, schema.label_column}
-            feature_names = tuple(c for c in header if c not in reserved)
-        else:
-            feature_names = tuple(schema.feature_columns)
-            for name in feature_names:
-                if name not in positions:
-                    raise DataError(f"{path!r} is missing the feature column {name!r}")
-        if not feature_names:
-            raise DataError(f"{path!r} has no feature columns")
+        positions, feature_names = _header_columns(header, schema, path)
 
         id_pos = positions[schema.id_column]
         w_pos = positions[schema.weight_column]
@@ -504,7 +505,7 @@ def split(dataset: WeightedDataset, spec: SplitSpec) -> tuple[WeightedDataset, W
     parts = []
     for mask in (~val_mask, val_mask):
         indices = np.flatnonzero(mask)
-        part_weights = dataset.weights[indices].copy()
+        part_weights = dataset.weights[indices]
         if spec.renormalize:
             part_labels = labels[indices]
             for cls in (1, -1):

@@ -535,10 +535,6 @@ def boost_one_round(
             f"learner kind mismatch: model is {model.kind!r}, config is {config.kind!r}"
         )
     _check_training_inputs(dataset, costs)
-    if dataset.d != model.n_features:
-        raise DataError(
-            f"dataset has {dataset.d} features, model expects {model.n_features}"
-        )
     scores = predict_scores(model, dataset)
     tree = _fit_round(dataset, costs.costs, scores, config, model.n_trees)
     return replace(model, trees=model.trees + (tree,))

@@ -13,6 +13,7 @@ from amscascade.cascade import (
     CascadeTrace,
     Ensemble,
     RoundRecord,
+    _next_dual,
     _rank_normalize,
     default_u0,
     derive_seed,
@@ -41,6 +42,7 @@ from amscascade.significance import (
     AMS2,
     AMS3,
     U_MAX,
+    U_MIN,
     ConfusionSummary,
     confusion_summary,
     dual_risk,
@@ -161,6 +163,17 @@ class TestSubnormalBackground:
         assert all(record.u_next == U_MAX for record in trace.records)
         assert trace.records[0].u_prev == (U_MAX if u0 is None else u0)
         assert trace.records[1].u_prev == U_MAX
+
+    @pytest.mark.parametrize("measure", [AMS2, AMS3], ids=["ams2", "ams3"])
+    def test_next_dual_limits(self, measure):
+        def next_dual(s, b):
+            return _next_dual(ConfusionSummary(s=s, b=b, p=s, b_reg=0.0), measure)
+
+        assert next_dual(0.0, 0.0) == U_MIN
+        assert next_dual(5.0, 0.0) == U_MAX
+        assert next_dual(5.0, 1e-320) == U_MAX
+        summary = ConfusionSummary(s=5.0, b=20.0, p=5.0, b_reg=0.0)
+        assert _next_dual(summary, measure) == optimal_u(summary, measure)
 
 
 class TestDeriveSeed:

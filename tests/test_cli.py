@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from amscascade import cli
 from amscascade.checks import MAX_INSTANCES
-from amscascade.data import read_submission
+from amscascade.data import SynthConfig, read_submission, synthesize, write_csv
 from amscascade.learner import Model, empty_model, predict_scores, save_model
 
 SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,background_total=350"
@@ -180,7 +181,9 @@ class TestCascadeCommand:
             ]
         )
         assert code == 3
-        assert (out / "run_manifest.json").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        digest = hashlib.sha256(data.read_bytes()).hexdigest()
+        assert manifest["dataset"]["content_hash"] == digest
         assert not (out / "model.txt").exists()
         assert "cascade error" in capsys.readouterr().err
 
@@ -318,6 +321,19 @@ class TestEvalCommand:
         assert "b = 10" in out
         assert "AMS2 = 0" in out
         assert "AMS3 = 0" in out
+
+    def test_data_run_computes_no_hash(self, tmp_path, capsys, monkeypatch):
+        # the content hash is the cascade manifest's; eval writes no manifest
+        def no_hash(*_args):
+            raise AssertionError("eval hashed its input")
+
+        monkeypatch.setattr(cli.hashlib, "sha256", no_hash)
+        data = tmp_path / "data.csv"
+        write_csv(synthesize(SynthConfig(n_signal=20, n_background=20), seed=0), str(data))
+        model = tmp_path / "model.txt"
+        save_model(empty_model("tree-boost", n_features=5, base_score=0.5), str(model))
+        assert run_cli(["eval", "--model", str(model), "--data", str(data)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("RESULT command=eval")
 
     def test_feature_dimension_mismatch_exits_2(self, tmp_path, capsys):
         model = empty_model("tree-boost", n_features=3)
@@ -542,6 +558,7 @@ BAD_NUMERIC_INPUTS = {
     "eval-seed-negative": (
         "", ["eval", "--model", "MODEL", "--synth", _QUICK_SYNTH, "--seed", "-1"]
     ),
+    "eval-summary-seed-negative": ("", ["eval", "--summary", "10,100", "--seed", "-5"]),
 }
 
 
@@ -581,6 +598,18 @@ BAD_PATH_INPUTS = {
     "eval-submission-in-missing-dir": [
         "eval", "--model", "{model}", "--synth", _QUICK_SYNTH,
         "--submission", "{missing}/s.csv",
+    ],
+    # summary mode reads and writes no file, so a dataset, model or
+    # submission flag beside --summary is a mistake
+    "eval-summary-with-model": ["eval", "--summary", "10,100", "--model", "{model}"],
+    "eval-summary-with-data": ["eval", "--summary", "10,100", "--data", "{missing}/d.csv"],
+    "eval-summary-with-synth": ["eval", "--summary", "10,100", "--synth", _QUICK_SYNTH],
+    "eval-summary-with-submission": [
+        "eval", "--summary", "10,100", "--submission", "{dir}/s.csv",
+    ],
+    "eval-summary-with-all": [
+        "eval", "--summary", "10,100", "--model", "{missing}/m.txt",
+        "--data", "{missing}/d.csv", "--submission", "{dir}/s.csv",
     ],
     "undecodable-config": [
         "cascade", "--synth", _QUICK_SYNTH, "--config", "{undecodable}", "--out-dir", "{out}",

@@ -330,6 +330,10 @@ class TestSynthesize:
             SynthConfig(d=0)
         with pytest.raises(ConfigError):
             SynthConfig(separation=-0.1)
+        for key in ("d", "n_signal", "n_background"):
+            for value in (2.5, 10.0):
+                with pytest.raises(ConfigError, match="integer"):
+                    SynthConfig(**{key: value})
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError):
                 SynthConfig(separation=value)

@@ -366,6 +366,15 @@ class TestWarmStart:
         with pytest.raises(TrainingError):
             boost_one_round(model, data, costs, LearnerConfig(kind="tree-boost"))
 
+    def test_feature_count_mismatch_is_data_error(self):
+        data = gaussian_data(30, 30)
+        costs = uniform_costs(data)
+        model = train(data, costs, LearnerConfig(kind="stump-boost", rounds=1))
+        wider = gaussian_data(30, 30, d=4)
+        config = LearnerConfig(kind="stump-boost")
+        with pytest.raises(DataError):
+            boost_one_round(model, wider, uniform_costs(wider), config)
+
     def test_logistic_cannot_boost(self):
         data = gaussian_data(30, 30)
         costs = uniform_costs(data)

@@ -1,15 +1,18 @@
-"""The package's public names and the fields of its value types, pinned.
+"""The package's public names, the fields of its value types and the
+CLI's flags, pinned.
 
-A new export, config knob or stored field must show up here as an edit to
-the pin, so that adding one is a visible decision.
+A new export, config knob, stored field or flag must show up here as an
+edit to the pin, so that adding one is a visible decision.
 """
 
+import argparse
 import dataclasses
 import inspect
 
 import pytest
 
 import amscascade
+from amscascade import cli
 
 PUBLIC_NAMES = (
     "AMS2", "AMS3", "AmsCascadeError", "AuditReport", "CascadeConfig", "CascadeError",
@@ -54,6 +57,22 @@ FIELDS = {
     "Tree": ("feature", "threshold", "left", "right", "missing_left", "value"),
 }
 
+CLI_FLAGS = {
+    "cascade": (
+        "-h", "--help", "--data", "--synth", "--seed", "--b-reg", "--measure", "--variant",
+        "--T", "--u0", "--val-frac", "--out-dir", "--submission", "--config",
+    ),
+    "eval": (
+        "-h", "--help", "--data", "--synth", "--seed", "--b-reg", "--model", "--summary",
+        "--submission",
+    ),
+    "check": ("-h", "--help", "--seed", "--instances", "--inject-fault"),
+}
+
+
+def _option_strings(parser):
+    return tuple(option for action in parser._actions for option in action.option_strings)
+
 
 def test_public_names():
     assert tuple(amscascade.__all__) == PUBLIC_NAMES
@@ -70,3 +89,13 @@ def test_dataclass_fields(name):
 def test_custom_measure_parameters():
     parameters = inspect.signature(amscascade.custom_measure).parameters
     assert tuple(parameters) == ("f", "f_conjugate", "f_prime", "h", "name")
+
+
+def test_cli_flags():
+    parser = cli.build_parser()
+    assert _option_strings(parser) == ("-h", "--help")
+    commands = next(
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {name: _option_strings(sub) for name, sub in commands.choices.items()}
+    assert flags == CLI_FLAGS
