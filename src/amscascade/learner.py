@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -139,6 +140,10 @@ class Tree:
     left, x >= threshold goes right, NaN follows missing_left.  Thresholds
     are realized feature values (the smallest value of the right child), so
     the partition is exact in floating point.
+
+    The six arrays are 1-D, non-empty and of one length, and every split
+    node's children follow it and lie inside the tree, so every walk from
+    the root ends on a leaf; anything else raises ValueError.
     """
 
     feature: np.ndarray
@@ -160,76 +165,137 @@ class Tree:
             arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+            if arr.shape != self.feature.shape:
+                raise ValueError(
+                    f"tree arrays must have one shape: feature has {self.feature.shape}, "
+                    f"{name} {arr.shape}"
+                )
+        if self.feature.ndim != 1 or self.feature.size == 0:
+            raise ValueError(f"tree arrays must be 1-D and non-empty, got {self.feature.shape}")
+        split = np.flatnonzero(self.feature >= 0)
+        for child in (self.left[split], self.right[split]):
+            outside = (child <= split) | (child >= self.n_nodes)
+            if outside.any():
+                raise ValueError(f"node {split[outside][0]} has a child outside the tree")
 
     @classmethod
     def _from_rows(cls, rows: list[tuple]) -> "Tree":
         # rows are (feature, threshold, left, right, missing_left, value) in
         # preorder, the field order above; leaves come from _leaf_row
-        return cls(*zip(*rows))
+        return cls(*(zip(*rows) if rows else [()] * 6))
 
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """This tree's output on each row of ``features``."""
-        return _tree_outputs((self,), features)[0]
+        """This tree's output on each row of ``features``.
+
+        ``features`` must be a matrix with a column for every split feature.
+        """
+        needed = int(self.feature.max()) + 1
+        features = _feature_matrix(features, needed, math.inf, f"tree ({needed} columns or more)")
+        return _tree_outputs(_NodeTable((self,)), features)[0]
 
 
-# node x row cells evaluated per block of rows by _tree_outputs, which bounds
-# its temporaries to a few MB
-_BLOCK_CELLS = 1 << 18
+class _NodeTable:
+    """Trees' nodes laid end to end, the layout ``_tree_outputs`` walks.
 
-
-def _tree_outputs(trees: tuple[Tree, ...], features: np.ndarray) -> np.ndarray:
-    """The ``(len(trees), rows)`` outputs of every tree on every row.
-
-    All trees' nodes are laid end to end in one table, each row's routing
-    decision is taken at every split node at once, and every (tree, row)
-    pair then moves down one level per step; leaves route to themselves, so
-    the number of steps is the depth of the deepest tree.
+    Child indices are shifted by each tree's offset and leaves route to
+    themselves and read column 0, so a (tree, row) pair that reached a leaf
+    stays there.  ``left_value`` and ``right_value`` hold the value of each
+    node's children (a leaf's own value), and ``depth`` is the number of
+    levels of the deepest tree.  Built from the trees alone, so a model can
+    keep its table for every call.
     """
-    n_rows = features.shape[0]
-    out = np.empty((len(trees), n_rows))
-    if not trees or n_rows == 0:
-        return out
-    sizes = np.fromiter((len(tree.feature) for tree in trees), np.int64, len(trees))
-    roots = np.cumsum(sizes) - sizes
-    feature = np.concatenate([tree.feature for tree in trees])
-    split = np.flatnonzero(feature >= 0)
-    shift = np.repeat(roots, sizes)[split]
-    left = np.arange(feature.size)
-    right = left.copy()
-    left[split] = np.concatenate([tree.left for tree in trees])[split] + shift
-    right[split] = np.concatenate([tree.right for tree in trees])[split] + shift
-    threshold = np.concatenate([tree.threshold for tree in trees])[split, None]
-    missing_left = np.concatenate([tree.missing_left for tree in trees])[split, None]
-    value = np.concatenate([tree.value for tree in trees])
-    # levels as node masks: a loaded tree may reach one node from two parents
-    depth = 0
-    level = np.zeros(feature.size, dtype=bool)
-    level[roots] = True
-    while True:
-        parents = np.flatnonzero(level & (feature >= 0))
-        if parents.size == 0:
-            break
-        level[:] = False
-        level[left[parents]] = True
-        level[right[parents]] = True
-        depth += 1
-    step = max(1, _BLOCK_CELLS // feature.size)
+
+    def __init__(self, trees: Sequence[Tree]):
+        sizes = np.fromiter((tree.n_nodes for tree in trees), np.int64, len(trees))
+        self.roots = np.cumsum(sizes) - sizes
+        feature = np.concatenate([tree.feature for tree in trees])
+        split = np.flatnonzero(feature >= 0)
+        shift = np.repeat(self.roots, sizes)[split]
+        self.left = np.arange(feature.size)
+        self.right = self.left.copy()
+        self.left[split] = np.concatenate([tree.left for tree in trees])[split] + shift
+        self.right[split] = np.concatenate([tree.right for tree in trees])[split] + shift
+        self.feature = np.zeros_like(feature)
+        self.feature[split] = feature[split]
+        self.threshold = np.concatenate([tree.threshold for tree in trees])
+        self.missing_left = np.concatenate([tree.missing_left for tree in trees])
+        value = np.concatenate([tree.value for tree in trees])
+        self.left_value = value[self.left]
+        self.right_value = value[self.right]
+        # levels as node masks: a loaded tree may reach one node from two parents
+        self.depth = 0
+        level = np.zeros(feature.size, dtype=bool)
+        level[self.roots] = True
+        while True:
+            parents = np.flatnonzero(level & (feature >= 0))
+            if parents.size == 0:
+                break
+            level[:] = False
+            level[self.left[parents]] = True
+            level[self.right[parents]] = True
+            self.depth += 1
+
+    def extended(self, tree: Tree) -> "_NodeTable":
+        """The table of this table's trees followed by ``tree``.
+
+        Equal to a build from all the trees, at the cost of a one-tree build
+        and a copy.
+        """
+        grown, offset = _NodeTable((tree,)), self.left.size
+        for name in ("roots", "left", "right"):
+            setattr(grown, name, getattr(grown, name) + offset)
+        for name in (
+            "roots", "left", "right", "feature", "threshold", "missing_left",
+            "left_value", "right_value",
+        ):
+            setattr(grown, name, np.concatenate([getattr(self, name), getattr(grown, name)]))
+        grown.depth = max(self.depth, grown.depth)
+        return grown
+
+
+# (tree, row) pairs walked per block of rows by _tree_outputs: each of its
+# temporary arrays takes at most 256 KB, which keeps a block in cache
+_BLOCK_CELLS = 1 << 15
+
+
+def _tree_outputs(table: _NodeTable, features: np.ndarray) -> np.ndarray:
+    """The ``(trees, rows)`` outputs of every tree of ``table`` on every row.
+
+    Every (tree, row) pair moves down one level per step, routed by the
+    node it is at, so only reached nodes are evaluated: the first step
+    reads whole rows of the transposed block at the roots, later steps
+    gather each pair's cell by flat index, and the last step reads the
+    children's values instead of the children.
+    """
+    n_trees, n_rows = table.roots.size, features.shape[0]
+    out = np.empty((n_trees, n_rows))
+    roots = table.roots[:, None]
+    step = max(1, _BLOCK_CELLS // n_trees)
     for start in range(0, n_rows, step):
-        block = features[start:start + step]
-        n = block.shape[0]
-        # go_left[k * n + i]: row i of the block leaves node k to the left
-        go_left = np.zeros((feature.size, n), dtype=bool)
-        go_left[split] = _goes_left(block.T[feature[split]], threshold, missing_left)
-        go_left = go_left.ravel()
-        cols = np.arange(n)
-        node = roots[:, None]
-        for _ in range(depth):
-            node = np.where(go_left[node * n + cols], left[node], right[node])
-        out[:, start:start + n] = value[node]
+        columns = np.ascontiguousarray(features[start:start + step].T)
+        n = columns.shape[1]
+        node, go_left = roots, False
+        if table.depth:
+            go_left = _goes_left(
+                columns[table.feature[table.roots]],
+                table.threshold[roots],
+                table.missing_left[roots],
+            )
+        cells, rows = columns.ravel(), np.arange(n)
+        for _ in range(1, table.depth):
+            node = np.where(go_left, table.left[node], table.right[node])
+            go_left = _goes_left(
+                cells[table.feature[node] * n + rows],
+                table.threshold[node],
+                table.missing_left[node],
+            )
+        out[:, start:start + n] = np.where(
+            go_left, table.left_value[node], table.right_value[node]
+        )
     return out
 
 
@@ -264,6 +330,13 @@ class Model:
 
     def with_threshold(self, threshold: float) -> "Model":
         return replace(self, threshold=threshold)
+
+    @cached_property
+    def _node_table(self) -> _NodeTable:
+        # built on first use and kept: it depends only on the immutable
+        # trees, and the cascade scores one model several times.  Not a
+        # field, so ==, repr, replace() and with_threshold() ignore it
+        return _NodeTable(self.trees)
 
     @property
     def n_trees(self) -> int:
@@ -537,7 +610,12 @@ def boost_one_round(
     _check_training_inputs(dataset, costs)
     scores = predict_scores(model, dataset)
     tree = _fit_round(dataset, costs.costs, scores, config, model.n_trees)
-    return replace(model, trees=model.trees + (tree,))
+    grown = replace(model, trees=model.trees + (tree,))
+    if model.trees:
+        # the prior model's table, which predict_scores just built or reused,
+        # plus the new tree: grown._node_table without a build from all trees
+        grown.__dict__["_node_table"] = model._node_table.extended(tree)
+    return grown
 
 
 def empty_model(kind: str, n_features: int, base_score: float = 0.0) -> Model:
@@ -606,26 +684,26 @@ def _train_logistic(dataset: WeightedDataset, costs: CostVector) -> Model:
     )
 
 
-def _features_of(data: Union[WeightedDataset, np.ndarray]) -> np.ndarray:
-    if isinstance(data, WeightedDataset):
-        return data.features
-    return np.asarray(data, dtype=float)
+def _feature_matrix(
+    data: Union[WeightedDataset, np.ndarray], fewest: int, most: float, owner: str
+) -> np.ndarray:
+    """``data``'s features, checked to be a matrix of ``fewest`` to ``most`` columns."""
+    features = data.features if isinstance(data, WeightedDataset) else np.asarray(data, dtype=float)
+    if features.ndim != 2 or not fewest <= features.shape[1] <= most:
+        raise DataError(f"feature matrix shape {features.shape} does not match {owner}")
+    return features
 
 
 def predict_scores(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np.ndarray:
     """Margin scores: base_score plus the ordered sum of tree outputs."""
-    features = _features_of(data)
-    if features.ndim != 2 or features.shape[1] != model.n_features:
-        raise DataError(
-            f"feature matrix shape {features.shape} does not match model "
-            f"({model.n_features} features)"
-        )
+    n_features = model.n_features
+    features = _feature_matrix(data, n_features, n_features, f"model ({n_features} features)")
     if model.kind == "logistic":
         return model.base_score + _impute(features, model.impute_values) @ model.coefficients
-    outputs = _tree_outputs(model.trees, features)
     scores = np.full(features.shape[0], model.base_score, dtype=float)
-    for out in outputs:
-        scores += out
+    if model.trees:
+        for out in _tree_outputs(model._node_table, features):
+            scores += out
     return scores
 
 
@@ -719,7 +797,8 @@ def load_model(path: str) -> Model:
     try:
         return _parse_model(_LineReader(lines), path)
     except (ValueError, IndexError) as exc:
-        # int()/float() on a bad field, a short line, an out-of-range index
+        # int()/float() on a bad field, a short line, an out-of-range index,
+        # a tree that Tree rejects
         raise DataError(f"model file {path!r}: malformed field ({exc})") from None
 
 
@@ -734,8 +813,6 @@ def _parse_vector(
 
 def _parse_tree(reader: _LineReader, position: int, n_features: int) -> Tree:
     n_nodes = int(reader.indexed("tree", position)[3])
-    if n_nodes < 1:
-        raise DataError(f"model file: tree {position} has no nodes")
     rows = []
     for k in range(n_nodes):
         parts = reader.indexed("node", k)
@@ -745,11 +822,6 @@ def _parse_tree(reader: _LineReader, position: int, n_features: int) -> Tree:
             j, left, right = int(parts[3]), int(parts[5]), int(parts[6])
             if not 0 <= j < n_features:
                 raise DataError(f"model file: node {k} splits on feature {j} of {n_features}")
-            # save_model writes nodes in preorder, so children follow their
-            # parent; anything else would send predict out of range or round
-            # a cycle
-            if not (k < left < n_nodes and k < right < n_nodes):
-                raise DataError(f"model file: node {k} has a child outside the tree")
             if parts[7] not in ("left", "right"):
                 raise DataError(f"model file: node {k} sends missing values to {parts[7]!r}")
             rows.append((j, float(parts[4]), left, right, parts[7] == "left", 0.0))

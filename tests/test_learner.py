@@ -1,6 +1,7 @@
 """Tests for the cost-sensitive base learners."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -942,6 +943,66 @@ def _wide_range_model(n_features=3, n_trees=40, seed=0):
     return Model(kind="stump-boost", n_features=n_features, base_score=0.1, trees=tuple(trees))
 
 
+# cells and thresholds drawn from one pool, so cells equal thresholds; NaN
+# thresholds send every present cell right
+ROUTING_POOL = (-1.0, 0.0, 0.5, 2.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def valid_trees(draw, n_features):
+    """A tree as a model file allows it: children follow their parent and lie
+    inside the tree, and a node may have two parents or none.
+
+    Nodes are numbered level by level and a split's children lie on later
+    levels, so the walk takes at most ``depth`` steps (0 to 6).
+    """
+    depth = draw(st.integers(0, 6))
+    starts = np.cumsum([0, 1] + [draw(st.integers(1, 3)) for _ in range(depth)])
+    n_nodes = int(starts[-1])
+    rows = []
+    for level in range(depth + 1):
+        for _ in range(starts[level], starts[level + 1]):
+            if level == depth or draw(st.integers(0, 3)) == 0:
+                rows.append(_leaf_row(draw(st.floats(-100.0, 100.0))))
+                continue
+            child = st.integers(int(starts[level + 1]), n_nodes - 1)
+            rows.append((
+                draw(st.integers(0, n_features - 1)),
+                draw(st.sampled_from(ROUTING_POOL)),
+                draw(child),
+                draw(child),
+                draw(st.booleans()),
+                0.0,
+            ))
+    return Tree._from_rows(rows)
+
+
+@st.composite
+def prediction_cases(draw):
+    n_features = draw(st.integers(1, 4))
+    trees = draw(st.lists(valid_trees(n_features), max_size=5))
+    model = Model(
+        kind="tree-boost",
+        n_features=n_features,
+        base_score=draw(st.floats(-10.0, 10.0)),
+        trees=tuple(trees),
+    )
+    cell = st.one_of(st.sampled_from(ROUTING_POOL), st.floats(-3.0, 3.0))
+    n_rows = draw(st.integers(0, 40))
+    features = np.array(
+        draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features),
+                      min_size=n_rows, max_size=n_rows)),
+        dtype=float,
+    ).reshape(n_rows, n_features)
+    block_cells = draw(st.sampled_from([1, 2, 3, 7, 64, learner_module._BLOCK_CELLS]))
+    return model, features, block_cells
+
+
+def _table_arrays(table):
+    return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+            for name, value in vars(table).items()}
+
+
 class TestPredictionOracle:
     def _assert_matches(self, model, features):
         assert predict_scores(model, features).tobytes() == (
@@ -1000,14 +1061,76 @@ class TestPredictionOracle:
 
     def test_rows_in_many_blocks(self, monkeypatch):
         model, features = _prediction_inputs(2)
-        n_nodes = sum(tree.n_nodes for tree in model.trees)
-        # 7 rows per block, and a short last block
-        monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 7 * n_nodes + 1)
+        # a block holds _BLOCK_CELLS (tree, row) pairs: 7 rows per block, and
+        # a short last block
+        monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 7 * model.n_trees + 1)
         assert features.shape[0] % 7 != 0
         self._assert_matches(model, features)
         # one row per block, below the smallest block
         monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 1)
         self._assert_matches(model, features)
+
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(prediction_cases())
+    def test_random_trees_match_the_stack_walk(self, case):
+        model, features, block_cells = case
+        with mock.patch.object(learner_module, "_BLOCK_CELLS", block_cells):
+            self._assert_matches(model, features)
+
+    def test_one_table_per_model(self, monkeypatch):
+        model, features = _prediction_inputs(0)
+        built = []
+
+        class Spy(learner_module._NodeTable):
+            def __init__(self, trees):
+                built.append(trees)
+                super().__init__(trees)
+
+        monkeypatch.setattr(learner_module, "_NodeTable", Spy)
+        first = predict_scores(model, features)
+        assert predict_scores(model, features[:3]).tobytes() == first[:3].tobytes()
+        assert len(built) == 1 and built[0] is model.trees
+        # the table is no field: a copy with another threshold builds its own
+        moved = model.with_threshold(0.5)
+        assert "_node_table" not in repr(moved)
+        assert predict_scores(moved, features).tobytes() == first.tobytes()
+        assert len(built) == 2 and built[1] is model.trees
+
+    def test_boosted_model_extends_the_prior_table(self):
+        data = gaussian_data(40, 40, seed=3)
+        costs = uniform_costs(data)
+        config = LearnerConfig(kind="tree-boost", rounds=1, max_depth=3, seed=3)
+        model = train(data, costs, config)
+        for _ in range(3):
+            model = boost_one_round(model, data, costs, config)
+            grown = _table_arrays(model._node_table)
+            assert grown == _table_arrays(learner_module._NodeTable(model.trees))
+        # an empty model has no table to extend, so its successor builds one
+        first = boost_one_round(empty_model("tree-boost", 3), data, costs, config)
+        assert "_node_table" not in vars(first)
+        np.testing.assert_array_equal(
+            predict_scores(first, data), _reference_scores(first, data.features)
+        )
+
+    def test_predict_takes_a_matrix_with_every_split_column(self):
+        stump = Tree._from_rows([(2, 0.0, 1, 2, True, 0.0), _leaf_row(-1.0), _leaf_row(1.0)])
+        with pytest.raises(DataError):
+            stump.predict(np.array([-1.0, 5.0, 3.0]))
+        with pytest.raises(DataError):
+            stump.predict(np.zeros((2, 2)))
+        np.testing.assert_array_equal(stump.predict(np.array([[0, 0, -1.0], [0, 0, 3.0]])), [-1, 1])
+        # trees are fit on all of a dataset's columns and may use only some
+        np.testing.assert_array_equal(stump.predict(np.zeros((2, 5))), [1.0, 1.0])
+        leaf = Tree._from_rows([_leaf_row(0.5)])
+        np.testing.assert_array_equal(leaf.predict(np.zeros((3, 0))), [0.5, 0.5, 0.5])
+        with pytest.raises(DataError):
+            leaf.predict(np.zeros(3))
 
     def test_loaded_model(self, tmp_path):
         model, features = _prediction_inputs(0)
@@ -1048,6 +1171,54 @@ class TestPredictionOracle:
         model = load_model(str(path))
         features = np.array([[-1.0], [1.0], [np.nan]])
         np.testing.assert_array_equal(predict_scores(model, features), [0.5, 0.5, 0.5])
+
+
+class TestTreeStructure:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # its own child: the walk used to loop for ever
+            [(0, 0.0, 0, 0, True, 0.0)],
+            # a child past the end
+            [(0, 0.0, 1, 2, True, 0.0), _leaf_row(1.0)],
+            # a child before its parent, a cycle through node 0
+            [(0, 0.0, 1, 2, True, 0.0), (0, 1.0, 0, 2, False, 0.0), _leaf_row(1.0)],
+            [(0, 0.0, -1, 1, True, 0.0), _leaf_row(1.0)],
+        ],
+    )
+    def test_child_outside_the_tree(self, rows):
+        with pytest.raises(ValueError, match="child outside the tree"):
+            Tree._from_rows(rows)
+
+    def test_array_shapes(self):
+        leaf = dict(feature=[-1], threshold=[math.nan], left=[-1], right=[-1],
+                    missing_left=[True], value=[0.5])
+        assert Tree(**leaf).n_nodes == 1
+        for name in leaf:
+            with pytest.raises(ValueError, match="one shape"):
+                Tree(**{**leaf, name: leaf[name] * 2})
+        with pytest.raises(ValueError, match="non-empty"):
+            Tree(**{name: [] for name in leaf})
+        with pytest.raises(ValueError, match="1-D"):
+            Tree(**{name: [value] for name, value in leaf.items()})
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ("tree 0 nodes 1\nnode 0 split 0 0.0 0 0 left\n", "child outside the tree"),
+            ("tree 0 nodes 2\nnode 0 split 0 0.0 1 2 left\nnode 1 leaf 1.0\n",
+             "child outside the tree"),
+            ("tree 0 nodes 0\n", "non-empty"),
+        ],
+    )
+    def test_load_model_reports_a_bad_tree(self, tmp_path, nodes, message):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "amscascade model format 1\nkind tree-boost\nfeatures 1\n"
+            "base_score 0.0\nthreshold 0.0\ntrees 1\n" + nodes + "end\n"
+        )
+        with pytest.raises(DataError, match=message):
+            load_model(str(path))
 
 
 class TestLearnerConfig:
