@@ -189,9 +189,10 @@ class Ensemble:
             raise ValueError("ensemble requires at least one model")
         if len(self.weights) != len(self.models):
             raise ValueError("one mixing weight per model required")
-        if any(w < 0.0 for w in self.weights):
+        # written so that a NaN weight fails them
+        if not all(w >= 0.0 for w in self.weights):
             raise ValueError("mixing weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
+        if not abs(sum(self.weights) - 1.0) <= 1e-12:
             raise ValueError("mixing weights must sum to 1")
 
 
@@ -475,6 +476,8 @@ def select_threshold(
     returns the maximum score; selecting everything returns -inf.
     """
     measure = resolve_measure(measure)
+    if not 0.0 <= b_reg < math.inf:
+        raise ValueError(f"b_reg must be finite and nonnegative, got {b_reg!r}")
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (dataset.n,):
         raise ValueError(f"scores shape {scores.shape} does not match dataset ({dataset.n},)")

@@ -13,11 +13,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .cascade import (
     CascadeConfig,
+    _parse_value,
     derive_seed,
     parse_cascade_config,
     run_cascade,
@@ -54,8 +55,8 @@ EXIT_CHECK = 4
 CLI_B_REG = 10.0
 DEFAULT_VAL_FRAC = 0.3
 
-_SYNTH_INT_KEYS = {"d", "n_signal", "n_background"}
-_SYNTH_FLOAT_KEYS = {"separation", "signal_total", "background_total"}
+# --synth keys and their types (those of SynthConfig's defaults)
+_SYNTH_KEYS = {f.name: type(f.default) for f in fields(SynthConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,16 +128,9 @@ def _parse_synth_spec(spec):
             raise ConfigError(f"bad synth spec item {part!r}, expected key=value")
         key, _, value = part.partition("=")
         key = key.strip()
-        value = value.strip()
-        try:
-            if key in _SYNTH_INT_KEYS:
-                params[key] = int(value)
-            elif key in _SYNTH_FLOAT_KEYS:
-                params[key] = float(value)
-            else:
-                raise ConfigError(f"unknown synth key {key!r}")
-        except ValueError:
-            raise ConfigError(f"bad synth value for {key!r}: {value!r}") from None
+        if key not in _SYNTH_KEYS:
+            raise ConfigError(f"unknown synth key {key!r}")
+        params[key] = _parse_value(value.strip(), _SYNTH_KEYS[key], key)
     return SynthConfig(**params)
 
 

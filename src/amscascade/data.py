@@ -45,6 +45,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _freeze_field(record, name: str, dtype) -> np.ndarray:
+    """Set field ``name`` of the frozen dataclass ``record`` to its value as a
+    contiguous, read-only ``dtype`` array, copied only when it is not one."""
+    arr = _frozen(np.ascontiguousarray(getattr(record, name), dtype=dtype))
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 def _sorted_present_rows(features: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each column's non-NaN rows, sorted by (value, row index)."""
     order = []
@@ -73,14 +81,10 @@ class WeightedDataset:
     column_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        features = _frozen(np.ascontiguousarray(self.features, dtype=float))
-        labels = _frozen(np.ascontiguousarray(self.labels, dtype=np.int64))
-        weights = _frozen(np.ascontiguousarray(self.weights, dtype=float))
-        event_ids = _frozen(np.ascontiguousarray(self.event_ids, dtype=np.int64))
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "event_ids", event_ids)
+        features = _freeze_field(self, "features", float)
+        labels = _freeze_field(self, "labels", np.int64)
+        weights = _freeze_field(self, "weights", float)
+        event_ids = _freeze_field(self, "event_ids", np.int64)
         object.__setattr__(self, "column_names", tuple(self.column_names))
         n = features.shape[0] if features.ndim == 2 else -1
         if features.ndim != 2:
@@ -236,9 +240,11 @@ def _parse_int64(text: str, line_no: int, what: str) -> int:
     return value
 
 
-def _open_text(path: str):
+def _open(path: str, mode: str):
+    """``path`` opened in ``mode``, text for the csv module or bytes; a DataError
+    when it cannot be opened."""
     try:
-        return open(path, "r", newline="")
+        return open(path, mode, newline=None if "b" in mode else "")
     except OSError as exc:
         raise DataError(f"cannot open {path!r}: {exc}") from None
 
@@ -271,7 +277,8 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
     A plain file (see ``_load_csv_columns``) is read column-wise in one
     streaming pass; any other file, and every rejected one, goes to the
     row parser, so both the accepted set and the messages are the row
-    parser's.
+    parser's.  A path that cannot be opened raises the same DataError from
+    either parser.
     """
     dataset = _load_csv_columns(path, schema)
     return dataset if dataset is not None else _load_csv_rows(path, schema)
@@ -305,13 +312,10 @@ def _load_csv_columns(path: str, schema: CsvSchema) -> Optional[WeightedDataset]
     bytes: a plain header naming distinct id, weight, label and feature
     columns, and a body of plain lines whose cells parse with the dtype of
     their column and pass the row parser's checks.  The lines stream from
-    the file, so no decoded copy of the whole text is held.
+    the file, so no decoded copy of the whole text is held.  A path that
+    cannot be opened raises the row parser's DataError.
     """
-    try:
-        handle = open(path, "rb")
-    except OSError:
-        return None
-    with handle:
+    with _open(path, "rb") as handle:
         header_line = handle.readline()
         if not _PLAIN_HEADER.fullmatch(header_line):
             return None
@@ -357,14 +361,14 @@ def _load_csv_columns(path: str, schema: CsvSchema) -> Optional[WeightedDataset]
         features[:, j] = column(name)
     if np.isnan(features).any():
         return None
+    labels = np.where(labels == "s", 1, -1)
+    return _dataset(features, labels, weights, column(schema.id_column), feature_names)
+
+
+def _dataset(features, labels, weights, event_ids, column_names) -> WeightedDataset:
+    """Both parsers' last step: a dataset with each -999.0 feature decoded to NaN."""
     features[features == MISSING_VALUE] = np.nan
-    return WeightedDataset(
-        features=features,
-        labels=np.where(labels == "s", 1, -1),
-        weights=weights,
-        event_ids=column(schema.id_column),
-        column_names=feature_names,
-    )
+    return WeightedDataset(features, labels, weights, event_ids, column_names)
 
 
 def _header_columns(header: list[str], schema: CsvSchema, path: str) -> tuple[dict, tuple]:
@@ -394,8 +398,8 @@ def _header_columns(header: list[str], schema: CsvSchema, path: str) -> tuple[di
 
 def _load_csv_rows(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
     """``load_csv`` one row at a time: the reference parser, and the only
-    source of its DataError messages."""
-    with _open_text(path) as handle:
+    source of its DataError messages but ``_open``'s."""
+    with _open(path, "r") as handle:
         reader = _csv_rows(handle, path)
         try:
             header = next(reader)
@@ -447,14 +451,7 @@ def _load_csv_rows(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDatase
             f"line {nan_rows[0] + 2}: NaN feature value; "
             f"write a missing value as {MISSING_VALUE!r}"
         )
-    features[features == MISSING_VALUE] = np.nan
-    return WeightedDataset(
-        features=features,
-        labels=np.asarray(labels, dtype=np.int64),
-        weights=np.asarray(weights, dtype=float),
-        event_ids=np.asarray(ids, dtype=np.int64),
-        column_names=feature_names,
-    )
+    return _dataset(features, labels, weights, ids, feature_names)
 
 
 def _format_number(x: float) -> str:
@@ -590,7 +587,7 @@ def read_submission(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     an ``EventId`` or ``RankOrder`` that is not a 64-bit integer and a class
     other than 's' or 'b' raise DataError.
     """
-    with _open_text(path) as handle:
+    with _open(path, "r") as handle:
         reader = _csv_rows(handle, path)
         header = next(reader, None)
         if header != ["EventId", "RankOrder", "Class"]:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import expit
 
-from .data import WeightedDataset
+from .data import WeightedDataset, _freeze_field
 from .errors import ConfigError, DataError, TrainingError
 from .significance import SignificanceMeasure, validate_dual
 
@@ -57,9 +57,7 @@ class CostVector:
     round_dual: float
 
     def __post_init__(self) -> None:
-        costs = np.ascontiguousarray(self.costs, dtype=float)
-        costs.setflags(write=False)
-        object.__setattr__(self, "costs", costs)
+        costs = _freeze_field(self, "costs", float)
         if costs.ndim != 1:
             raise ValueError("costs must be 1-D")
         if not np.all(costs >= 0.0):
@@ -162,9 +160,7 @@ class Tree:
             ("missing_left", bool),
             ("value", float),
         ):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = _freeze_field(self, name, dtype)
             if arr.shape != self.feature.shape:
                 raise ValueError(
                     f"tree arrays must have one shape: feature has {self.feature.shape}, "
@@ -193,9 +189,10 @@ class Tree:
 
         ``features`` must be a matrix with a column for every split feature.
         """
-        needed = int(self.feature.max()) + 1
+        table = _NodeTable((self,))
+        needed = table.n_columns
         features = _feature_matrix(features, needed, math.inf, f"tree ({needed} columns or more)")
-        return _tree_outputs(_NodeTable((self,)), features)[0]
+        return _tree_outputs(table, features)[0]
 
 
 class _NodeTable:
@@ -204,9 +201,10 @@ class _NodeTable:
     Child indices are shifted by each tree's offset and leaves route to
     themselves and read column 0, so a (tree, row) pair that reached a leaf
     stays there.  ``left_value`` and ``right_value`` hold the value of each
-    node's children (a leaf's own value), and ``depth`` is the number of
-    levels of the deepest tree.  Built from the trees alone, so a model can
-    keep its table for every call.
+    node's children (a leaf's own value), ``depth`` is the number of levels
+    of the deepest tree and ``n_columns`` the number of columns the splits
+    read.  Built from the trees alone, so a model can keep its table for
+    every call.
     """
 
     def __init__(self, trees: Sequence[Tree]):
@@ -221,6 +219,7 @@ class _NodeTable:
         self.right[split] = np.concatenate([tree.right for tree in trees])[split] + shift
         self.feature = np.zeros_like(feature)
         self.feature[split] = feature[split]
+        self.n_columns = int(feature.max()) + 1
         self.threshold = np.concatenate([tree.threshold for tree in trees])
         self.missing_left = np.concatenate([tree.missing_left for tree in trees])
         value = np.concatenate([tree.value for tree in trees])
@@ -254,6 +253,7 @@ class _NodeTable:
         ):
             setattr(grown, name, np.concatenate([getattr(self, name), getattr(grown, name)]))
         grown.depth = max(self.depth, grown.depth)
+        grown.n_columns = max(self.n_columns, grown.n_columns)
         return grown
 
 
@@ -307,7 +307,9 @@ class Model:
     ``threshold``.  Boosted models score as base_score plus the ordered sum
     of tree outputs; the trees tuple only ever grows under warm-start
     boosting.  Logistic models score as base_score + x @ coefficients after
-    median imputation of missing values.
+    median imputation of missing values, and hold one coefficient and one
+    imputation value per feature.  A negative n_features, or logistic
+    vectors of another length, raise ValueError.
     """
 
     kind: str
@@ -321,12 +323,15 @@ class Model:
     def __post_init__(self) -> None:
         if self.kind not in _LEARNER_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.n_features < 0:
+            raise ValueError(f"negative feature count {self.n_features}")
         for name in ("coefficients", "impute_values"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.ascontiguousarray(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+                arr = _freeze_field(self, name, float)
+            if self.kind == "logistic" and np.shape(arr) != (self.n_features,):
+                raise ValueError(f"{name} must have shape ({self.n_features},), "
+                                 f"got {np.shape(arr)}")
 
     def with_threshold(self, threshold: float) -> "Model":
         return replace(self, threshold=threshold)
@@ -578,19 +583,31 @@ def train(dataset: WeightedDataset, costs: CostVector, config: LearnerConfig) ->
     if config.kind == "logistic":
         return _train_logistic(dataset, costs)
     base = _base_score(costs.costs, dataset.labels)
+    model = Model(kind=config.kind, n_features=dataset.d, base_score=base)
     scores = np.full(dataset.n, base, dtype=float)
-    trees: list[Tree] = []
-    for t in range(config.rounds):
-        tree = _fit_round(dataset, costs.costs, scores, config, t)
+    for _ in range(config.rounds):
+        model, tree = _grow(model, dataset, costs, scores, config)
         scores = scores + tree.predict(dataset.features)
-        trees.append(tree)
-    return Model(
-        kind=config.kind,
-        n_features=dataset.d,
-        base_score=base,
-        threshold=0.0,
-        trees=tuple(trees),
-    )
+    return model
+
+
+def _grow(
+    model: Model,
+    dataset: WeightedDataset,
+    costs: CostVector,
+    scores: np.ndarray,
+    config: LearnerConfig,
+) -> tuple[Model, Tree]:
+    """``model`` grown by one tree fit at ``scores``, and that tree.
+
+    The grown model extends its predecessor's node table only when the
+    predecessor already holds one; otherwise it builds its own on first use.
+    """
+    tree = _fit_round(dataset, costs.costs, scores, config, model.n_trees)
+    grown = replace(model, trees=model.trees + (tree,))
+    if "_node_table" in vars(model):
+        grown.__dict__["_node_table"] = model._node_table.extended(tree)
+    return grown, tree
 
 
 def boost_one_round(
@@ -608,14 +625,8 @@ def boost_one_round(
             f"learner kind mismatch: model is {model.kind!r}, config is {config.kind!r}"
         )
     _check_training_inputs(dataset, costs)
-    scores = predict_scores(model, dataset)
-    tree = _fit_round(dataset, costs.costs, scores, config, model.n_trees)
-    grown = replace(model, trees=model.trees + (tree,))
-    if model.trees:
-        # the prior model's table, which predict_scores just built or reused,
-        # plus the new tree: grown._node_table without a build from all trees
-        grown.__dict__["_node_table"] = model._node_table.extended(tree)
-    return grown
+    # predict_scores builds or reuses the node table that _grow extends
+    return _grow(model, dataset, costs, predict_scores(model, dataset), config)[0]
 
 
 def empty_model(kind: str, n_features: int, base_score: float = 0.0) -> Model:
@@ -702,7 +713,10 @@ def predict_scores(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np
         return model.base_score + _impute(features, model.impute_values) @ model.coefficients
     scores = np.full(features.shape[0], model.base_score, dtype=float)
     if model.trees:
-        for out in _tree_outputs(model._node_table, features):
+        table = model._node_table
+        if table.n_columns > n_features:
+            raise DataError(f"model ({n_features} features) splits on column {table.n_columns - 1}")
+        for out in _tree_outputs(table, features):
             scores += out
     return scores
 
@@ -802,12 +816,11 @@ def load_model(path: str) -> Model:
         raise DataError(f"model file {path!r}: malformed field ({exc})") from None
 
 
-def _parse_vector(
-    reader: _LineReader, header: str, prefix: str, n_features: int
-) -> np.ndarray:
+def _parse_vector(reader: _LineReader, header: str, prefix: str) -> np.ndarray:
+    # Model checks the count against the feature count
     count = int(reader.expect(header)[1])
-    if count != n_features:
-        raise DataError(f"model file: {header} {count} does not match features {n_features}")
+    if count < 0:
+        raise DataError(f"model file: negative {header} count {count}")
     return np.array([float(reader.indexed(prefix, j)[2]) for j in range(count)])
 
 
@@ -835,15 +848,13 @@ def _parse_model(reader: _LineReader, path: str) -> Model:
         raise DataError(f"{path!r} is not a model file (bad header)")
     kind = reader.expect("kind")[1]
     n_features = int(reader.expect("features")[1])
-    if n_features < 0:
-        raise DataError(f"model file: negative feature count {n_features}")
     base_score = float(reader.expect("base_score")[1])
     threshold = float(reader.expect("threshold")[1])
     trees: tuple[Tree, ...] = ()
     coefficients = impute = None
     if kind == "logistic":
-        coefficients = _parse_vector(reader, "coefficients", "c", n_features)
-        impute = _parse_vector(reader, "impute", "i", n_features)
+        coefficients = _parse_vector(reader, "coefficients", "c")
+        impute = _parse_vector(reader, "impute", "i")
     else:
         n_trees = int(reader.expect("trees")[1])
         if n_trees < 0:

@@ -541,6 +541,20 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             Ensemble(models=(model,), weights=(0.5,))
 
+    def test_non_finite_weights_rejected(self):
+        train_ds, _ = small_split(seed=37)
+        model = train(
+            train_ds, make_cost_vector(train_ds, 0.5, AMS2), quick_learner()
+        )
+        # [inf, 1] normalizes to (nan, 0)
+        for weights in ([math.nan], [math.inf, 1.0]):
+            with pytest.raises(ValueError):
+                ensemble_average([model] * len(weights), weights=weights)
+        with pytest.raises(ValueError):
+            Ensemble(models=(model,), weights=(math.nan,))
+        with pytest.raises(ValueError):
+            Ensemble(models=(model, model), weights=(math.nan, 1.0))
+
     def test_mixture_at_least_worst_member(self):
         # five plain fits plus five cascaded models, mixed evenly; the
         # rank-averaged ensemble should never fall below its worst member
@@ -731,6 +745,13 @@ class TestSelectThreshold:
             select_threshold(np.array([1.0]), data, AMS2)
         with pytest.raises(ValueError):
             select_threshold(np.array([1.0, math.inf]), data, AMS2)
+
+    @pytest.mark.parametrize("b_reg", [math.nan, -5.0, math.inf])
+    def test_invalid_b_reg_rejected(self, b_reg):
+        # confusion_summary rejects these too; each used to return a cut
+        data = synthesize(SynthConfig(d=2, n_signal=20, n_background=20), seed=0)
+        with pytest.raises(ValueError, match="b_reg"):
+            select_threshold(data.features[:, 0], data, AMS2, b_reg=b_reg)
 
 
 def brute_force_threshold(scores, dataset, measure, b_reg):

@@ -2,9 +2,11 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -540,6 +542,8 @@ BAD_NUMERIC_INPUTS = {
     "synth-separation-nan": ("", _cascade(synth=_QUICK_SYNTH + ",separation=nan")),
     "synth-signal-total-inf": ("", _cascade(synth=_QUICK_SYNTH + ",signal_total=inf")),
     "synth-background-total-nan": ("", _cascade(synth=_QUICK_SYNTH + ",background_total=nan")),
+    "synth-d-not-int": ("", _cascade(synth=_QUICK_SYNTH + ",d=oops")),
+    "synth-separation-not-float": ("", _cascade(synth=_QUICK_SYNTH + ",separation=x")),
     "check-instances-negative": ("", ["check", "--instances", "-2"]),
     "check-instances-zero": ("", ["check", "--instances", "0"]),
     # sizes and totals past the documented limits fail before any allocation
@@ -581,6 +585,12 @@ class TestNumericInputErrors:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), err
         assert not out.exists()
+
+    def test_synth_value_error_names_key_and_type(self, tmp_path, capsys):
+        argv = ["cascade", "--synth", "d=oops", "--out-dir", str(tmp_path / "run")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: config key 'd': cannot parse 'oops' as int\n"
 
 
 # argv whose output paths or config file are unusable; the placeholders
@@ -667,6 +677,17 @@ class TestEntryPoint:
             "import sys, amscascade, amscascade.cli; sys.exit('scipy.stats' in sys.modules)",
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_console_script_target_runs(self, capsys):
+        # the [project.scripts] entry that `pip install` turns into a command;
+        # a regex, since Python 3.10 has no tomllib
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as handle:
+            match = re.search(r'^amscascade = "([\w.]+):(\w+)"$', handle.read(), re.MULTILINE)
+        assert match, "no amscascade console script in pyproject.toml"
+        main = getattr(importlib.import_module(match.group(1)), match.group(2))
+        assert main(["check", "--instances", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("RESULT command=check status=ok")
 
     def test_help_does_not_throw_config_error(self, capsys):
         with pytest.raises(SystemExit) as info:

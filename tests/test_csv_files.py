@@ -221,6 +221,18 @@ def test_fast_path_matches_row_parser_on_missing_path(tmp_path):
     assert message.startswith("cannot open")
 
 
+@pytest.mark.parametrize("name", ["absent.csv", "."], ids=["missing", "directory"])
+def test_unopenable_path_raises_without_the_row_parser(tmp_path, monkeypatch, name):
+    path = str(tmp_path / name)
+    with pytest.raises(DataError) as expected:
+        _load_csv_rows(path)
+    calls = []
+    monkeypatch.setattr("amscascade.data._load_csv_rows", lambda *args: calls.append(args))
+    with pytest.raises(DataError) as raised:
+        load_csv(path)
+    assert str(raised.value) == str(expected.value) and not calls
+
+
 @pytest.mark.parametrize(
     "schema", [CsvSchema(), CsvSchema(feature_columns=("x2", "x0"))], ids=["all", "subset"]
 )

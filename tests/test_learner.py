@@ -1,6 +1,7 @@
 """Tests for the cost-sensitive base learners."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -316,15 +317,18 @@ class TestWarmStart:
     def test_bit_exact_equivalence(self):
         data = gaussian_data(400, 400, seed=21)
         costs = make_cost_vector(data, 0.8, AMS2)
-        config = LearnerConfig(kind="tree-boost", rounds=6, seed=3)
-        full = train(data, costs, config)
-        model = train(data, costs, LearnerConfig(kind="tree-boost", rounds=1, seed=3))
-        for _ in range(5):
-            model = boost_one_round(model, data, costs, config)
-        assert model.n_trees == full.n_trees == 6
-        np.testing.assert_array_equal(
-            predict_scores(model, data), predict_scores(full, data)
-        )
+        for config in (
+            LearnerConfig(kind="tree-boost", rounds=6, seed=3),
+            LearnerConfig(kind="stump-boost", rounds=6, seed=3, subsample=0.8),
+        ):
+            full = train(data, costs, config)
+            model = train(data, costs, replace(config, rounds=1))
+            for _ in range(5):
+                model = boost_one_round(model, data, costs, config)
+            assert model.n_trees == full.n_trees == 6
+            np.testing.assert_array_equal(
+                predict_scores(model, data), predict_scores(full, data)
+            )
 
     def test_appends_exactly_one_tree(self):
         data = gaussian_data(50, 50)
@@ -389,6 +393,31 @@ class TestPredict:
         model = empty_model("tree-boost", n_features=2, base_score=0.25)
         x = np.zeros((4, 2))
         np.testing.assert_array_equal(predict_scores(model, x), np.full(4, 0.25))
+
+    def test_negative_feature_count_rejected(self):
+        with pytest.raises(ValueError, match="negative feature count"):
+            empty_model("stump-boost", -1)
+
+    def test_tree_past_the_feature_count_is_data_error(self):
+        # built in code: load_model rejects a file with such a split
+        stump = Tree._from_rows([(3, 0.0, 1, 2, True, 0.0), _leaf_row(-1.0), _leaf_row(1.0)])
+        model = Model(kind="stump-boost", n_features=2, base_score=0.0, trees=(stump,))
+        with pytest.raises(DataError, match="splits on column 3"):
+            predict_scores(model, np.zeros((4, 2)))
+        # an extended table counts the new tree's columns too
+        inside = Tree._from_rows([(0, 0.0, 1, 2, True, 0.0), _leaf_row(-1.0), _leaf_row(1.0)])
+        table = learner_module._NodeTable((inside,))
+        assert table.n_columns == 1 and table.extended(stump).n_columns == 4
+
+    @pytest.mark.parametrize(
+        "coefficients, impute",
+        [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(4)), (None, np.zeros(3))],
+        ids=["short-coefficients", "long-impute", "no-coefficients"],
+    )
+    def test_logistic_vectors_have_one_entry_per_feature(self, coefficients, impute):
+        with pytest.raises(ValueError, match="must have shape"):
+            Model(kind="logistic", n_features=3, base_score=0.0,
+                  coefficients=coefficients, impute_values=impute)
 
     def test_infinite_threshold_rejects_all(self):
         data = gaussian_data(20, 20)
@@ -503,6 +532,20 @@ class TestSerialization:
         np.testing.assert_array_equal(
             predict_scores(back, data), predict_scores(model, data)
         )
+
+    def test_logistic_vector_counts_checked(self, tmp_path):
+        # Model compares each vector's length with the feature count, which
+        # a negative count (read as no entries) would pass with 0 features
+        model = Model(kind="logistic", n_features=0, base_score=0.0,
+                      coefficients=np.zeros(0), impute_values=np.zeros(0))
+        path = tmp_path / "model.txt"
+        save_model(model, str(path))
+        text = path.read_text()
+        assert load_model(str(path)).coefficients.shape == (0,)
+        for old, new in (("coefficients 0", "coefficients -1"), ("impute 0", "impute -2")):
+            path.write_text(text.replace(old, new))
+            with pytest.raises(DataError):
+                load_model(str(path))
 
     def test_rejects_non_model_file(self, tmp_path):
         path = tmp_path / "junk.txt"
@@ -1101,6 +1144,11 @@ class TestPredictionOracle:
         assert "_node_table" not in repr(moved)
         assert predict_scores(moved, features).tobytes() == first.tobytes()
         assert len(built) == 2 and built[1] is model.trees
+
+    def test_train_builds_no_model_table(self):
+        data = gaussian_data(40, 40, seed=3)
+        model = train(data, uniform_costs(data), LearnerConfig(kind="tree-boost", rounds=3))
+        assert "_node_table" not in vars(model)
 
     def test_boosted_model_extends_the_prior_table(self):
         data = gaussian_data(40, 40, seed=3)

@@ -485,6 +485,19 @@ class TestSignificance:
         summary = ConfusionSummary.from_counts(s=1e308, background=1e300, p=1e308)
         assert significance(summary, measure) > 1e150
 
+    @pytest.mark.parametrize(
+        "measure, s, background",
+        [(AMS3, 1e6, 1e-200), (AMS2, 1e6, 1e6 / 3e305)],
+        ids=["ams3", "ams2"],
+    )
+    def test_overflowing_kernel_gives_inf_without_warning(self, measure, s, background):
+        # s / b is finite but f(s / b) overflows: AMS3's s / sqrt(b) is 1e106
+        # and AMS2's s / b is 3e305, above its overflow near 2.5e305.  The
+        # documented degradation is +inf, with no warning (warnings are errors)
+        assert significance_curve(s, background, measure) == math.inf
+        summary = ConfusionSummary.from_counts(s=s, background=background, p=s)
+        assert significance(summary, measure) == math.inf
+
     def test_curve_matches_scalar_and_handles_edges(self):
         s = np.array([0.0, 2.0, 3.0])
         b = np.array([5.0, 8.0, 0.0])
