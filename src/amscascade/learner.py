@@ -14,6 +14,7 @@ never by resampling, so training is deterministic given a seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -308,8 +309,9 @@ class Model:
     of tree outputs; the trees tuple only ever grows under warm-start
     boosting.  Logistic models score as base_score + x @ coefficients after
     median imputation of missing values, and hold one coefficient and one
-    imputation value per feature.  A negative n_features, or logistic
-    vectors of another length, raise ValueError.
+    imputation value per feature.  An n_features that is negative or not
+    an integer (numpy integers are stored as int), logistic vectors of
+    another length, and either vector on a boosted model raise ValueError.
     """
 
     kind: str
@@ -323,11 +325,17 @@ class Model:
     def __post_init__(self) -> None:
         if self.kind not in _LEARNER_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if not isinstance(self.n_features, numbers.Integral):
+            raise ValueError(f"feature count must be an integer, got {self.n_features!r}")
+        object.__setattr__(self, "n_features", int(self.n_features))
         if self.n_features < 0:
             raise ValueError(f"negative feature count {self.n_features}")
         for name in ("coefficients", "impute_values"):
             arr = getattr(self, name)
             if arr is not None:
+                if self.kind in _BOOSTING_KINDS:
+                    # save_model writes no vectors for a boosted model
+                    raise ValueError(f"a {self.kind} model takes no {name}")
                 arr = _freeze_field(self, name, float)
             if self.kind == "logistic" and np.shape(arr) != (self.n_features,):
                 raise ValueError(f"{name} must have shape ({self.n_features},), "

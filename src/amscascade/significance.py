@@ -149,9 +149,12 @@ def _near_zero_series(
     """Overwrite ``out`` where ``|x| < _SERIES_CUT`` with a truncated series.
 
     The series is ``x^2 (c_0 + x (c_1 + ... + x (c_last + x / divisor)))`` in
-    Horner form, evaluated on the selected entries only.
+    Horner form, evaluated on the selected entries only; with none selected
+    it returns at once, as the grid suite's blocks away from 0 do.
     """
     small = np.abs(x) < _SERIES_CUT
+    if not small.any():
+        return
     xs = x[small]
     acc = coeffs[-1] + xs / divisor
     for c in reversed(coeffs[:-1]):

@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,25 @@ class TestSuites:
         with pytest.raises(ConfigError, match="no instances"):
             suite(seed=1, instances=-1)
 
+    @pytest.mark.parametrize("grid_points", [1, math.nan])
+    def test_one_grid_point_is_config_error(self, grid_points):
+        with pytest.raises(ConfigError, match="grid-optimum: need at least 2 grid points"):
+            check_grid_optimum(seed=1, instances=1, grid_points=grid_points)
+
+    def test_no_grid_points_is_config_error(self):
+        with pytest.raises(ConfigError, match="grid-optimum: need at least 2 grid points"):
+            check_grid_optimum(seed=1, instances=1, grid_points=0)
+
+    @pytest.mark.parametrize("n_events", [1, 0, math.nan])
+    def test_threshold_scan_one_event_is_config_error(self, n_events):
+        with pytest.raises(ConfigError, match="threshold-scan: need at least 2 events"):
+            check_threshold_scan(seed=1, instances=1, n_events=n_events)
+
+    @pytest.mark.parametrize("n_events", [0, -3, math.nan])
+    def test_gradient_no_events_is_config_error(self, n_events):
+        with pytest.raises(ConfigError, match="gradient-fd: need at least 1 event"):
+            check_gradient(seed=1, instances=1, n_events=n_events)
+
     def test_deterministic(self):
         assert run_all_checks(seed=11, instances=10) == run_all_checks(
             seed=11, instances=10
@@ -107,6 +127,10 @@ def _nan_conjugate(u):
     return np.full(np.shape(u), np.nan)[()]
 
 
+# a closed-form optimum off by 10%, which the grid suite must report
+_BAD_PRIME = replace(AMS2, f_prime=lambda t: 1.1 * np.asarray(AMS2.f_prime(t)), name="ams2-bad")
+
+
 class TestFailureReports:
     """A failing suite reports its worst instance; NaN errors fail."""
 
@@ -141,11 +165,8 @@ class TestFailureReports:
         )
 
     def test_grid_optimum_report(self):
-        bad_prime = replace(
-            AMS2, f_prime=lambda t: 1.1 * np.asarray(AMS2.f_prime(t)), name="ams2-bad"
-        )
         result = check_grid_optimum(
-            seed=5, instances=3, measures=(AMS3, bad_prime), grid_points=20001
+            seed=5, instances=3, measures=(AMS3, _BAD_PRIME), grid_points=20001
         )
         assert result == CheckResult(
             "grid-optimum", False, 6, 0.010064499886037206,
@@ -178,6 +199,88 @@ class TestFailureReports:
             "threshold-scan", False, 9, 3.0,
             "instance=2 measure=ams2 b_reg=0.0 fast=2.46690278881854 brute=-inf",
         )
+
+
+_RISK_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestGridBlocks:
+    """The grid suite scans its grid in blocks of ``_GRID_BLOCK`` points."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(_RISK_VALUES, min_size=1, max_size=50), st.integers(1, 60))
+    # NaN first in a later block; NaN in the first block; all NaN
+    @example([1.0, 0.0, -2.0, math.nan, -math.inf, math.nan], 2)
+    @example([0.0, math.nan, -math.inf, math.nan], 2)
+    @example([math.nan] * 5, 2)
+    # ties across a block boundary; -0.0 against 0.0, both ways round
+    @example([3.0, 1.0, 1.0, 2.0, 1.0], 2)
+    @example([1.0, 0.0, -0.0, 0.0], 2)
+    @example([1.0, -0.0, 0.0, -0.0], 2)
+    # all +inf; -inf in two blocks; +inf before the only finite value
+    @example([math.inf] * 3, 2)
+    @example([math.inf, -math.inf, 1.0, -math.inf], 3)
+    @example([math.inf, math.inf, 5.0], 2)
+    # a short last block; a grid shorter than one block
+    @example([2.0, 1.0, 3.0, 0.5, 0.7], 3)
+    @example([2.0, 1.0, 0.5], 10)
+    def test_block_rule_is_argmin_of_the_whole_array(self, values, block):
+        risks = np.array(values)
+        grid = np.arange(risks.size, dtype=float)
+        blocks = []
+
+        def risk_of(summary, u, measure):
+            blocks.append(u)
+            return risks[u.astype(np.intp)]
+
+        with mock.patch.object(checks, "dual_risk", risk_of), mock.patch.object(
+            checks, "_GRID_BLOCK", block
+        ):
+            got = checks._grid_argmin(None, grid, AMS2)
+        assert got == int(np.argmin(risks))
+        # consecutive blocks of at most `block` points from the start of the grid
+        scanned = np.concatenate(blocks)
+        assert scanned.tobytes() == grid[: scanned.size].tobytes()
+        assert all(b.size == block for b in blocks[:-1]) and 1 <= blocks[-1].size <= block
+
+    def test_blocks_cover_each_instance_grid_once(self, monkeypatch):
+        exact = checks.dual_risk
+        calls = []
+
+        def spy(summary, u, measure):
+            calls.append((summary, u.copy()))
+            return exact(summary, u, measure)
+
+        monkeypatch.setattr(checks, "_GRID_BLOCK", 4096)
+        monkeypatch.setattr(checks, "dual_risk", spy)
+        assert check_grid_optimum(seed=2, instances=3, grid_points=20001).passed
+        grid = np.linspace(0.0, checks.U_MAX, 20001)
+        instances = [
+            [u for _, u in group] for _, group in itertools.groupby(calls, key=lambda c: id(c[0]))
+        ]
+        assert len(instances) == 6  # 3 instances under each of two measures
+        for blocks in instances:
+            assert [u.size for u in blocks] == [4096] * 4 + [20001 - 4 * 4096]
+            assert np.concatenate(blocks).tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("block", [1000, checks._GRID_BLOCK])
+    @pytest.mark.parametrize(
+        "measures", [(AMS2, AMS3), (AMS3, _BAD_PRIME)], ids=["built-in", "bad-prime"]
+    )
+    def test_blocks_give_the_whole_grid_result(self, monkeypatch, measures, block):
+        def run():
+            return check_grid_optimum(
+                seed=5, instances=3, measures=measures, grid_points=20001
+            )
+
+        monkeypatch.setattr(checks, "_GRID_BLOCK", 20001)
+        whole = run()
+        monkeypatch.setattr(checks, "_GRID_BLOCK", block)
+        assert run() == whole
+        assert whole.passed == (measures[1] is not _BAD_PRIME)
 
 
 def _scalar_loop_threshold(scores, dataset, measure, b_reg):

@@ -398,6 +398,26 @@ class TestPredict:
         with pytest.raises(ValueError, match="negative feature count"):
             empty_model("stump-boost", -1)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, math.nan, "2", None])
+    def test_non_integer_feature_count_rejected(self, count):
+        # `features 2.5` would be saved, and load_model rejects that file
+        with pytest.raises(ValueError, match="feature count must be an integer"):
+            empty_model("stump-boost", count)
+
+    def test_numpy_integer_feature_count_stored_as_int(self, tmp_path):
+        model = empty_model("tree-boost", np.int64(3))
+        assert type(model.n_features) is int and model.n_features == 3
+        path = str(tmp_path / "m.txt")
+        save_model(model, path)
+        assert load_model(path) == model
+
+    @pytest.mark.parametrize("kind", ["stump-boost", "tree-boost"])
+    @pytest.mark.parametrize("name", ["coefficients", "impute_values"])
+    def test_boosted_model_takes_no_logistic_vectors(self, kind, name):
+        # save_model writes neither vector for a boosted model
+        with pytest.raises(ValueError, match=f"a {kind} model takes no {name}"):
+            Model(kind=kind, n_features=2, base_score=0.0, **{name: np.ones(2)})
+
     def test_tree_past_the_feature_count_is_data_error(self):
         # built in code: load_model rejects a file with such a split
         stump = Tree._from_rows([(3, 0.0, 1, 2, True, 0.0), _leaf_row(-1.0), _leaf_row(1.0)])

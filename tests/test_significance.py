@@ -276,6 +276,17 @@ class TestKernelOracle:
         assert self._assert_matches(kernel, reference, grid) == []
 
     @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
+    def test_no_entry_near_zero(self, kernel, reference):
+        # the series step returns at once here, as on the grid suite's
+        # blocks past the first
+        block = np.linspace(0.0, U_MAX, GRID_POINTS)[8192:16384]
+        away = np.linspace(_SERIES_CUT, 30.0, 5000)
+        x = np.concatenate([block, away, -away, [1e308, np.inf, -np.inf, np.nan]])
+        assert not np.any(np.abs(x) < _SERIES_CUT)
+        self._assert_matches(kernel, reference, x)
+        self._assert_matches(kernel, reference, block)
+
+    @pytest.mark.parametrize("kernel,reference", _KERNELS, ids=_KERNEL_IDS)
     def test_band_around_cut(self, kernel, reference):
         self._assert_matches(kernel, reference, _cut_band())
 
