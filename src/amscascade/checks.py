@@ -10,6 +10,7 @@ harness itself can be shown to catch a broken conjugate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +75,13 @@ def _verdict(name, errors, tolerance, describe):
     return CheckResult(name, passed, len(errors), worst, "" if passed else describe(k))
 
 
+def _require_integers(name, **sizes):
+    """ConfigError unless every size is an integer (numpy integers too)."""
+    for size, value in sizes.items():
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name}: {size} must be an integer, got {value!r}")
+
+
 def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
     """Conjugacy identity: the linearization gap vanishes at u = f'(c/a).
 
@@ -82,6 +90,7 @@ def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
     """
     if instances < 1:
         raise ConfigError("fenchel-young: no instances to check")
+    _require_integers("fenchel-young", instances=instances)
     rng = np.random.default_rng(seed)
     cases, gaps = [], []
     for measure in measures:
@@ -102,6 +111,7 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
     Draws keep s/b inside the open dual domain for every seed so the
     comparison never touches the clamp boundaries.
     """
+    _require_integers("duality-identity", instances=instances)
     rng = np.random.default_rng(seed)
     cases, rels = [], []
     for measure in measures:
@@ -159,6 +169,7 @@ def check_grid_optimum(
     """Closed-form optimal_u against argmin over a dense dual grid."""
     if not grid_points >= 2:
         raise ConfigError(f"grid-optimum: need at least 2 grid points, got {grid_points!r}")
+    _require_integers("grid-optimum", instances=instances, grid_points=grid_points)
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, U_MAX, grid_points)
     step = U_MAX / (grid_points - 1)
@@ -189,6 +200,7 @@ def check_gradient(seed=0, instances=100, n_events=50):
     """
     if not n_events >= 1:
         raise ConfigError(f"gradient-fd: need at least 1 event, got {n_events!r}")
+    _require_integers("gradient-fd", instances=instances, n_events=n_events)
     rng = np.random.default_rng(seed)
     eps = 1e-5
     rels = []
@@ -241,6 +253,7 @@ def check_threshold_scan(seed=0, instances=50, n_events=1000):
     if not n_events >= 2:
         # one event of each class
         raise ConfigError(f"threshold-scan: need at least 2 events, got {n_events!r}")
+    _require_integers("threshold-scan", instances=instances, n_events=n_events)
     rng = np.random.default_rng(seed)
     mismatches = 0
     detail = ""

@@ -193,19 +193,23 @@ class Tree:
         table = _NodeTable((self,))
         needed = table.n_columns
         features = _feature_matrix(features, needed, math.inf, f"tree ({needed} columns or more)")
-        return _tree_outputs(table, features)[0]
+        out = np.empty(features.shape[0])
+        for rows, block in _tree_blocks(table, features):
+            out[rows] = block[0]
+        return out
 
 
 class _NodeTable:
-    """Trees' nodes laid end to end, the layout ``_tree_outputs`` walks.
+    """Trees' nodes laid end to end, the layout ``_tree_blocks`` walks.
 
-    Child indices are shifted by each tree's offset and leaves route to
-    themselves and read column 0, so a (tree, row) pair that reached a leaf
-    stays there.  ``left_value`` and ``right_value`` hold the value of each
-    node's children (a leaf's own value), ``depth`` is the number of levels
-    of the deepest tree and ``n_columns`` the number of columns the splits
-    read.  Built from the trees alone, so a model can keep its table for
-    every call.
+    Each node's children are stored as a pair, at ``2 * node + go_left``:
+    ``child`` holds the child, shifted by its tree's offset, and
+    ``child_value`` the child's value.  A leaf's pair holds the leaf itself
+    and its own value, and a leaf reads column 0, so a (tree, row) pair that
+    reached a leaf stays there.  ``depth`` is the number of levels of the
+    deepest tree and ``n_columns`` the number of columns the splits read.
+    Built from the trees alone, so a model can keep its table for every
+    call.
     """
 
     def __init__(self, trees: Sequence[Tree]):
@@ -214,18 +218,17 @@ class _NodeTable:
         feature = np.concatenate([tree.feature for tree in trees])
         split = np.flatnonzero(feature >= 0)
         shift = np.repeat(self.roots, sizes)[split]
-        self.left = np.arange(feature.size)
-        self.right = self.left.copy()
-        self.left[split] = np.concatenate([tree.left for tree in trees])[split] + shift
-        self.right[split] = np.concatenate([tree.right for tree in trees])[split] + shift
+        # row `node` holds the children at 2 * node (right) and 2 * node + 1 (left)
+        pairs = np.repeat(np.arange(feature.size)[:, None], 2, axis=1)
+        pairs[split, 0] = np.concatenate([tree.right for tree in trees])[split] + shift
+        pairs[split, 1] = np.concatenate([tree.left for tree in trees])[split] + shift
+        self.child = pairs.ravel()
         self.feature = np.zeros_like(feature)
         self.feature[split] = feature[split]
         self.n_columns = int(feature.max()) + 1
         self.threshold = np.concatenate([tree.threshold for tree in trees])
         self.missing_left = np.concatenate([tree.missing_left for tree in trees])
-        value = np.concatenate([tree.value for tree in trees])
-        self.left_value = value[self.left]
-        self.right_value = value[self.right]
+        self.child_value = np.concatenate([tree.value for tree in trees])[self.child]
         # levels as node masks: a loaded tree may reach one node from two parents
         self.depth = 0
         level = np.zeros(feature.size, dtype=bool)
@@ -235,8 +238,7 @@ class _NodeTable:
             if parents.size == 0:
                 break
             level[:] = False
-            level[self.left[parents]] = True
-            level[self.right[parents]] = True
+            level[pairs[parents]] = True
             self.depth += 1
 
     def extended(self, tree: Tree) -> "_NodeTable":
@@ -245,59 +247,80 @@ class _NodeTable:
         Equal to a build from all the trees, at the cost of a one-tree build
         and a copy.
         """
-        grown, offset = _NodeTable((tree,)), self.left.size
-        for name in ("roots", "left", "right"):
+        grown, offset = _NodeTable((tree,)), self.feature.size
+        for name in ("roots", "child"):
             setattr(grown, name, getattr(grown, name) + offset)
-        for name in (
-            "roots", "left", "right", "feature", "threshold", "missing_left",
-            "left_value", "right_value",
-        ):
+        for name in ("roots", "child", "feature", "threshold", "missing_left", "child_value"):
             setattr(grown, name, np.concatenate([getattr(self, name), getattr(grown, name)]))
         grown.depth = max(self.depth, grown.depth)
         grown.n_columns = max(self.n_columns, grown.n_columns)
         return grown
 
 
-# (tree, row) pairs walked per block of rows by _tree_outputs: each of its
-# temporary arrays takes at most 256 KB, which keeps a block in cache
-_BLOCK_CELLS = 1 << 15
+# (tree, row) pairs per block of _tree_blocks, so each of a block's
+# temporaries takes at most 32 KiB.  Under a 128 KiB mmap threshold, which
+# also fixes glibc's trim threshold at 128 KiB, a float array of 128 KiB or
+# more is a fresh mmap, and a heap top of 128 KiB freed at the end of a call
+# is handed back to the OS; either way its pages fault in again on the next
+# call.  One _walk call per block, whose temporaries die when it returns,
+# keeps a call's heap well under that.
+_BLOCK_CELLS = 1 << 12
+# fewest rows of a row block that does not hold every row, so inner loops stay long
+_BLOCK_ROWS = 1 << 7
 
 
-def _tree_outputs(table: _NodeTable, features: np.ndarray) -> np.ndarray:
-    """The ``(trees, rows)`` outputs of every tree of ``table`` on every row.
+def _tree_blocks(table: _NodeTable, features: np.ndarray):
+    """The outputs of ``table``'s trees on ``features``, block by block.
+
+    Yields ``(rows, block)``: ``block`` is a C-contiguous (trees, rows)
+    array of consecutive trees' outputs on the rows of the slice ``rows``.
+    Rows are cut into blocks of one size (the last may be shorter): as few
+    as hold every tree within ``_BLOCK_CELLS`` pairs, but no more than keep
+    ``_BLOCK_ROWS`` rows in each.  A row block's trees are cut into blocks
+    of at most ``_BLOCK_CELLS`` pairs (one tree at least), yielded in
+    ascending order.
+    """
+    (n_rows, n_columns), n_trees = features.shape, table.roots.size
+    n_blocks = max(1, min(-(-n_rows // max(1, _BLOCK_CELLS // n_trees)), n_rows // _BLOCK_ROWS))
+    row_step = max(1, -(-n_rows // n_blocks))
+    tree_step = max(1, _BLOCK_CELLS // row_step)
+    for start in range(0, n_rows, row_step):
+        rows = slice(start, start + row_step)
+        block_rows = features[rows]
+        cells = block_rows.ravel()
+        offsets = np.arange(block_rows.shape[0]) * n_columns
+        has_nan = bool(np.isnan(cells).any())
+        for first in range(0, n_trees, tree_step):
+            roots = table.roots[first:first + tree_step, None]
+            yield rows, _walk(table, roots, cells, offsets, has_nan)
+
+
+def _walk(table: _NodeTable, node: np.ndarray, cells: np.ndarray, offsets: np.ndarray,
+          has_nan: bool) -> np.ndarray:
+    """The (trees, rows) outputs of the trees rooted at the column ``node``
+    on rows flattened into ``cells``, each starting at one of ``offsets``.
 
     Every (tree, row) pair moves down one level per step, routed by the
-    node it is at, so only reached nodes are evaluated: the first step
-    reads whole rows of the transposed block at the roots, later steps
-    gather each pair's cell by flat index, and the last step reads the
-    children's values instead of the children.
+    node it is at, so only reached nodes are evaluated; the last step reads
+    the children's values instead of the children.  The routing rule's NaN
+    term is all False where no cell is NaN, so it is added only when
+    ``has_nan``.
     """
-    n_trees, n_rows = table.roots.size, features.shape[0]
-    out = np.empty((n_trees, n_rows))
-    roots = table.roots[:, None]
-    step = max(1, _BLOCK_CELLS // n_trees)
-    for start in range(0, n_rows, step):
-        columns = np.ascontiguousarray(features[start:start + step].T)
-        n = columns.shape[1]
-        node, go_left = roots, False
-        if table.depth:
-            go_left = _goes_left(
-                columns[table.feature[table.roots]],
-                table.threshold[roots],
-                table.missing_left[roots],
-            )
-        cells, rows = columns.ravel(), np.arange(n)
-        for _ in range(1, table.depth):
-            node = np.where(go_left, table.left[node], table.right[node])
-            go_left = _goes_left(
-                cells[table.feature[node] * n + rows],
-                table.threshold[node],
-                table.missing_left[node],
-            )
-        out[:, start:start + n] = np.where(
-            go_left, table.left_value[node], table.right_value[node]
-        )
-    return out
+    if not table.depth:
+        # every tree is one leaf, which reads its own value
+        return table.child_value.take(np.repeat(2 * node, offsets.size, axis=1))
+    for level in range(table.depth):
+        if level:
+            node = table.child.take(pair)
+        index = table.feature.take(node) + offsets
+        threshold = table.threshold.take(node)
+        if has_nan:
+            go_left = _goes_left(cells.take(index), threshold, table.missing_left.take(node))
+        else:
+            go_left = cells.take(index) < threshold
+        # the cell indices' buffer takes each pair's index, 2 * node + go_left
+        pair = np.add(2 * node, go_left, out=index)
+    return table.child_value.take(pair)
 
 
 @dataclass(frozen=True)
@@ -724,8 +747,17 @@ def predict_scores(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np
         table = model._node_table
         if table.n_columns > n_features:
             raise DataError(f"model ({n_features} features) splits on column {table.n_columns - 1}")
-        for out in _tree_outputs(table, features):
-            scores += out
+        for rows, block in _tree_blocks(table, features):
+            # each row's sum stays base + t1 + t2 + ...: np.add.reduce adds
+            # the rows of a C-contiguous block of two or more columns in
+            # order, but sums a single column pairwise
+            block[0] += scores[rows]
+            if block.shape[1] > 1:
+                scores[rows] = np.add.reduce(block, axis=0)
+            else:
+                for out in block[1:]:
+                    block[0] += out
+                scores[rows] = block[0]
     return scores
 
 

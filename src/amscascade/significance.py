@@ -303,7 +303,7 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
         raise ValueError(
             f"predictions length {preds.shape} does not match dataset {labels.shape}"
         )
-    if not np.all(np.isin(preds, (-1, 1))):
+    if not np.all((preds == 1) | (preds == -1)):
         raise ValueError("predictions must take values in {-1, +1}")
     selected = preds == 1
     signal = labels == 1

@@ -84,6 +84,32 @@ class TestSuites:
         with pytest.raises(ConfigError, match="gradient-fd: need at least 1 event"):
             check_gradient(seed=1, instances=1, n_events=n_events)
 
+    @pytest.mark.parametrize(
+        "suite, prefix, size",
+        [
+            (check_fenchel_young, "fenchel-young", "instances"),
+            (check_duality, "duality-identity", "instances"),
+            (check_grid_optimum, "grid-optimum", "instances"),
+            (check_grid_optimum, "grid-optimum", "grid_points"),
+            (check_gradient, "gradient-fd", "instances"),
+            (check_gradient, "gradient-fd", "n_events"),
+            (check_threshold_scan, "threshold-scan", "instances"),
+            (check_threshold_scan, "threshold-scan", "n_events"),
+        ],
+        ids=lambda value: None if callable(value) else value,
+    )
+    def test_fractional_size_is_config_error(self, suite, prefix, size):
+        with pytest.raises(ConfigError, match=f"{prefix}: {size} must be an integer, got 2.5"):
+            suite(seed=1, **{size: 2.5})
+
+    def test_numpy_integer_sizes(self):
+        three = np.int64(3)
+        assert check_fenchel_young(seed=1, instances=three).instances == 2 * 3
+        assert check_duality(seed=1, instances=three).instances == 2 * 3
+        assert check_grid_optimum(seed=1, instances=np.int32(1), grid_points=np.int64(1000)).passed
+        assert check_gradient(seed=1, instances=three, n_events=three).instances == 3
+        assert check_threshold_scan(seed=1, instances=three, n_events=np.int16(20)).passed
+
     def test_deterministic(self):
         assert run_all_checks(seed=11, instances=10) == run_all_checks(
             seed=11, instances=10

@@ -1,6 +1,7 @@
 """Tests for the cost-sensitive base learners."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -928,7 +929,7 @@ class TestSplitSearchOracle:
 def _reference_predict(tree, features):
     """One tree's outputs by a per-node stack walk over row index sets.
 
-    The oracle for ``_tree_outputs``' level-by-level walk: each node routes
+    The oracle for ``_walk``'s level-by-level walk: each node routes
     exactly the rows that reached it, and a leaf writes its value to them.
     """
     out = np.empty(features.shape[0], dtype=float)
@@ -1057,8 +1058,10 @@ def prediction_cases(draw):
                       min_size=n_rows, max_size=n_rows)),
         dtype=float,
     ).reshape(n_rows, n_features)
+    # small blocks cut the rows, the trees or both
     block_cells = draw(st.sampled_from([1, 2, 3, 7, 64, learner_module._BLOCK_CELLS]))
-    return model, features, block_cells
+    block_rows = draw(st.sampled_from([1, 2, 5, learner_module._BLOCK_ROWS]))
+    return model, features, block_cells, block_rows
 
 
 def _table_arrays(table):
@@ -1122,16 +1125,71 @@ class TestPredictionOracle:
             differs.append(reduced.tobytes() != _reference_scores(model, features).tobytes())
         assert any(differs)
 
+    @staticmethod
+    def _block_shapes(model, features):
+        """The (rows, block shape) of each block of a walk, in order."""
+        return [
+            (rows.indices(features.shape[0])[:2], block.shape)
+            for rows, block in learner_module._tree_blocks(model._node_table, features)
+        ]
+
     def test_rows_in_many_blocks(self, monkeypatch):
         model, features = _prediction_inputs(2)
+        monkeypatch.setattr(learner_module, "_BLOCK_ROWS", 1)
         # a block holds _BLOCK_CELLS (tree, row) pairs: 7 rows per block, and
         # a short last block
         monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 7 * model.n_trees + 1)
         assert features.shape[0] % 7 != 0
+        shapes = self._block_shapes(model, features)
+        assert {shape for _, shape in shapes[:-1]} == {(model.n_trees, 7)}
+        assert shapes[-1][1] == (model.n_trees, features.shape[0] % 7)
         self._assert_matches(model, features)
         # one row per block, below the smallest block
         monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 1)
         self._assert_matches(model, features)
+
+    def test_row_block_spans_tree_blocks(self, monkeypatch):
+        model, features = _prediction_inputs(2)
+        features = features[:57]
+        # 8 rows per block and a one-row last block; 3 trees per block and
+        # a short last tree block
+        monkeypatch.setattr(learner_module, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 28)
+        shapes = self._block_shapes(model, features)
+        tree_blocks = [3] * (model.n_trees // 3) + [model.n_trees % 3]
+        assert 0 < model.n_trees % 3 and len(tree_blocks) > 2
+        assert shapes == [
+            ((start, min(start + 8, 57)), (trees, min(8, 57 - start)))
+            for start in range(0, 57, 8)
+            for trees in tree_blocks
+        ]
+        assert shapes[-1][1][1] == 1
+        self._assert_matches(model, features)
+
+    def test_blocks_keep_rows_together(self):
+        # a row block holds every row, or at least _BLOCK_ROWS of them
+        model = _wide_range_model(n_trees=500)
+        for n_rows in (150, 255, 256, 1000):
+            shapes = self._block_shapes(model, np.zeros((n_rows, 3)))
+            rows = {stop - start for (start, stop), _ in shapes}
+            assert min(rows) >= min(n_rows, learner_module._BLOCK_ROWS)
+            assert max(trees * n for _, (trees, n) in shapes) <= learner_module._BLOCK_CELLS
+
+    def test_predict_memory_budget(self):
+        # one call of a 500-stump model over 150 rows stays in small blocks
+        # and builds no (trees, rows) matrix
+        model = _wide_range_model(n_trees=500)
+        features = np.random.default_rng(0).normal(size=(150, 3))
+        expected = predict_scores(model, features)  # builds the node table
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            scores = predict_scores(model, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.tobytes() == expected.tobytes()
+        assert peak - start <= 256 * 1024
 
     @settings(
         derandomize=True,
@@ -1142,8 +1200,10 @@ class TestPredictionOracle:
     )
     @given(prediction_cases())
     def test_random_trees_match_the_stack_walk(self, case):
-        model, features, block_cells = case
-        with mock.patch.object(learner_module, "_BLOCK_CELLS", block_cells):
+        model, features, block_cells, block_rows = case
+        with mock.patch.multiple(
+            learner_module, _BLOCK_CELLS=block_cells, _BLOCK_ROWS=block_rows
+        ):
             self._assert_matches(model, features)
 
     def test_one_table_per_model(self, monkeypatch):
