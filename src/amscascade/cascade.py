@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import WeightedDataset
-from .errors import CascadeError, ConfigError, DegenerateInputError
+from .errors import CascadeError, ConfigError, DegenerateInputError, _integer
 from .learner import (
     LearnerConfig,
     Model,
@@ -106,19 +106,12 @@ class CascadeConfig:
                 raise ConfigError(str(exc)) from None
         if self.u0 is not None and not (math.isfinite(self.u0) and self.u0 > 0.0):
             raise ConfigError(f"u0 must be finite and > 0, got {self.u0!r}")
-        if not isinstance(self.T, int) or self.T < 1:
-            raise ConfigError(f"T must be an integer >= 1, got {self.T!r}")
+        for name, least in (("T", 1), ("extra_rounds_after_stall", 0), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if self.variant not in _VARIANTS:
             raise ConfigError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if not isinstance(self.extra_rounds_after_stall, int) or self.extra_rounds_after_stall < 0:
-            raise ConfigError(
-                "extra_rounds_after_stall must be an integer >= 0, got "
-                f"{self.extra_rounds_after_stall!r}"
-            )
         if not (math.isfinite(self.b_reg) and self.b_reg >= 0.0):
             raise ConfigError(f"b_reg must be finite and >= 0, got {self.b_reg!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.validation_source is not None and self.validation_source not in _VALIDATION_SOURCES:
             raise ConfigError(
                 f"validation_source must be one of {_VALIDATION_SOURCES}, "
@@ -223,12 +216,10 @@ def _next_dual(summary: ConfusionSummary, measure: SignificanceMeasure) -> float
 def derive_seed(seed: int, *keys: int) -> int:
     """The package's one seed derivation: word 0 of ``SeedSequence([seed, *keys])``.
 
-    A negative seed or key is a ConfigError.
+    A seed or key that is not an integer >= 0 is a ConfigError.
     """
-    for value in (seed, *keys):
-        if value < 0:
-            raise ConfigError(f"seeds and seed keys must be >= 0, got {value!r}")
-    return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
+    words = [_integer("seed", seed, 0), *(_integer("seed key", key, 0) for key in keys)]
+    return int(np.random.SeedSequence(words).generate_state(1)[0])
 
 
 def run_cascade(
@@ -361,16 +352,15 @@ def rerun_cascade(
     truncated to ``top_k`` when given.  Rerun r uses a seed derived from
     (config.seed, r), so the whole batch is reproducible from one seed.
     """
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats!r}")
-    if top_k is not None and top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k!r}")
+    repeats = _integer("repeats", repeats, 1)
+    if top_k is not None:
+        top_k = _integer("top_k", top_k, 1)
     results = []
     for r in range(repeats):
         run_config = replace(config, seed=derive_seed(config.seed, 7919, r))
         results.append(run_cascade(train_data, validation, run_config))
     results.sort(key=lambda pair: -max(rec.val_sig for rec in pair[1].records))
-    return results[: top_k if top_k is not None else len(results)]
+    return results[:top_k]
 
 
 def _werr_from_summary(summary: ConfusionSummary, u: float, measure: SignificanceMeasure) -> float:

@@ -9,15 +9,16 @@ harness itself can be shown to catch a broken conjugate.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cascade import derive_seed, select_threshold
 from .data import WeightedDataset
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .learner import surrogate_gradient, surrogate_loss
 from .significance import (
     AMS2,
@@ -75,11 +76,15 @@ def _verdict(name, errors, tolerance, describe):
     return CheckResult(name, passed, len(errors), worst, "" if passed else describe(k))
 
 
-def _require_integers(name, **sizes):
-    """ConfigError unless every size is an integer (numpy integers too)."""
-    for size, value in sizes.items():
-        if not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name}: {size} must be an integer, got {value!r}")
+def _size(suite, name, value, least, shortfall):
+    """Size ``name`` of ``suite`` as an int; a number below ``least``, NaN
+    included, raises ConfigError(shortfall)."""
+    try:
+        if not value >= least:
+            raise ConfigError(f"{suite}: {shortfall}, got {value!r}")
+    except TypeError:  # not a number: the integer rule names it
+        pass
+    return _integer(f"{suite}: {name}", value)
 
 
 def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
@@ -88,9 +93,7 @@ def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
     Ranges keep both sides of the identity small enough that float
     cancellation stays well under the 1e-9 budget.
     """
-    if instances < 1:
-        raise ConfigError("fenchel-young: no instances to check")
-    _require_integers("fenchel-young", instances=instances)
+    instances = _size("fenchel-young", "instances", instances, 1, "no instances to check")
     rng = np.random.default_rng(seed)
     cases, gaps = [], []
     for measure in measures:
@@ -111,7 +114,7 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
     Draws keep s/b inside the open dual domain for every seed so the
     comparison never touches the clamp boundaries.
     """
-    _require_integers("duality-identity", instances=instances)
+    instances = _size("duality-identity", "instances", instances, 1, "no instances to check")
     rng = np.random.default_rng(seed)
     cases, rels = [], []
     for measure in measures:
@@ -167,9 +170,10 @@ def check_grid_optimum(
     seed=0, instances=100, measures=(AMS2, AMS3), grid_points=GRID_POINTS
 ):
     """Closed-form optimal_u against argmin over a dense dual grid."""
-    if not grid_points >= 2:
-        raise ConfigError(f"grid-optimum: need at least 2 grid points, got {grid_points!r}")
-    _require_integers("grid-optimum", instances=instances, grid_points=grid_points)
+    instances = _size("grid-optimum", "instances", instances, 1, "no instances to check")
+    grid_points = _size(
+        "grid-optimum", "grid_points", grid_points, 2, "need at least 2 grid points"
+    )
     rng = np.random.default_rng(seed)
     grid = np.linspace(0.0, U_MAX, grid_points)
     step = U_MAX / (grid_points - 1)
@@ -198,9 +202,8 @@ def check_gradient(seed=0, instances=100, n_events=50):
     Scores are kept in [-2, 2] so no gradient entry underflows; that keeps
     the finite-difference roundoff floor far below the relative tolerance.
     """
-    if not n_events >= 1:
-        raise ConfigError(f"gradient-fd: need at least 1 event, got {n_events!r}")
-    _require_integers("gradient-fd", instances=instances, n_events=n_events)
+    instances = _size("gradient-fd", "instances", instances, 1, "no instances to check")
+    n_events = _size("gradient-fd", "n_events", n_events, 1, "need at least 1 event")
     rng = np.random.default_rng(seed)
     eps = 1e-5
     rels = []
@@ -248,12 +251,9 @@ def _brute_force_threshold(scores, dataset, measure, b_reg):
 
 def check_threshold_scan(seed=0, instances=50, n_events=1000):
     """Incremental threshold scan against the O(n^2) brute-force oracle."""
-    if instances < 1:
-        raise ConfigError("threshold-scan: no instances to check")
-    if not n_events >= 2:
-        # one event of each class
-        raise ConfigError(f"threshold-scan: need at least 2 events, got {n_events!r}")
-    _require_integers("threshold-scan", instances=instances, n_events=n_events)
+    instances = _size("threshold-scan", "instances", instances, 1, "no instances to check")
+    # one event of each class
+    n_events = _size("threshold-scan", "n_events", n_events, 2, "need at least 2 events")
     rng = np.random.default_rng(seed)
     mismatches = 0
     detail = ""
@@ -300,24 +300,28 @@ def run_all_checks(seed=0, instances=None, inject_fault=False):
     and brute-force suites cap at their defaults to bound runtime. With
     `inject_fault` the Fenchel-Young suite runs against a measure whose
     conjugate is off by 1e-3 and must report failure.  An `instances`
-    outside [1, MAX_INSTANCES] is a ConfigError.
+    that is not an integer in [1, MAX_INSTANCES] is a ConfigError.
     """
-    if instances is not None and not 1 <= instances <= MAX_INSTANCES:
-        raise ConfigError(f"instances must be in [1, {MAX_INSTANCES}], got {instances!r}")
-    fy_n = 1000 if instances is None else instances
-    dual_n = 200 if instances is None else instances
-    grad_n = 100 if instances is None else min(instances, 100)
-    grid_n = 100 if instances is None else min(instances, 100)
-    scan_n = 50 if instances is None else min(instances, 50)
-
+    if instances is not None:
+        instances = _integer("instances", instances)
+        if not 1 <= instances <= MAX_INSTANCES:
+            raise ConfigError(f"instances must be in [1, {MAX_INSTANCES}], got {instances!r}")
     fy_measures = (AMS2, AMS3)
     if inject_fault:
         fy_measures = (perturbed_conjugate_measure(AMS2), AMS3)
-
-    return [
-        check_fenchel_young(derive_seed(seed, 1), fy_n, measures=fy_measures),
-        check_grid_optimum(derive_seed(seed, 2), grid_n),
-        check_duality(derive_seed(seed, 3), dual_n),
-        check_gradient(derive_seed(seed, 4), grad_n),
-        check_threshold_scan(derive_seed(seed, 5), scan_n),
-    ]
+    # (suite, whether `instances` caps at its default size), built per call
+    # so that a suite replaced on this module is the one that runs
+    suites = (
+        (functools.partial(check_fenchel_young, measures=fy_measures), False),
+        (check_grid_optimum, True),
+        (check_duality, False),
+        (check_gradient, True),
+        (check_threshold_scan, True),
+    )
+    results = []
+    for key, (suite, capped) in enumerate(suites, start=1):
+        n = inspect.signature(suite).parameters["instances"].default
+        if instances is not None:
+            n = min(instances, n) if capped else instances
+        results.append(suite(derive_seed(seed, key), n))
+    return results

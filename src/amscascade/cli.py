@@ -33,7 +33,7 @@ from .data import (
     synthesize,
     write_submission,
 )
-from .errors import AmsCascadeError, ConfigError, DataError
+from .errors import AmsCascadeError, ConfigError, DataError, _integer
 # classify is not called here, but amsbench's tracer wraps it by this name
 from .learner import classify, hard_labels, load_model, predict_scores, save_model  # noqa: F401
 from .significance import (
@@ -282,11 +282,7 @@ def _parse_summary_spec(spec, b_reg):
 
 
 def _master_seed(args):
-    if args.seed is None:
-        return 0
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed!r}")
-    return args.seed
+    return 0 if args.seed is None else _integer("--seed", args.seed, 0)
 
 
 def cmd_eval(args):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _integer
 
 __all__ = [
     "MISSING_VALUE",
@@ -45,10 +45,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _freeze_field(record, name: str, dtype) -> np.ndarray:
+def _int64_array(value, name: str, error) -> np.ndarray:
+    """``value`` as an int64 array, or ``error`` where the cast would change it.
+
+    Integer and bool input is cast as it is.  Float input must hold integral
+    values inside int64's range, so a fraction, NaN or infinity is rejected
+    rather than truncated; input of any other kind is rejected.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind == "f":
+        exact = (arr == np.trunc(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)
+        if not exact.all():
+            raise error(f"{name} must be integers, got {float(arr[~exact][0])!r}")
+    elif arr.dtype.kind not in "biu":
+        raise error(f"{name} must be integers, got an array of {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _freeze_field(record, name: str, dtype, error=ValueError) -> np.ndarray:
     """Set field ``name`` of the frozen dataclass ``record`` to its value as a
-    contiguous, read-only ``dtype`` array, copied only when it is not one."""
-    arr = _frozen(np.ascontiguousarray(getattr(record, name), dtype=dtype))
+    contiguous, read-only ``dtype`` array, copied only when it is not one.
+    An int64 field goes through ``_int64_array``, which raises ``error``."""
+    value = getattr(record, name)
+    if dtype is np.int64:
+        value = _int64_array(value, name, error)
+    arr = _frozen(np.ascontiguousarray(value, dtype=dtype))
     object.__setattr__(record, name, arr)
     return arr
 
@@ -82,9 +103,9 @@ class WeightedDataset:
 
     def __post_init__(self) -> None:
         features = _freeze_field(self, "features", float)
-        labels = _freeze_field(self, "labels", np.int64)
+        labels = _freeze_field(self, "labels", np.int64, DataError)
         weights = _freeze_field(self, "weights", float)
-        event_ids = _freeze_field(self, "event_ids", np.int64)
+        event_ids = _freeze_field(self, "event_ids", np.int64, DataError)
         object.__setattr__(self, "column_names", tuple(self.column_names))
         n = features.shape[0] if features.ndim == 2 else -1
         if features.ndim != 2:
@@ -166,6 +187,7 @@ class SplitSpec:
             raise ConfigError(
                 f"validation_fraction must lie in (0, 1), got {self.validation_fraction!r}"
             )
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
 # synthesize holds a few copies of its (n_signal + n_background) x d matrix,
@@ -196,9 +218,7 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name in ("d", "n_signal", "n_background"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         values = (self.n_signal + self.n_background) * self.d
         if values > SYNTH_MAX_VALUES:
             raise ConfigError(
@@ -515,7 +535,7 @@ def split(dataset: WeightedDataset, spec: SplitSpec) -> tuple[WeightedDataset, W
 
 def synthesize(config: SynthConfig, seed: int) -> WeightedDataset:
     """Generate the two-Gaussian synthetic dataset, deterministic in seed."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     half = config.separation / 2.0
     mean_s = np.zeros(config.d)
     mean_s[0] = half
@@ -559,9 +579,9 @@ def write_submission(
     RankOrder runs 1..n by ascending score with ties broken toward the
     lower event id; Class is 's' for selected (+1) events, else 'b'.
     """
-    ids = np.asarray(event_ids, dtype=np.int64)
+    ids = _int64_array(event_ids, "event_ids", DataError)
     sc = np.asarray(scores, dtype=float)
-    sel = np.asarray(selected, dtype=np.int64)
+    sel = _int64_array(selected, "selected", DataError)
     if not (ids.shape == sc.shape == sel.shape) or ids.ndim != 1:
         raise DataError("event_ids, scores, and selected must be equal-length 1-D")
     if np.unique(ids).size != ids.size:

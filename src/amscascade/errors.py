@@ -4,6 +4,8 @@ The CLI maps these onto stable exit codes (see cli.py), so library code
 should raise the most specific class that applies.
 """
 
+import numpy as np
+
 
 class AmsCascadeError(Exception):
     """Base class for all package-specific errors."""
@@ -27,3 +29,16 @@ class CascadeError(AmsCascadeError):
 
 class DegenerateInputError(AmsCascadeError):
     """An operation was asked to evaluate a mathematically undefined case."""
+
+
+def _integer(name, value, least=None, error=ConfigError) -> int:
+    """``value`` as an ``int``: the package's one rule for scalar counts and seeds.
+
+    Python and numpy integers pass, ``bool`` does not.  Anything else, or an
+    integer below ``least``, raises ``error`` with a one-line message.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if least is None or value >= least:
+            return int(value)
+    bound = "" if least is None else f" >= {least}"
+    raise error(f"{name} must be an integer{bound}, got {value!r}")

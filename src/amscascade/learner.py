@@ -14,7 +14,6 @@ never by resampling, so training is deterministic given a seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import WeightedDataset, _freeze_field
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, TrainingError, _integer
 from .significance import SignificanceMeasure, validate_dual
 
 __all__ = [
@@ -96,20 +95,16 @@ class LearnerConfig:
             raise ConfigError(
                 f"learner kind must be one of {_LEARNER_KINDS}, got {self.kind!r}"
             )
-        if not isinstance(self.rounds, int) or self.rounds < 1:
-            raise ConfigError(f"rounds must be an integer >= 1, got {self.rounds!r}")
+        for name, least in (("rounds", 1), ("max_depth", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if not 0.0 <= self.learning_rate <= 1.0:
             raise ConfigError(
                 f"learning_rate must lie in [0, 1], got {self.learning_rate!r}"
             )
-        if not isinstance(self.max_depth, int) or self.max_depth < 1:
-            raise ConfigError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
         if not (math.isfinite(self.min_child_weight) and self.min_child_weight >= 0.0):
             raise ConfigError(
                 f"min_child_weight must be finite and >= 0, got {self.min_child_weight!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError(f"subsample must lie in (0, 1], got {self.subsample!r}")
 
@@ -348,9 +343,8 @@ class Model:
     def __post_init__(self) -> None:
         if self.kind not in _LEARNER_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if not isinstance(self.n_features, numbers.Integral):
-            raise ValueError(f"feature count must be an integer, got {self.n_features!r}")
-        object.__setattr__(self, "n_features", int(self.n_features))
+        n_features = _integer("feature count", self.n_features, error=ValueError)
+        object.__setattr__(self, "n_features", n_features)
         if self.n_features < 0:
             raise ValueError(f"negative feature count {self.n_features}")
         for name in ("coefficients", "impute_values"):

@@ -6,8 +6,10 @@ edit to the pin, so that adding one is a visible decision.
 """
 
 import argparse
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -99,3 +101,41 @@ def test_cli_flags():
     )
     flags = {name: _option_strings(sub) for name, sub in commands.choices.items()}
     assert flags == CLI_FLAGS
+
+
+def _decides_integers(node):
+    """``numbers.Integral`` (or a bare ``Integral``), or ``isinstance(x, int)``
+    with ``int`` alone or in a tuple."""
+    if isinstance(node, ast.Attribute) and node.attr == "Integral":
+        return True
+    if isinstance(node, ast.Name) and node.id == "Integral":
+        return True
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+    ):
+        return False
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(isinstance(kind, ast.Name) and kind.id == "int" for kind in kinds)
+
+
+def test_integer_rule_has_one_home():
+    """Only errors._integer decides what counts as an integer."""
+    offenders = []
+    for path in sorted(Path(amscascade.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = set()
+        if path.name == "errors.py":
+            rule = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_integer"
+            )
+            home = {id(node) for node in ast.walk(rule)}
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in home and _decides_integers(node)
+        ]
+    assert offenders == []
