@@ -94,7 +94,7 @@ def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
     cancellation stays well under the 1e-9 budget.
     """
     instances = _size("fenchel-young", "instances", instances, 1, "no instances to check")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("fenchel-young: seed", seed, least=0))
     cases, gaps = [], []
     for measure in measures:
         a = rng.uniform(0.5, 1e4, instances)
@@ -115,7 +115,7 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
     comparison never touches the clamp boundaries.
     """
     instances = _size("duality-identity", "instances", instances, 1, "no instances to check")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("duality-identity: seed", seed, least=0))
     cases, rels = [], []
     for measure in measures:
         for _ in range(instances):
@@ -148,21 +148,42 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
 _GRID_BLOCK = 2**13
 
 
-def _grid_argmin(summary, grid, measure):
-    """``np.argmin(dual_risk(summary, grid, measure))``, one block at a time.
+def _grid_argmins(summaries, grid, measure):
+    """``np.argmin(dual_risk(summary, grid, measure))`` for each summary.
 
-    The first minimum wins across blocks (strict ``<``), and as in
-    ``np.argmin`` the first NaN wins over everything: the scan stops at the
-    first block whose minimum is NaN.
+    The grid is scanned one block at a time, and each block for every
+    summary before the next, so ``f*`` is evaluated once per block: each
+    summary's ``dual_risk`` call gets a copy of ``measure`` whose conjugate
+    returns the block's values when handed that same block.  Per summary
+    the first minimum wins across blocks (strict ``<``), and as in
+    ``np.argmin`` the first NaN wins over everything: a summary's scan stops
+    at the first block whose minimum is NaN.
     """
-    best, best_risk = 0, math.inf
+    best = [0] * len(summaries)
+    best_risk = [math.inf] * len(summaries)
+    live = range(len(summaries))
+    conjugate = measure.f_conjugate
     for start in range(0, grid.size, _GRID_BLOCK):
-        risk = dual_risk(summary, grid[start : start + _GRID_BLOCK], measure)
-        k = int(np.argmin(risk))
-        if math.isnan(risk[k]):
-            return start + k
-        if risk[k] < best_risk:
-            best, best_risk = start + k, risk[k]
+        if not live:
+            break
+        block = grid[start : start + _GRID_BLOCK]
+        conj = conjugate(block)
+        known = replace(
+            measure,
+            f_conjugate=lambda v, _b=block, _c=conj: _c if v is _b else conjugate(v),
+        )
+        scanning = []
+        for i in live:
+            risk = dual_risk(summaries[i], block, known)
+            k = int(risk.argmin())
+            low = risk[k]
+            if math.isnan(low):
+                best[i] = start + k
+                continue
+            scanning.append(i)
+            if low < best_risk[i]:
+                best[i], best_risk[i] = start + k, low
+        live = scanning
     return best
 
 
@@ -174,21 +195,26 @@ def check_grid_optimum(
     grid_points = _size(
         "grid-optimum", "grid_points", grid_points, 2, "need at least 2 grid points"
     )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("grid-optimum: seed", seed, least=0))
     grid = np.linspace(0.0, U_MAX, grid_points)
     step = U_MAX / (grid_points - 1)
     cases, diffs = [], []
     for measure in measures:
+        drawn, summaries = [], []
         for _ in range(instances):
             s = float(rng.uniform(1.0, 1e4))
             background = float(rng.uniform(10.0, 1e6))
             b_reg = float(rng.choice([0.0, 10.0]))
             p = s * (1.0 + rng.uniform(0.0, 1.0))
-            summary = ConfusionSummary.from_counts(
-                s=s, background=background, p=p, b_reg=b_reg
+            drawn.append((s, background, b_reg))
+            summaries.append(
+                ConfusionSummary.from_counts(s=s, background=background, p=p, b_reg=b_reg)
             )
+        for (s, background, b_reg), summary, k in zip(
+            drawn, summaries, _grid_argmins(summaries, grid, measure)
+        ):
             closed = optimal_u(summary, measure)
-            gridded = float(grid[_grid_argmin(summary, grid, measure)])
+            gridded = float(grid[k])
             cases.append((measure.name, s, background, b_reg, closed, gridded))
             diffs.append(abs(closed - gridded))
     template = "measure={} s={!r} background={!r} b_reg={!r} closed={!r} grid={!r}"
@@ -204,7 +230,7 @@ def check_gradient(seed=0, instances=100, n_events=50):
     """
     instances = _size("gradient-fd", "instances", instances, 1, "no instances to check")
     n_events = _size("gradient-fd", "n_events", n_events, 1, "need at least 1 event")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("gradient-fd: seed", seed, least=0))
     eps = 1e-5
     rels = []
     for _ in range(instances):
@@ -254,7 +280,7 @@ def check_threshold_scan(seed=0, instances=50, n_events=1000):
     instances = _size("threshold-scan", "instances", instances, 1, "no instances to check")
     # one event of each class
     n_events = _size("threshold-scan", "n_events", n_events, 2, "need at least 2 events")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("threshold-scan: seed", seed, least=0))
     mismatches = 0
     detail = ""
     for k in range(instances):

@@ -48,27 +48,50 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _int64_array(value, name: str, error) -> np.ndarray:
     """``value`` as an int64 array, or ``error`` where the cast would change it.
 
-    Integer and bool input is cast as it is.  Float input must hold integral
-    values inside int64's range, so a fraction, NaN or infinity is rejected
-    rather than truncated; input of any other kind is rejected.
+    Signed integer and bool input is cast as it is, and unsigned input must
+    stay at most 2**63 - 1, so it cannot wrap.  Float input must hold
+    integral values inside int64's range, so a fraction, NaN or infinity is
+    rejected rather than truncated; input of any other kind is rejected.
     """
     arr = np.asarray(value)
     if arr.dtype.kind == "f":
         exact = (arr == np.trunc(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)
         if not exact.all():
             raise error(f"{name} must be integers, got {float(arr[~exact][0])!r}")
+    elif arr.dtype.kind == "u" and arr.dtype.itemsize == 8:
+        # compared as uint64: against a Python int numpy 1.x would go through float64
+        wraps = arr > np.uint64(2**63 - 1)
+        if wraps.any():
+            raise error(f"{name} must fit in int64, got {int(arr[wraps][0])!r}")
     elif arr.dtype.kind not in "biu":
         raise error(f"{name} must be integers, got an array of {arr.dtype}")
     return arr.astype(np.int64, copy=False)
 
 
+def _bool_array(value, name: str, error) -> np.ndarray:
+    """``value`` as a bool array, or ``error`` unless each entry is a bool or
+    a number that is exactly 0 or 1.  Bool input is passed as it is."""
+    arr = np.asarray(value)
+    if arr.dtype.kind == "b":
+        return arr
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{name} must be 0 or 1, got an array of {arr.dtype}")
+    exact = (arr == 0) | (arr == 1)
+    if not exact.all():
+        raise error(f"{name} must be 0 or 1, got {arr[~exact][0].item()!r}")
+    return arr.astype(bool)
+
+
 def _freeze_field(record, name: str, dtype, error=ValueError) -> np.ndarray:
     """Set field ``name`` of the frozen dataclass ``record`` to its value as a
     contiguous, read-only ``dtype`` array, copied only when it is not one.
-    An int64 field goes through ``_int64_array``, which raises ``error``."""
+    An int64 field goes through ``_int64_array`` and a bool field through
+    ``_bool_array``; both raise ``error``."""
     value = getattr(record, name)
     if dtype is np.int64:
         value = _int64_array(value, name, error)
+    elif dtype is bool:
+        value = _bool_array(value, name, error)
     arr = _frozen(np.ascontiguousarray(value, dtype=dtype))
     object.__setattr__(record, name, arr)
     return arr

@@ -706,7 +706,12 @@ def _train_logistic(dataset: WeightedDataset, costs: CostVector) -> Model:
         f = design @ beta
         grad = design.T @ surrogate_gradient(c, y, f)
         hess = (design * surrogate_hessian(c, y, f)[:, None]).T @ design
-        step = np.linalg.solve(hess + ridge, grad)
+        try:
+            step = np.linalg.solve(hess + ridge, grad)
+        except np.linalg.LinAlgError:
+            raise TrainingError(
+                "logistic Newton step failed: the Hessian is singular at these weights"
+            ) from None
         beta = beta - step
         if float(np.max(np.abs(step))) < 1e-10:
             break

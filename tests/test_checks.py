@@ -1,5 +1,6 @@
 """Tests for the built-in verification suites."""
 
+import collections
 import itertools
 import math
 from dataclasses import replace
@@ -101,6 +102,25 @@ class TestSuites:
     def test_fractional_size_is_config_error(self, suite, prefix, size):
         with pytest.raises(ConfigError, match=f"{prefix}: {size} must be an integer, got 2.5"):
             suite(seed=1, **{size: 2.5})
+
+    @pytest.mark.parametrize(
+        "suite, prefix",
+        [
+            (check_fenchel_young, "fenchel-young"),
+            (check_duality, "duality-identity"),
+            (check_grid_optimum, "grid-optimum"),
+            (check_gradient, "gradient-fd"),
+            (check_threshold_scan, "threshold-scan"),
+        ],
+        ids=lambda value: None if callable(value) else value,
+    )
+    @pytest.mark.parametrize("seed", [-1, 1.5, math.nan, True, "3", None])
+    def test_seed_outside_the_integer_rule_is_config_error(self, suite, prefix, seed):
+        with pytest.raises(ConfigError, match=f"^{prefix}: seed must be an integer >= 0, got "):
+            suite(seed=seed, instances=1)
+
+    def test_numpy_integer_seed(self):
+        assert check_duality(seed=np.uint8(4), instances=3) == check_duality(seed=4, instances=3)
 
     def test_numpy_integer_sizes(self):
         three = np.int64(3)
@@ -231,46 +251,62 @@ _RISK_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+# the risks of one to four instances over one grid of 1 to 50 points
+_RISK_ROWS = st.integers(1, 50).flatmap(
+    lambda n: st.lists(st.lists(_RISK_VALUES, min_size=n, max_size=n), min_size=1, max_size=4)
+)
 
 
 class TestGridBlocks:
     """The grid suite scans its grid in blocks of ``_GRID_BLOCK`` points."""
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(st.lists(_RISK_VALUES, min_size=1, max_size=50), st.integers(1, 60))
+    @given(_RISK_ROWS, st.integers(1, 60))
     # NaN first in a later block; NaN in the first block; all NaN
-    @example([1.0, 0.0, -2.0, math.nan, -math.inf, math.nan], 2)
-    @example([0.0, math.nan, -math.inf, math.nan], 2)
-    @example([math.nan] * 5, 2)
+    @example([[1.0, 0.0, -2.0, math.nan, -math.inf, math.nan]], 2)
+    @example([[0.0, math.nan, -math.inf, math.nan]], 2)
+    @example([[math.nan] * 5], 2)
     # ties across a block boundary; -0.0 against 0.0, both ways round
-    @example([3.0, 1.0, 1.0, 2.0, 1.0], 2)
-    @example([1.0, 0.0, -0.0, 0.0], 2)
-    @example([1.0, -0.0, 0.0, -0.0], 2)
+    @example([[3.0, 1.0, 1.0, 2.0, 1.0]], 2)
+    @example([[1.0, 0.0, -0.0, 0.0]], 2)
+    @example([[1.0, -0.0, 0.0, -0.0]], 2)
     # all +inf; -inf in two blocks; +inf before the only finite value
-    @example([math.inf] * 3, 2)
-    @example([math.inf, -math.inf, 1.0, -math.inf], 3)
-    @example([math.inf, math.inf, 5.0], 2)
+    @example([[math.inf] * 3], 2)
+    @example([[math.inf, -math.inf, 1.0, -math.inf]], 3)
+    @example([[math.inf, math.inf, 5.0]], 2)
     # a short last block; a grid shorter than one block
-    @example([2.0, 1.0, 3.0, 0.5, 0.7], 3)
-    @example([2.0, 1.0, 0.5], 10)
-    def test_block_rule_is_argmin_of_the_whole_array(self, values, block):
-        risks = np.array(values)
-        grid = np.arange(risks.size, dtype=float)
-        blocks = []
+    @example([[2.0, 1.0, 3.0, 0.5, 0.7]], 3)
+    @example([[2.0, 1.0, 0.5]], 10)
+    # instances whose first NaN falls in different blocks, or nowhere; one
+    # stops in the first block while the others go on
+    @example([[1.0, math.nan, 0.0, 2.0], [0.0, 1.0, 2.0, math.nan], [3.0, 2.0, 1.0, 0.0]], 2)
+    @example([[math.nan, 1.0, 2.0], [1.0, 2.0, math.nan], [2.0, math.nan, 1.0]], 1)
+    @example([[0.0, 1.0, math.nan, -1.0, math.nan], [math.nan] * 5, [1.0, -math.inf] * 2 + [0.0]], 2)
+    # every instance stops before the grid ends
+    @example([[math.nan, 0.0, 1.0, 2.0], [0.0, math.nan, -1.0, 2.0]], 2)
+    def test_block_rule_is_argmin_of_the_whole_array(self, rows, block):
+        risks = np.array(rows)
+        grid = np.arange(risks.shape[1], dtype=float)
+        blocks = [[] for _ in rows]
 
         def risk_of(summary, u, measure):
-            blocks.append(u)
-            return risks[u.astype(np.intp)]
+            blocks[summary].append(u)
+            return risks[summary, u.astype(np.intp)]
 
         with mock.patch.object(checks, "dual_risk", risk_of), mock.patch.object(
             checks, "_GRID_BLOCK", block
         ):
-            got = checks._grid_argmin(None, grid, AMS2)
-        assert got == int(np.argmin(risks))
-        # consecutive blocks of at most `block` points from the start of the grid
-        scanned = np.concatenate(blocks)
-        assert scanned.tobytes() == grid[: scanned.size].tobytes()
-        assert all(b.size == block for b in blocks[:-1]) and 1 <= blocks[-1].size <= block
+            got = checks._grid_argmins(list(range(len(rows))), grid, AMS2)
+        assert got == [int(np.argmin(r)) for r in risks]
+        for r, k, scanned_blocks in zip(risks, got, blocks):
+            # consecutive blocks of at most `block` points from the start of
+            # the grid, up to the end or to the block of the first NaN
+            scanned = np.concatenate(scanned_blocks)
+            assert scanned.tobytes() == grid[: scanned.size].tobytes()
+            sizes = [b.size for b in scanned_blocks]
+            assert all(size == block for size in sizes[:-1]) and 1 <= sizes[-1] <= block
+            stop = (k // block + 1) * block if math.isnan(r[k]) else grid.size
+            assert scanned.size == min(stop, grid.size)
 
     def test_blocks_cover_each_instance_grid_once(self, monkeypatch):
         exact = checks.dual_risk
@@ -284,13 +320,44 @@ class TestGridBlocks:
         monkeypatch.setattr(checks, "dual_risk", spy)
         assert check_grid_optimum(seed=2, instances=3, grid_points=20001).passed
         grid = np.linspace(0.0, checks.U_MAX, 20001)
-        instances = [
-            [u for _, u in group] for _, group in itertools.groupby(calls, key=lambda c: id(c[0]))
-        ]
+        by_summary = {}
+        for summary, u in calls:
+            by_summary.setdefault(id(summary), []).append(u)
+        instances = list(by_summary.values())
         assert len(instances) == 6  # 3 instances under each of two measures
         for blocks in instances:
             assert [u.size for u in blocks] == [4096] * 4 + [20001 - 4 * 4096]
             assert np.concatenate(blocks).tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize(
+        "block, grid_points", [(4096, 20001), (checks._GRID_BLOCK, checks.GRID_POINTS)]
+    )
+    def test_conjugate_once_per_block_and_dual_risk_once_per_instance_block(
+        self, monkeypatch, block, grid_points
+    ):
+        exact = checks.dual_risk
+        conjugate_calls, risk_calls = collections.Counter(), collections.Counter()
+
+        def counted(measure):
+            def conjugate(u):
+                conjugate_calls[measure.name] += 1
+                return measure.f_conjugate(u)
+
+            return replace(measure, f_conjugate=conjugate)
+
+        def spy(summary, u, measure):
+            risk_calls[measure.name] += 1
+            return exact(summary, u, measure)
+
+        monkeypatch.setattr(checks, "_GRID_BLOCK", block)
+        monkeypatch.setattr(checks, "dual_risk", spy)
+        measures = (counted(AMS2), counted(AMS3))
+        assert check_grid_optimum(
+            seed=2, instances=3, measures=measures, grid_points=grid_points
+        ).passed
+        blocks = -(-grid_points // block)
+        assert conjugate_calls == {"ams2": blocks, "ams3": blocks}
+        assert risk_calls == {"ams2": 3 * blocks, "ams3": 3 * blocks}
 
     @pytest.mark.parametrize("block", [1000, checks._GRID_BLOCK])
     @pytest.mark.parametrize(

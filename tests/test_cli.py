@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from amscascade import cli
 from amscascade.checks import MAX_INSTANCES
-from amscascade.data import SynthConfig, read_submission, synthesize, write_csv
+from amscascade.data import (
+    SynthConfig,
+    WeightedDataset,
+    read_submission,
+    synthesize,
+    write_csv,
+)
 from amscascade.learner import Model, empty_model, predict_scores, save_model
 
 SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,background_total=350"
@@ -591,6 +597,34 @@ class TestNumericInputErrors:
         assert run_cli(argv) == 1
         err = capsys.readouterr().err
         assert err == "config error: config key 'd': cannot parse 'oops' as int\n"
+
+
+class TestTrainingErrors:
+    def test_singular_logistic_newton_step_exits_3(self, tmp_path, capsys):
+        # one constant feature under weights 3e16 to 8e22: the logistic
+        # Newton system is singular on the first step
+        n = 10
+        data = tmp_path / "data.csv"
+        write_csv(
+            WeightedDataset(
+                features=np.ones((n, 1)),
+                labels=np.array([1, -1] * (n // 2)),
+                weights=np.geomspace(3e16, 8e22, n),
+                event_ids=np.arange(n),
+                column_names=("x0",),
+            ),
+            str(data),
+        )
+        config = tmp_path / "logistic.cfg"
+        config.write_text("learner.kind = logistic\n")
+        argv = ["cascade", "--data", str(data), "--config", str(config)]
+        assert run_cli(argv + ["--out-dir", str(tmp_path / "run")]) == 3
+        captured = capsys.readouterr()
+        assert "RESULT" not in captured.out
+        err = captured.err.splitlines()
+        assert err == [
+            "cascade error: logistic Newton step failed: the Hessian is singular at these weights"
+        ]
 
 
 # argv whose output paths or config file are unusable; the placeholders

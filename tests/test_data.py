@@ -92,6 +92,33 @@ class TestWeightedDataset:
             )
 
 
+    def test_uint64_ids_above_int64_are_rejected(self, tmp_path):
+        good = tiny_dataset()
+
+        def with_ids(ids):
+            return WeightedDataset(
+                features=good.features[:2],
+                labels=good.labels[:2],
+                weights=good.weights[:2],
+                event_ids=ids,
+                column_names=good.column_names,
+            )
+
+        with pytest.raises(DataError, match="event_ids must fit in int64, got 18446744073709551615"):
+            with_ids(np.array([2**64 - 1, 0], dtype=np.uint64))
+        with pytest.raises(DataError, match="event_ids must fit in int64, got 9223372036854775808"):
+            with_ids(np.array([0, 2**63], dtype=np.uint64))
+        ids = with_ids(np.array([2**63 - 1, 0], dtype=np.uint64)).event_ids
+        assert ids.dtype == np.int64 and ids.tolist() == [2**63 - 1, 0]
+        ids = with_ids(np.array([-(2**63), 2**63 - 1], dtype=np.int64)).event_ids
+        assert ids.tolist() == [-(2**63), 2**63 - 1]
+        path = str(tmp_path / "sub.csv")
+        with pytest.raises(DataError, match="event_ids must fit in int64"):
+            write_submission(path, np.array([2**64 - 1], dtype=np.uint64), [0.5], [1])
+        with pytest.raises(DataError, match="selected must fit in int64"):
+            write_submission(path, [1], [0.5], np.array([2**64 - 1], dtype=np.uint64))
+
+
 def _dataset_of(features):
     n, d = features.shape
     return WeightedDataset(

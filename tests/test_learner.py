@@ -521,6 +521,22 @@ class TestLogistic:
         assert a.base_score == b.base_score
 
 
+    def test_singular_newton_step_is_training_error(self):
+        # the Hessian's entries are all about 2.5e22, so the fixed 1e-8 ridge
+        # is lost against them and the Newton system is singular
+        n = 10
+        data = WeightedDataset(
+            features=np.ones((n, 1)),
+            labels=np.array([1, -1] * (n // 2)),
+            weights=np.geomspace(3e16, 8e22, n),
+            event_ids=np.arange(n),
+            column_names=("x0",),
+        )
+        costs = make_cost_vector(data, 1.0, AMS2)
+        with pytest.raises(TrainingError, match="^logistic Newton step failed: the Hessian is singular"):
+            train(data, costs, LearnerConfig(kind="logistic"))
+
+
 class TestSerialization:
     def test_round_trip_boosted(self, tmp_path):
         data = gaussian_data(150, 150, seed=12)
@@ -1329,6 +1345,39 @@ class TestTreeStructure:
             Tree(**{name: [] for name in leaf})
         with pytest.raises(ValueError, match="1-D"):
             Tree(**{name: [value] for name, value in leaf.items()})
+
+    @pytest.mark.parametrize(
+        "missing_left, sends_left",
+        [
+            ([True, False, False], True),
+            (np.array([False, True, True]), False),
+            ([1, 0, 0], True),
+            ([0.0, 1.0, 1.0], False),
+            (np.array([1, 0, 0], dtype=np.uint8), True),
+        ],
+    )
+    def test_missing_left_takes_bools_and_exact_zero_or_one(self, missing_left, sends_left):
+        tree = Tree(feature=[0, -1, -1], threshold=[0.5, math.nan, math.nan], left=[1, -1, -1],
+                    right=[2, -1, -1], missing_left=missing_left, value=[0.0, 1.0, 2.0])
+        assert tree.missing_left.dtype == bool
+        assert tree.predict(np.array([[math.nan]])).tolist() == [1.0 if sends_left else 2.0]
+
+    @pytest.mark.parametrize(
+        "missing_left, shown",
+        [
+            ([0.5, 0.0, 0.0], "0.5"),
+            ([1, 2, 0], "2"),
+            ([-1, 0, 0], "-1"),
+            ([1.0, math.nan, 0.0], "nan"),
+            ([1.0, 0.0, math.inf], "inf"),
+            (["left", "right", "right"], "an array of <U5"),
+            ([None, None, None], "an array of object"),
+        ],
+    )
+    def test_missing_left_outside_zero_one_is_value_error(self, missing_left, shown):
+        with pytest.raises(ValueError, match=f"missing_left must be 0 or 1, got {shown}"):
+            Tree(feature=[0, -1, -1], threshold=[0.5, math.nan, math.nan], left=[1, -1, -1],
+                 right=[2, -1, -1], missing_left=missing_left, value=[0.0, 1.0, 2.0])
 
     @pytest.mark.parametrize(
         "nodes, message",
