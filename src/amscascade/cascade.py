@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import WeightedDataset
-from .errors import CascadeError, ConfigError, DegenerateInputError, _integer
+from .errors import CascadeError, ConfigError, DegenerateInputError, _integer, _real
 from .learner import (
     LearnerConfig,
     Model,
@@ -104,14 +104,13 @@ class CascadeConfig:
                 resolve_measure(self.measure)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-        if self.u0 is not None and not (math.isfinite(self.u0) and self.u0 > 0.0):
-            raise ConfigError(f"u0 must be finite and > 0, got {self.u0!r}")
+        if self.u0 is not None:
+            object.__setattr__(self, "u0", _real("u0", self.u0, 0.0, open_low=True, open_high=True))
         for name, least in (("T", 1), ("extra_rounds_after_stall", 0), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if self.variant not in _VARIANTS:
             raise ConfigError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if not (math.isfinite(self.b_reg) and self.b_reg >= 0.0):
-            raise ConfigError(f"b_reg must be finite and >= 0, got {self.b_reg!r}")
+        object.__setattr__(self, "b_reg", _real("b_reg", self.b_reg, 0.0, open_high=True))
         if self.validation_source is not None and self.validation_source not in _VALIDATION_SOURCES:
             raise ConfigError(
                 f"validation_source must be one of {_VALIDATION_SOURCES}, "
@@ -197,6 +196,7 @@ def default_u0(
     A background too small for ``f'(signal / background)`` to be finite
     gives the ceiling U_MAX, the limit as the background vanishes.
     """
+    b_reg = _real("b_reg", b_reg, 0.0, open_high=True, error=ValueError)
     denominator = train_data.background_total + b_reg
     if denominator <= 0.0:
         raise CascadeError("training set has no background weight and b_reg = 0")
@@ -466,8 +466,7 @@ def select_threshold(
     returns the maximum score; selecting everything returns -inf.
     """
     measure = resolve_measure(measure)
-    if not 0.0 <= b_reg < math.inf:
-        raise ValueError(f"b_reg must be finite and nonnegative, got {b_reg!r}")
+    b_reg = _real("b_reg", b_reg, 0.0, open_high=True, error=ValueError)
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (dataset.n,):
         raise ValueError(f"scores shape {scores.shape} does not match dataset ({dataset.n},)")

@@ -76,24 +76,13 @@ def _verdict(name, errors, tolerance, describe):
     return CheckResult(name, passed, len(errors), worst, "" if passed else describe(k))
 
 
-def _size(suite, name, value, least, shortfall):
-    """Size ``name`` of ``suite`` as an int; a number below ``least``, NaN
-    included, raises ConfigError(shortfall)."""
-    try:
-        if not value >= least:
-            raise ConfigError(f"{suite}: {shortfall}, got {value!r}")
-    except TypeError:  # not a number: the integer rule names it
-        pass
-    return _integer(f"{suite}: {name}", value)
-
-
 def check_fenchel_young(seed=0, instances=1000, measures=(AMS2, AMS3)):
     """Conjugacy identity: the linearization gap vanishes at u = f'(c/a).
 
     Ranges keep both sides of the identity small enough that float
     cancellation stays well under the 1e-9 budget.
     """
-    instances = _size("fenchel-young", "instances", instances, 1, "no instances to check")
+    instances = _integer("fenchel-young: instances", instances, 1)
     rng = np.random.default_rng(_integer("fenchel-young: seed", seed, least=0))
     cases, gaps = [], []
     for measure in measures:
@@ -114,7 +103,7 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
     Draws keep s/b inside the open dual domain for every seed so the
     comparison never touches the clamp boundaries.
     """
-    instances = _size("duality-identity", "instances", instances, 1, "no instances to check")
+    instances = _integer("duality-identity: instances", instances, 1)
     rng = np.random.default_rng(_integer("duality-identity: seed", seed, least=0))
     cases, rels = [], []
     for measure in measures:
@@ -191,10 +180,8 @@ def check_grid_optimum(
     seed=0, instances=100, measures=(AMS2, AMS3), grid_points=GRID_POINTS
 ):
     """Closed-form optimal_u against argmin over a dense dual grid."""
-    instances = _size("grid-optimum", "instances", instances, 1, "no instances to check")
-    grid_points = _size(
-        "grid-optimum", "grid_points", grid_points, 2, "need at least 2 grid points"
-    )
+    instances = _integer("grid-optimum: instances", instances, 1)
+    grid_points = _integer("grid-optimum: grid_points", grid_points, 2)
     rng = np.random.default_rng(_integer("grid-optimum: seed", seed, least=0))
     grid = np.linspace(0.0, U_MAX, grid_points)
     step = U_MAX / (grid_points - 1)
@@ -228,8 +215,8 @@ def check_gradient(seed=0, instances=100, n_events=50):
     Scores are kept in [-2, 2] so no gradient entry underflows; that keeps
     the finite-difference roundoff floor far below the relative tolerance.
     """
-    instances = _size("gradient-fd", "instances", instances, 1, "no instances to check")
-    n_events = _size("gradient-fd", "n_events", n_events, 1, "need at least 1 event")
+    instances = _integer("gradient-fd: instances", instances, 1)
+    n_events = _integer("gradient-fd: n_events", n_events, 1)
     rng = np.random.default_rng(_integer("gradient-fd: seed", seed, least=0))
     eps = 1e-5
     rels = []
@@ -277,9 +264,9 @@ def _brute_force_threshold(scores, dataset, measure, b_reg):
 
 def check_threshold_scan(seed=0, instances=50, n_events=1000):
     """Incremental threshold scan against the O(n^2) brute-force oracle."""
-    instances = _size("threshold-scan", "instances", instances, 1, "no instances to check")
+    instances = _integer("threshold-scan: instances", instances, 1)
     # one event of each class
-    n_events = _size("threshold-scan", "n_events", n_events, 2, "need at least 2 events")
+    n_events = _integer("threshold-scan: n_events", n_events, 2)
     rng = np.random.default_rng(_integer("threshold-scan: seed", seed, least=0))
     mismatches = 0
     detail = ""

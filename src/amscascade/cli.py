@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -33,7 +32,7 @@ from .data import (
     synthesize,
     write_submission,
 )
-from .errors import AmsCascadeError, ConfigError, DataError, _integer
+from .errors import AmsCascadeError, ConfigError, DataError, _integer, _real
 # classify is not called here, but amsbench's tracer wraps it by this name
 from .learner import classify, hard_labels, load_model, predict_scores, save_model  # noqa: F401
 from .significance import (
@@ -286,9 +285,7 @@ def _master_seed(args):
 
 
 def cmd_eval(args):
-    b_reg = CLI_B_REG if args.b_reg is None else args.b_reg
-    if not (math.isfinite(b_reg) and b_reg >= 0.0):
-        raise ConfigError(f"--b-reg must be finite and >= 0, got {b_reg!r}")
+    b_reg = _real("--b-reg", CLI_B_REG if args.b_reg is None else args.b_reg, 0.0, open_high=True)
     seed = _master_seed(args)
     if args.summary is not None:
         given = {"--model": args.model, "--data": args.data, "--synth": args.synth,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _integer
+from .errors import ConfigError, DataError, _integer, _real
 
 __all__ = [
     "MISSING_VALUE",
@@ -206,10 +206,9 @@ class SplitSpec:
     renormalize: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigError(
-                f"validation_fraction must lie in (0, 1), got {self.validation_fraction!r}"
-            )
+        fraction = _real("validation_fraction", self.validation_fraction, 0.0, 1.0,
+                         open_low=True, open_high=True)
+        object.__setattr__(self, "validation_fraction", fraction)
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
 
@@ -248,12 +247,12 @@ class SynthConfig:
                 f"(n_signal + n_background) * d = {values} feature values exceeds "
                 f"the limit of {SYNTH_MAX_VALUES}"
             )
-        if not (math.isfinite(self.separation) and self.separation >= 0.0):
-            raise ConfigError(f"separation must be finite and >= 0, got {self.separation!r}")
-        for name in ("signal_total", "background_total"):
-            total = getattr(self, name)
-            if not 0.0 < total <= SYNTH_MAX_TOTAL:
-                raise ConfigError(f"{name} must be > 0 and <= {SYNTH_MAX_TOTAL:g}, got {total!r}")
+        for name, low, high, opened in (
+            ("separation", 0.0, math.inf, {"open_high": True}),
+            ("signal_total", 0.0, SYNTH_MAX_TOTAL, {"open_low": True}),
+            ("background_total", 0.0, SYNTH_MAX_TOTAL, {"open_low": True}),
+        ):
+            object.__setattr__(self, name, _real(name, getattr(self, name), low, high, **opened))
 
 
 def default_synth_config() -> SynthConfig:

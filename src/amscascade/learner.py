@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import WeightedDataset, _freeze_field
-from .errors import ConfigError, DataError, TrainingError, _integer
+from .errors import ConfigError, DataError, TrainingError, _integer, _real
 from .significance import SignificanceMeasure, validate_dual
 
 __all__ = [
@@ -48,6 +48,10 @@ __all__ = [
 _LEARNER_KINDS = ("stump-boost", "tree-boost", "logistic")
 _BOOSTING_KINDS = ("stump-boost", "tree-boost")
 
+# A split gain squares a node's gradient sum G, and |G| <= the cost total,
+# so this bound keeps G * G <= 1e300 finite; past it, gains turn inf - inf.
+_MAX_COST_TOTAL = 1e150
+
 
 @dataclass(frozen=True)
 class CostVector:
@@ -62,11 +66,11 @@ class CostVector:
             raise ValueError("costs must be 1-D")
         if not np.all(costs >= 0.0):
             raise ValueError("costs must be nonnegative")
-        # an infinite cost, or finite costs whose total overflows
-        if not np.isfinite(costs.sum()):
-            raise ValueError("costs must be finite, with a finite total")
-        if not np.any(costs > 0.0):
-            raise ValueError("at least one cost must be positive")
+        # an infinite cost, a total past the bound, or no positive cost
+        total = float(costs.sum())
+        if not 0.0 < total <= _MAX_COST_TOTAL:
+            raise ValueError(f"cost total must lie in (0, {_MAX_COST_TOTAL:g}], got {total!r}")
+        object.__setattr__(self, "round_dual", validate_dual(self.round_dual))
 
     @property
     def n(self) -> int:
@@ -97,16 +101,12 @@ class LearnerConfig:
             )
         for name, least in (("rounds", 1), ("max_depth", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        if not 0.0 <= self.learning_rate <= 1.0:
-            raise ConfigError(
-                f"learning_rate must lie in [0, 1], got {self.learning_rate!r}"
-            )
-        if not (math.isfinite(self.min_child_weight) and self.min_child_weight >= 0.0):
-            raise ConfigError(
-                f"min_child_weight must be finite and >= 0, got {self.min_child_weight!r}"
-            )
-        if not 0.0 < self.subsample <= 1.0:
-            raise ConfigError(f"subsample must lie in (0, 1], got {self.subsample!r}")
+        for name, low, high, opened in (
+            ("learning_rate", 0.0, 1.0, {}),
+            ("min_child_weight", 0.0, math.inf, {"open_high": True}),
+            ("subsample", 0.0, 1.0, {"open_low": True}),
+        ):
+            object.__setattr__(self, name, _real(name, getattr(self, name), low, high, **opened))
 
     @property
     def depth(self) -> int:
@@ -165,6 +165,10 @@ class Tree:
         if self.feature.ndim != 1 or self.feature.size == 0:
             raise ValueError(f"tree arrays must be 1-D and non-empty, got {self.feature.shape}")
         split = np.flatnonzero(self.feature >= 0)
+        # a NaN cut compares false, so it would send every present row right
+        nan_cut = np.isnan(self.threshold[split])
+        if nan_cut.any():
+            raise ValueError(f"split node {split[nan_cut][0]} has a NaN threshold")
         for child in (self.left[split], self.right[split]):
             outside = (child <= split) | (child >= self.n_nodes)
             if outside.any():
@@ -347,6 +351,10 @@ class Model:
         object.__setattr__(self, "n_features", n_features)
         if self.n_features < 0:
             raise ValueError(f"negative feature count {self.n_features}")
+        base = _real("base_score", self.base_score, open_low=True, open_high=True, error=ValueError)
+        object.__setattr__(self, "base_score", base)
+        # -inf is select_threshold's cut that selects everything
+        object.__setattr__(self, "threshold", _real("threshold", self.threshold, error=ValueError))
         for name in ("coefficients", "impute_values"):
             arr = getattr(self, name)
             if arr is not None:
@@ -378,8 +386,8 @@ def make_cost_vector(
 ) -> CostVector:
     """Per-example costs for one round: signal w*u, background w*f*(u).
 
-    Costs that overflow, one by one or in total, or that all underflow to
-    0, raise TrainingError.
+    Costs whose total passes _MAX_COST_TOTAL (an overflow included), or
+    that all underflow to 0, raise TrainingError.
     """
     validate_dual(u)
     background_rate = float(measure.f_conjugate(u))
@@ -388,8 +396,8 @@ def make_cost_vector(
             dataset.labels == 1, dataset.weights * u, dataset.weights * background_rate
         )
         total = costs.sum()
-    if not (np.isfinite(total) and total > 0.0):
-        fault = "all underflow to 0" if total == 0.0 else "overflow"
+    if not 0.0 < total <= _MAX_COST_TOTAL:
+        fault = "all underflow to 0" if total == 0.0 else f"exceed a total of {_MAX_COST_TOTAL:g}"
         raise TrainingError(
             f"example costs {fault} at u = {u!r} (background cost rate "
             f"{background_rate!r}, largest weight {float(dataset.weights.max())!r})"

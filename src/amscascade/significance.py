@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, _real
 
 __all__ = [
     "U_MIN",
@@ -53,18 +53,13 @@ _ABS_TOL = 1e-9
 
 def clamp_dual(u: float) -> float:
     """Clamp a dual weight into [U_MIN, U_MAX]; reject non-finite input."""
-    if not math.isfinite(u):
-        raise ValueError(f"dual weight must be finite, got {u!r}")
-    return min(max(float(u), U_MIN), U_MAX)
+    u = _real("dual weight", u, open_low=True, open_high=True, error=ValueError)
+    return min(max(u, U_MIN), U_MAX)
 
 
 def validate_dual(u: float) -> float:
-    """Check that ``u`` is finite and at least U_MIN; return it unchanged."""
-    if not math.isfinite(u):
-        raise ValueError(f"dual weight must be finite, got {u!r}")
-    if u < U_MIN:
-        raise ValueError(f"dual weight {u!r} is below the floor {U_MIN}")
-    return float(u)
+    """Check that ``u`` is finite and at least U_MIN; return it as a float."""
+    return _real("dual weight", u, U_MIN, open_high=True, error=ValueError)
 
 
 @dataclass(frozen=True)
@@ -90,11 +85,7 @@ class ConfusionSummary:
         # the derived counts are checked like the stored ones: s > p shows as
         # a negative s_tilde, and an overflowing s + b as an infinite n
         for name in ("s", "b", "p", "s_tilde", "n", "b_reg"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if value < -_ABS_TOL:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+            _real(name, getattr(self, name), -_ABS_TOL, open_high=True, error=ValueError)
         if self.b_reg > self.b + _ABS_TOL:
             raise ValueError("b cannot be smaller than its additive part b_reg")
 
@@ -294,8 +285,7 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
     example, labels in {-1, +1}, weights > 0).  ``predictions`` is a
     matching sequence of labels in {-1, +1}.
     """
-    if b_reg < 0:
-        raise ValueError(f"b_reg must be nonnegative, got {b_reg!r}")
+    b_reg = _real("b_reg", b_reg, 0.0, open_high=True, error=ValueError)
     labels = np.asarray(dataset.labels)
     weights = np.asarray(dataset.weights, dtype=float)
     preds = np.asarray(predictions)
@@ -385,10 +375,8 @@ def fenchel_young_gap(measure: SignificanceMeasure, a: float, c: float) -> float
     the built-ins the returned magnitude stays below 1e-9 at moderate
     scales.
     """
-    if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a!r}")
-    if c < 0.0:
-        raise ValueError(f"c must be nonnegative, got {c!r}")
+    a = _real("a", a, 0.0, open_low=True, open_high=True, error=ValueError)
+    c = _real("c", c, 0.0, open_high=True, error=ValueError)
     t = c / a
     u = float(measure.f_prime(t))
     lhs = a * float(measure.f(t))

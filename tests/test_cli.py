@@ -627,6 +627,24 @@ class TestTrainingErrors:
         ]
 
 
+    def test_cost_total_past_the_bound_exits_3(self, tmp_path, capsys):
+        # finite costs near 1e300 used to overflow the split gain's G * G,
+        # warn on stderr and exit 0 with a significance near 1e150
+        lines = ["EventId,x0,Weight,Label"]
+        for i in range(12):
+            lines.append(f"{i},{i},{'1e299' if i % 2 else '1e300'},{'s' if i % 2 else 'b'}")
+        data = tmp_path / "w.csv"
+        data.write_text("\n".join(lines) + "\n")
+        argv = ["cascade", "--data", str(data), "--T", "2", "--out-dir", str(tmp_path / "run")]
+        assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert "RESULT" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "cascade error: example costs exceed a total of 1e+150 at u = "
+        ), err
+
+
 # argv whose output paths or config file are unusable; the placeholders
 # name files and directories under tmp_path
 BAD_PATH_INPUTS = {

@@ -1,20 +1,27 @@
-"""One integer rule for every scalar count and seed the package takes, and
-the exact-cast rule for its int64 arrays.
+"""One integer rule for every scalar count and seed the package takes, one
+real rule for every scalar real, and the exact-cast rule for its int64
+arrays.
 
-A scalar site accepts Python and numpy integers at or above its bound and
-holds them as ``int``.  It answers anything else (``bool``, floats, NaN,
-infinities, strings, None) with the package's own one-line error, never
-with a TypeError or numpy's ValueError.  An int64 array field holds exactly
-the values it was given, or its record raises the error class of its other
-checks: no fraction, NaN or infinity is truncated.
+A scalar integer site accepts Python and numpy integers at or above its
+bound and holds them as ``int``.  It answers anything else (``bool``,
+floats, NaN, infinities, strings, None) with the package's own one-line
+error, never with a TypeError or numpy's ValueError.  A scalar real site
+accepts Python and numpy reals inside its interval and holds them as
+``float``; ``bool``, NaN, strings, None and reals outside the interval get
+the site's one-line error, which names the interval.  An int64 array field
+holds exactly the values it was given, or its record raises the error class
+of its other checks: no fraction, NaN or infinity is truncated.
 """
 
 import argparse
+import ast
 import functools
 import math
+import numbers
 import os
 import sys
 import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,9 +29,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import amscascade
 from amscascade import (
+    AMS2,
+    U_MIN,
     CascadeConfig,
     ConfigError,
+    ConfusionSummary,
+    CostVector,
     DataError,
     LearnerConfig,
     Model,
@@ -32,15 +44,20 @@ from amscascade import (
     SynthConfig,
     Tree,
     WeightedDataset,
+    confusion_summary,
+    default_u0,
+    fenchel_young_gap,
     read_submission,
     rerun_cascade,
     run_all_checks,
+    select_threshold,
     split,
     synthesize,
     write_submission,
 )
 from amscascade import cascade, checks, cli
 from amscascade.cascade import derive_seed
+from amscascade.significance import U_MAX, clamp_dual, validate_dual
 
 _TINY = SynthConfig(d=1, n_signal=2, n_background=2)
 
@@ -195,6 +212,211 @@ def test_every_scalar_site_takes_integers_only(site, value):
     assert valid, f"{site} accepted {value!r}"
     if held is not None and value is not None:
         assert type(held) is int and held == value
+
+
+# the package exports a function of the module's name
+significance_module = sys.modules["amscascade.significance"]
+
+
+def _past_check(module, local, call):
+    # the site's first numpy call after its check ends the call
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "np", SimpleNamespace(asarray=_stop(local)))
+        call()
+
+
+def _eval_b_reg(value):
+    # cmd_eval reads the master seed right after checking --b-reg
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_master_seed", _stop("b_reg"))
+        cli.cmd_eval(argparse.Namespace(b_reg=value))
+
+
+def _clamped(value):
+    u = clamp_dual(value)
+    assert u == min(max(float(value), U_MIN), U_MAX)
+
+
+_TOTALS = SimpleNamespace(signal_total=1.0, background_total=1.0)
+_EVENTS = SimpleNamespace(labels=[], weights=[])
+
+
+# site -> (call returning the float the site holds, or None where it keeps
+# none; its interval, as the message names it; its error class)
+_REAL_SITES = {
+    "CascadeConfig.u0": (lambda v: CascadeConfig(u0=v).u0, "(0, inf)", ConfigError),
+    "CascadeConfig.b_reg": (lambda v: CascadeConfig(b_reg=v).b_reg, "[0, inf)", ConfigError),
+    "LearnerConfig.learning_rate": (
+        lambda v: LearnerConfig(learning_rate=v).learning_rate, "[0, 1]", ConfigError
+    ),
+    "LearnerConfig.min_child_weight": (
+        lambda v: LearnerConfig(min_child_weight=v).min_child_weight, "[0, inf)", ConfigError
+    ),
+    "LearnerConfig.subsample": (
+        lambda v: LearnerConfig(subsample=v).subsample, "(0, 1]", ConfigError
+    ),
+    "SplitSpec.validation_fraction": (
+        lambda v: SplitSpec(v, seed=0).validation_fraction, "(0, 1)", ConfigError
+    ),
+    "SynthConfig.separation": (
+        lambda v: SynthConfig(separation=v).separation, "[0, inf)", ConfigError
+    ),
+    "SynthConfig.signal_total": (
+        lambda v: SynthConfig(signal_total=v).signal_total, "(0, 1e+100]", ConfigError
+    ),
+    "SynthConfig.background_total": (
+        lambda v: SynthConfig(background_total=v).background_total, "(0, 1e+100]", ConfigError
+    ),
+    "cli --b-reg": (_eval_b_reg, "[0, inf)", ConfigError),
+    "clamp_dual": (_clamped, "(-inf, inf)", ValueError),
+    "validate_dual": (validate_dual, "[1e-06, inf)", ValueError),
+    "select_threshold.b_reg": (
+        lambda v: _past_check(cascade, "b_reg", lambda: select_threshold([], None, AMS2, v)),
+        "[0, inf)",
+        ValueError,
+    ),
+    "confusion_summary.b_reg": (
+        lambda v: _past_check(
+            significance_module, "b_reg", lambda: confusion_summary(_EVENTS, [], v)
+        ),
+        "[0, inf)",
+        ValueError,
+    ),
+    "default_u0.b_reg": (
+        lambda v: default_u0(_TOTALS, v, SimpleNamespace(f_prime=_stop("b_reg"))),
+        "[0, inf)",
+        ValueError,
+    ),
+    "fenchel_young_gap.a": (
+        lambda v: fenchel_young_gap(SimpleNamespace(f_prime=_stop("a")), v, 1.0),
+        "(0, inf)",
+        ValueError,
+    ),
+    "fenchel_young_gap.c": (
+        lambda v: fenchel_young_gap(SimpleNamespace(f_prime=_stop("c")), 1.0, v),
+        "[0, inf)",
+        ValueError,
+    ),
+    # ConfusionSummary checks its counts but keeps them as given, so these
+    # calls return None; the derived s_tilde = p - s and n = s + b stay in
+    # range
+    "ConfusionSummary.s": (lambda v: ConfusionSummary(v, 0.0, v) and None, "[-1e-09, inf)",
+                           ValueError),
+    "ConfusionSummary.b": (lambda v: ConfusionSummary(0.0, v, 0.0) and None, "[-1e-09, inf)",
+                           ValueError),
+    "ConfusionSummary.p": (lambda v: ConfusionSummary(0.0, 0.0, v) and None, "[-1e-09, inf)",
+                           ValueError),
+    "Model.base_score": (
+        lambda v: Model("stump-boost", 1, v).base_score, "(-inf, inf)", ValueError
+    ),
+    "Model.threshold": (
+        lambda v: Model("stump-boost", 1, 0.0, threshold=v).threshold, "[-inf, inf]", ValueError
+    ),
+    "CostVector.round_dual": (
+        lambda v: CostVector(np.ones(2), v).round_dual, "[1e-06, inf)", ValueError
+    ),
+}
+
+# sites where None asks for the default: no initial dual, CLI_B_REG
+_NONE_IS_REAL_DEFAULT = {"CascadeConfig.u0", "cli --b-reg"}
+
+
+def _interval(text):
+    """(low, high, open_low, open_high) of an interval written "[0, 1)"."""
+    low, high = text[1:-1].split(", ")
+    return float(low), float(high), text[0] == "(", text[-1] == ")"
+
+
+def _inside(value, text):
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        x = float(value)
+    except OverflowError:
+        return False
+    low, high, open_low, open_high = _interval(text)
+    above = x > low or (x == low and not open_low)
+    below = x < high or (x == high and not open_high)
+    return above and below
+
+
+def _reals_around(text):
+    """Each bound, the floats on both sides of it and a unit away, and any
+    float, as Python and numpy scalars; then the values no site takes."""
+    points = []
+    for bound in _interval(text)[:2]:
+        points += [bound, np.nextafter(bound, -math.inf), np.nextafter(bound, math.inf),
+                   bound - 1.0, bound + 1.0]
+    reals = st.one_of(st.sampled_from([float(x) for x in points]), st.floats())
+    largest = float(np.finfo(np.float32).max)
+    singles = [float(x) for x in points if not abs(x) < math.inf or abs(x) <= largest]
+    return st.one_of(
+        reals,
+        reals.map(np.float64),
+        st.one_of(st.sampled_from(singles), st.floats(width=32)).map(np.float32),
+        st.integers(-3, 3),
+        st.integers(-3, 3).map(np.int64),
+        st.sampled_from([math.nan, math.inf, -math.inf, True, False, np.True_, "1", None,
+                         10**400]),
+    )
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(sorted(_REAL_SITES)).flatmap(
+        lambda site: st.tuples(st.just(site), _reals_around(_REAL_SITES[site][1]))
+    )
+)
+@example(("fenchel_young_gap.a", math.nan))
+@example(("default_u0.b_reg", math.nan))
+@example(("CascadeConfig.b_reg", True))
+@example(("LearnerConfig.subsample", True))
+@example(("Model.base_score", "x"))
+@example(("Model.threshold", math.nan))
+@example(("Model.threshold", -math.inf))
+@example(("CostVector.round_dual", "x"))
+@example(("SynthConfig.signal_total", None))
+@example(("validate_dual", np.float32(1e-6)))
+def test_every_real_site_takes_reals_in_its_interval(case):
+    site, value = case
+    call, interval, error = _REAL_SITES[site]
+    valid = _inside(value, interval) or (value is None and site in _NONE_IS_REAL_DEFAULT)
+    try:
+        held = call(value)
+    except _Reached as reached:
+        held = reached.args[0]
+    except error as exc:
+        message = str(exc)
+        assert "\n" not in message
+        assert f" must be a real number in {interval}, got " in message
+        assert not valid, f"{site} refused {value!r}: {message}"
+        return
+    assert valid, f"{site} accepted {value!r}"
+    if held is not None and value is not None:
+        assert type(held) is float and held == float(value)
+
+
+def test_only_errors_decides_what_is_finite():
+    """Outside errors.py nothing calls math.isfinite: a scalar goes through
+    errors._real."""
+    offenders = []
+    for path in sorted(Path(amscascade.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "isfinite"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "math"
+                or isinstance(node.func, ast.Name) and node.func.id == "isfinite"
+            )
+        ]
+    assert offenders == []
 
 
 def _tree(feature=0, left=1, right=2):

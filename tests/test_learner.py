@@ -105,16 +105,32 @@ class TestCostVector:
         # each cost finite, the total not
         with pytest.raises(ValueError), np.errstate(over="ignore"):
             CostVector(costs=np.array([1e308, 1e308]), round_dual=1.0)
+        # f*(1) ~ 0.72 keeps this total under the bound; f*(20) ~ 4.9e8 does not
         data = WeightedDataset(
             features=np.array([[0.0], [1.0]]),
             labels=np.array([1, -1]),
-            weights=np.array([1.0, 1e300]),
+            weights=np.array([1.0, 1e142]),
             event_ids=np.array([0, 1]),
             column_names=("x",),
         )
         make_cost_vector(data, 1.0, AMS2)
         with pytest.raises(TrainingError, match="u = 20.0"):
             make_cost_vector(data, 20.0, AMS2)
+
+    def test_cost_total_past_the_bound_rejected(self):
+        # each cost and the total finite, but the split gain's G * G would not be
+        assert CostVector(costs=np.array([1e150, 0.0]), round_dual=1.0).n == 2
+        with pytest.raises(ValueError, match=r"^cost total must lie in \(0, 1e\+150\], got 2e"):
+            CostVector(costs=np.array([1e150, 1e150]), round_dual=1.0)
+        data = WeightedDataset(
+            features=np.array([[0.0], [1.0]]),
+            labels=np.array([1, -1]),
+            weights=np.array([1e299, 1e300]),
+            event_ids=np.array([0, 1]),
+            column_names=("x",),
+        )
+        with pytest.raises(TrainingError, match="exceed a total of 1e\\+150 at u = 1.0 "):
+            make_cost_vector(data, 1.0, AMS2)
 
     def test_underflow_rejected(self):
         # subnormal weights times u = U_MIN round every cost to 0
@@ -1024,8 +1040,8 @@ def _wide_range_model(n_features=3, n_trees=40, seed=0):
 
 
 # cells and thresholds drawn from one pool, so cells equal thresholds; NaN
-# thresholds send every present cell right
-ROUTING_POOL = (-1.0, 0.0, 0.5, 2.0, math.inf, -math.inf, math.nan)
+# is drawn for cells only, since a Tree rejects a NaN split threshold
+ROUTING_POOL = (-1.0, 0.0, 0.5, 2.0, math.inf, -math.inf)
 
 
 @st.composite
@@ -1067,7 +1083,7 @@ def prediction_cases(draw):
         base_score=draw(st.floats(-10.0, 10.0)),
         trees=tuple(trees),
     )
-    cell = st.one_of(st.sampled_from(ROUTING_POOL), st.floats(-3.0, 3.0))
+    cell = st.one_of(st.sampled_from(ROUTING_POOL + (math.nan,)), st.floats(-3.0, 3.0))
     n_rows = draw(st.integers(0, 40))
     features = np.array(
         draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features),
@@ -1332,6 +1348,13 @@ class TestTreeStructure:
     )
     def test_child_outside_the_tree(self, rows):
         with pytest.raises(ValueError, match="child outside the tree"):
+            Tree._from_rows(rows)
+
+    def test_nan_split_threshold_is_value_error(self):
+        # NaN compares false, so the node would send every present row right;
+        # a leaf's threshold is NaN and stays unchecked
+        rows = [(0, math.nan, 1, 2, True, 0.0), _leaf_row(1.0), _leaf_row(2.0)]
+        with pytest.raises(ValueError, match="^split node 0 has a NaN threshold$"):
             Tree._from_rows(rows)
 
     def test_array_shapes(self):

@@ -9,10 +9,11 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amscascade.errors import AmsCascadeError
+from amscascade.errors import AmsCascadeError, DataError
 from amscascade.learner import Model, Tree, _leaf_row, load_model, predict_scores, save_model
 
 PROPERTY_SETTINGS = settings(
@@ -172,3 +173,26 @@ def test_one_mutated_line_fails_as_package_error(model, data):
     else:
         lines[k] = data.draw(st.text(max_size=40), label="new line")
     _load_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        ("base_score 0.25", "base_score nan"),
+        ("base_score 0.25", "base_score inf"),
+        ("threshold -inf", "threshold nan"),
+        ("node 0 split 0 0.5 1 2 left", "node 0 split 0 nan 1 2 left"),
+    ],
+)
+def test_nan_cuts_and_scores_are_data_errors(tmp_path, line, bad):
+    # a NaN cut would send every present row right; -inf is the cut that
+    # selects everything and loads back as it is
+    tree = Tree._from_rows([(0, 0.5, 1, 2, True, 0.0), _leaf_row(1.0), _leaf_row(2.0)])
+    model = Model("tree-boost", 1, 0.25, threshold=-np.inf, trees=(tree,))
+    text = _saved_text(model).decode()
+    assert _model_bytes(_load_bytes(text.encode())) == _model_bytes(model)
+    path = tmp_path / "model.txt"
+    path.write_text(text.replace(line, bad))
+    with pytest.raises(DataError) as caught:
+        load_model(str(path))
+    assert "\n" not in str(caught.value)

@@ -418,15 +418,16 @@ class TestConfusionSummary:
             confusion_summary(data, np.array([1, 0]), b_reg=0.0)
 
     def test_invariant_validation(self):
-        with pytest.raises(ValueError, match="s must be nonnegative"):
+        interval = r" must be a real number in \[-1e-09, inf\), got "
+        with pytest.raises(ValueError, match="^s" + interval + "-1.0$"):
             ConfusionSummary(s=-1.0, b=0.0, p=1.0)
         # s > p shows as a negative s_tilde = p - s
-        with pytest.raises(ValueError, match="s_tilde must be nonnegative"):
+        with pytest.raises(ValueError, match="^s_tilde" + interval + "-1.0$"):
             ConfusionSummary(s=2.0, b=0.0, p=1.0)
         with pytest.raises(ValueError, match="b_reg"):
             ConfusionSummary(s=1.0, b=1.0, p=1.0, b_reg=5.0)
         # n = s + b is checked like a stored count: an overflow is not finite
-        with pytest.raises(ValueError, match="n must be finite"):
+        with pytest.raises(ValueError, match="^n" + interval + "inf$"):
             ConfusionSummary.from_counts(s=1e308, background=1e308, p=1e308)
 
     def test_from_counts(self):
