@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import WeightedDataset
-from .errors import CascadeError, ConfigError, DegenerateInputError, _integer, _real
+from .errors import CascadeError, ConfigError, DegenerateInputError, _array, _integer, _real
 from .learner import (
     LearnerConfig,
     Model,
@@ -181,10 +181,11 @@ class Ensemble:
             raise ValueError("ensemble requires at least one model")
         if len(self.weights) != len(self.models):
             raise ValueError("one mixing weight per model required")
-        # written so that a NaN weight fails them
-        if not all(w >= 0.0 for w in self.weights):
-            raise ValueError("mixing weights must be nonnegative")
-        if not abs(sum(self.weights) - 1.0) <= 1e-12:
+        weights = tuple(
+            _real("mixing weight", w, 0.0, open_high=True, error=ValueError) for w in self.weights
+        )
+        object.__setattr__(self, "weights", weights)
+        if not abs(sum(weights) - 1.0) <= 1e-12:
             raise ValueError("mixing weights must sum to 1")
 
 
@@ -428,8 +429,7 @@ def ensemble_average(
         raise ValueError("ensemble_average requires at least one model")
     if weights is None:
         weights = [1.0] * len(models)
-    # Ensemble validates the count and signs of the normalized weights
-    raw = [float(w) for w in weights]
+    raw = [_real("mixing weight", w, 0.0, open_high=True, error=ValueError) for w in weights]
     total = sum(raw)
     if total <= 0.0:
         raise ValueError("mixing weights must have positive sum")
@@ -467,7 +467,7 @@ def select_threshold(
     """
     measure = resolve_measure(measure)
     b_reg = _real("b_reg", b_reg, 0.0, open_high=True, error=ValueError)
-    scores = np.asarray(scores, dtype=float)
+    scores = _array("scores", scores, float)
     if scores.shape != (dataset.n,):
         raise ValueError(f"scores shape {scores.shape} does not match dataset ({dataset.n},)")
     if not np.all(np.isfinite(scores)):

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _integer, _real
+from .errors import ConfigError, DataError, _array, _integer, _labels, _real
 
 __all__ = [
     "MISSING_VALUE",
@@ -45,54 +45,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _int64_array(value, name: str, error) -> np.ndarray:
-    """``value`` as an int64 array, or ``error`` where the cast would change it.
-
-    Signed integer and bool input is cast as it is, and unsigned input must
-    stay at most 2**63 - 1, so it cannot wrap.  Float input must hold
-    integral values inside int64's range, so a fraction, NaN or infinity is
-    rejected rather than truncated; input of any other kind is rejected.
-    """
-    arr = np.asarray(value)
-    if arr.dtype.kind == "f":
-        exact = (arr == np.trunc(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63)
-        if not exact.all():
-            raise error(f"{name} must be integers, got {float(arr[~exact][0])!r}")
-    elif arr.dtype.kind == "u" and arr.dtype.itemsize == 8:
-        # compared as uint64: against a Python int numpy 1.x would go through float64
-        wraps = arr > np.uint64(2**63 - 1)
-        if wraps.any():
-            raise error(f"{name} must fit in int64, got {int(arr[wraps][0])!r}")
-    elif arr.dtype.kind not in "biu":
-        raise error(f"{name} must be integers, got an array of {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
-
-
-def _bool_array(value, name: str, error) -> np.ndarray:
-    """``value`` as a bool array, or ``error`` unless each entry is a bool or
-    a number that is exactly 0 or 1.  Bool input is passed as it is."""
-    arr = np.asarray(value)
-    if arr.dtype.kind == "b":
-        return arr
-    if arr.dtype.kind not in "iuf":
-        raise error(f"{name} must be 0 or 1, got an array of {arr.dtype}")
-    exact = (arr == 0) | (arr == 1)
-    if not exact.all():
-        raise error(f"{name} must be 0 or 1, got {arr[~exact][0].item()!r}")
-    return arr.astype(bool)
-
-
 def _freeze_field(record, name: str, dtype, error=ValueError) -> np.ndarray:
-    """Set field ``name`` of the frozen dataclass ``record`` to its value as a
-    contiguous, read-only ``dtype`` array, copied only when it is not one.
-    An int64 field goes through ``_int64_array`` and a bool field through
-    ``_bool_array``; both raise ``error``."""
-    value = getattr(record, name)
-    if dtype is np.int64:
-        value = _int64_array(value, name, error)
-    elif dtype is bool:
-        value = _bool_array(value, name, error)
-    arr = _frozen(np.ascontiguousarray(value, dtype=dtype))
+    """Set field ``name`` of the frozen dataclass ``record`` to its value as
+    a read-only array by ``errors._array``, which raises ``error``; an array
+    that already is one is frozen, not copied."""
+    arr = _frozen(_array(name, getattr(record, name), dtype, error))
     object.__setattr__(record, name, arr)
     return arr
 
@@ -125,9 +82,10 @@ class WeightedDataset:
     column_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        features = _freeze_field(self, "features", float)
-        labels = _freeze_field(self, "labels", np.int64, DataError)
-        weights = _freeze_field(self, "weights", float)
+        features = _freeze_field(self, "features", float, DataError)
+        labels = _frozen(_labels("labels", self.labels, DataError))
+        object.__setattr__(self, "labels", labels)
+        weights = _freeze_field(self, "weights", float, DataError)
         event_ids = _freeze_field(self, "event_ids", np.int64, DataError)
         object.__setattr__(self, "column_names", tuple(self.column_names))
         n = features.shape[0] if features.ndim == 2 else -1
@@ -145,8 +103,6 @@ class WeightedDataset:
         ):
             if arr.shape != (n,):
                 raise DataError(f"{name} must have shape ({n},), got {arr.shape}")
-        if not np.all(np.isin(labels, (-1, 1))):
-            raise DataError("labels must take values in {-1, +1}")
         if not np.all(weights > 0.0):
             raise DataError("all weights must be strictly positive")
         if np.unique(event_ids).size != n:
@@ -181,7 +137,7 @@ class WeightedDataset:
         return WeightedDataset(
             features=self.features[indices],
             labels=self.labels[indices],
-            weights=self.weights[indices] if weights is None else np.array(weights, dtype=float),
+            weights=self.weights[indices] if weights is None else np.array(weights),
             event_ids=self.event_ids[indices],
             column_names=self.column_names,
         )
@@ -601,17 +557,15 @@ def write_submission(
     RankOrder runs 1..n by ascending score with ties broken toward the
     lower event id; Class is 's' for selected (+1) events, else 'b'.
     """
-    ids = _int64_array(event_ids, "event_ids", DataError)
-    sc = np.asarray(scores, dtype=float)
-    sel = _int64_array(selected, "selected", DataError)
+    ids = _array("event_ids", event_ids, np.int64, DataError)
+    sc = _array("scores", scores, float, DataError)
+    sel = _labels("selected", selected, DataError)
     if not (ids.shape == sc.shape == sel.shape) or ids.ndim != 1:
         raise DataError("event_ids, scores, and selected must be equal-length 1-D")
     if np.unique(ids).size != ids.size:
         raise DataError("duplicate event ids in submission")
     if not np.all(np.isfinite(sc)):
         raise DataError("submission scores must be finite")
-    if not np.all(np.isin(sel, (-1, 1))):
-        raise DataError("selected must take values in {-1, +1}")
     ranks = np.empty(ids.size, dtype=np.int64)
     ranks[_submission_order(ids, sc)] = np.arange(1, ids.size + 1)
     classes = np.where(sel == 1, "s", "b").tolist()

@@ -63,3 +63,41 @@ def _real(name, value, low=-math.inf, high=math.inf, *, open_low=False, open_hig
             return x
     interval = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
     raise error(f"{name} must be a real number in {interval}, got {value!r}")
+
+
+# what each array dtype takes, as its messages say
+_ARRAY_RULES = {float: "must be real numbers", np.int64: "must be integers", bool: "must be 0 or 1"}
+
+
+def _array(name, value, dtype, error=ValueError) -> np.ndarray:
+    """``value`` as a C-contiguous ``dtype`` array, ``dtype`` being ``float``,
+    ``np.int64`` or ``bool``: the package's one rule for arrays.  Bool and
+    real input passes where the cast changes no value, without a copy where
+    none is needed; anything else raises ``error`` with a one-line message."""
+    rule = _ARRAY_RULES[dtype]
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nested sequence
+        raise error(f"{name} {rule}, got a ragged sequence") from None
+    kind, bad = arr.dtype.kind, None
+    if kind not in "biuf":
+        raise error(f"{name} {rule}, got an array of {arr.dtype}")
+    if dtype is np.int64 and kind == "f":
+        bad = ~((arr == np.trunc(arr)) & (arr >= -(2.0**63)) & (arr < 2.0**63))
+    elif dtype is np.int64 and kind == "u" and arr.dtype.itemsize == 8:
+        # compared as uint64: against a Python int numpy 1.x would go through float64
+        bad, rule = arr > np.uint64(2**63 - 1), "must fit in int64"
+    elif dtype is bool and kind != "b":
+        bad = (arr != 0) & (arr != 1)
+    if bad is not None and bad.any():
+        raise error(f"{name} {rule}, got {arr[bad][0].item()!r}")
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
+def _labels(name, value, error=ValueError) -> np.ndarray:
+    """``value`` as an int64 array by ``_array``, each entry -1 or +1."""
+    arr = _array(name, value, np.int64, error)
+    bad = (arr != 1) & (arr != -1)
+    if bad.any():
+        raise error(f"{name} must take values in {{-1, +1}}, got {arr[bad][0].item()!r}")
+    return arr

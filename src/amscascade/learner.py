@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import WeightedDataset, _freeze_field
-from .errors import ConfigError, DataError, TrainingError, _integer, _real
+from .errors import ConfigError, DataError, TrainingError, _array, _integer, _labels, _real
 from .significance import SignificanceMeasure, validate_dual
 
 __all__ = [
@@ -409,7 +409,7 @@ def weighted_error(
     dataset: WeightedDataset, costs: CostVector, predictions: np.ndarray
 ) -> float:
     """Total cost of the misclassified examples."""
-    preds = np.asarray(predictions)
+    preds = _labels("predictions", predictions)
     if preds.shape != dataset.labels.shape:
         raise ValueError(
             f"predictions shape {preds.shape} does not match dataset ({dataset.n},)"
@@ -737,7 +737,9 @@ def _feature_matrix(
     data: Union[WeightedDataset, np.ndarray], fewest: int, most: float, owner: str
 ) -> np.ndarray:
     """``data``'s features, checked to be a matrix of ``fewest`` to ``most`` columns."""
-    features = data.features if isinstance(data, WeightedDataset) else np.asarray(data, dtype=float)
+    if isinstance(data, WeightedDataset):
+        data = data.features
+    features = _array("features", data, float, DataError)
     if features.ndim != 2 or not fewest <= features.shape[1] <= most:
         raise DataError(f"feature matrix shape {features.shape} does not match {owner}")
     return features

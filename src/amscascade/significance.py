@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateInputError, _real
+from .errors import DegenerateInputError, _labels, _real
 
 __all__ = [
     "U_MIN",
@@ -93,7 +93,10 @@ class ConfusionSummary:
     def from_counts(
         cls, s: float, background: float, p: float, b_reg: float = 0.0
     ) -> "ConfusionSummary":
-        """Build a summary from raw counts, folding ``b_reg`` into ``b``."""
+        """Build a summary from raw counts, folding ``b_reg`` into ``b``; both
+        are checked first, over the constructor's interval for ``b``."""
+        background = _real("background", background, -_ABS_TOL, open_high=True, error=ValueError)
+        b_reg = _real("b_reg", b_reg, -_ABS_TOL, open_high=True, error=ValueError)
         return cls(s=s, b=background + b_reg, p=p, b_reg=b_reg)
 
     @property
@@ -288,13 +291,11 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
     b_reg = _real("b_reg", b_reg, 0.0, open_high=True, error=ValueError)
     labels = np.asarray(dataset.labels)
     weights = np.asarray(dataset.weights, dtype=float)
-    preds = np.asarray(predictions)
+    preds = _labels("predictions", predictions)
     if preds.shape != labels.shape:
         raise ValueError(
             f"predictions length {preds.shape} does not match dataset {labels.shape}"
         )
-    if not np.all((preds == 1) | (preds == -1)):
-        raise ValueError("predictions must take values in {-1, +1}")
     selected = preds == 1
     signal = labels == 1
     s = float(weights[selected & signal].sum())

@@ -1,6 +1,5 @@
 """One integer rule for every scalar count and seed the package takes, one
-real rule for every scalar real, and the exact-cast rule for its int64
-arrays.
+real rule for every scalar real, and one exact-cast rule for every array.
 
 A scalar integer site accepts Python and numpy integers at or above its
 bound and holds them as ``int``.  It answers anything else (``bool``,
@@ -8,9 +7,10 @@ floats, NaN, infinities, strings, None) with the package's own one-line
 error, never with a TypeError or numpy's ValueError.  A scalar real site
 accepts Python and numpy reals inside its interval and holds them as
 ``float``; ``bool``, NaN, strings, None and reals outside the interval get
-the site's one-line error, which names the interval.  An int64 array field
-holds exactly the values it was given, or its record raises the error class
-of its other checks: no fraction, NaN or infinity is truncated.
+the site's one-line error, which names the interval.  An array site holds
+(or computes from) exactly the values it was given, or raises the error
+class of its other checks in one line: no fraction, NaN or infinity is
+truncated to an integer, no imaginary part dropped and no string parsed.
 """
 
 import argparse
@@ -19,6 +19,7 @@ import functools
 import math
 import numbers
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +39,7 @@ from amscascade import (
     ConfusionSummary,
     CostVector,
     DataError,
+    Ensemble,
     LearnerConfig,
     Model,
     SplitSpec,
@@ -46,13 +48,17 @@ from amscascade import (
     WeightedDataset,
     confusion_summary,
     default_u0,
+    empty_model,
+    ensemble_average,
     fenchel_young_gap,
+    predict_scores,
     read_submission,
     rerun_cascade,
     run_all_checks,
     select_threshold,
     split,
     synthesize,
+    weighted_error,
     write_submission,
 )
 from amscascade import cascade, checks, cli
@@ -218,10 +224,12 @@ def test_every_scalar_site_takes_integers_only(site, value):
 significance_module = sys.modules["amscascade.significance"]
 
 
-def _past_check(module, local, call):
-    # the site's first numpy call after its check ends the call
+def _past_check(module, local, call, after="np"):
+    # the site's first call after its check, np.asarray or errors._array,
+    # ends the call
+    stub = _stop(local)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, "np", SimpleNamespace(asarray=_stop(local)))
+        patch.setattr(module, after, SimpleNamespace(asarray=stub) if after == "np" else stub)
         call()
 
 
@@ -271,7 +279,9 @@ _REAL_SITES = {
     "clamp_dual": (_clamped, "(-inf, inf)", ValueError),
     "validate_dual": (validate_dual, "[1e-06, inf)", ValueError),
     "select_threshold.b_reg": (
-        lambda v: _past_check(cascade, "b_reg", lambda: select_threshold([], None, AMS2, v)),
+        lambda v: _past_check(
+            cascade, "b_reg", lambda: select_threshold([], None, AMS2, v), after="_array"
+        ),
         "[0, inf)",
         ValueError,
     ),
@@ -419,57 +429,262 @@ def test_only_errors_decides_what_is_finite():
     assert offenders == []
 
 
-def _tree(feature=0, left=1, right=2):
-    return Tree(
-        feature=[feature, -1, -1], threshold=[0.5, 0.0, 0.0], left=[left, -1, -1],
-        right=[right, -1, -1], missing_left=[True, False, False], value=[0.0, 1.0, 2.0],
-    )
+def test_only_errors_reads_an_array_kind():
+    """Outside errors.py no code reads ``.dtype.kind``: an array goes through
+    errors._array or errors._labels."""
+    offenders = []
+    for path in sorted(Path(amscascade.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "kind"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "dtype"
+        ]
+    assert offenders == []
 
 
-def _dataset(labels=(1, -1), event_ids=(0, 7)):
-    return WeightedDataset(np.zeros((2, 1)), list(labels), [1.0, 1.0], list(event_ids), ("x",))
+def _tree(**columns):
+    # a root split on feature 0 at 0.5, NaN going left, and two leaves
+    fields = dict(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0], left=[1, -1, -1],
+                  right=[2, -1, -1], missing_left=[True, False, False], value=[0.0, 1.0, 2.0])
+    return Tree(**(fields | columns))
 
 
-def _submission(event_ids=(0, 7), selected=(1, -1)):
+def _dataset(**columns):
+    # event 0 is signal, event 7 background, each of weight 1
+    fields = dict(features=np.zeros((2, 1)), labels=[1, -1], weights=[1.0, 1.0],
+                  event_ids=[0, 7], column_names=("x",))
+    return WeightedDataset(**(fields | columns))
+
+
+def _submission(**columns):
+    fields = dict(event_ids=[0, 7], scores=[0.1, 0.2], selected=[1, -1])
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "submission.csv")
-        write_submission(path, list(event_ids), [0.1, 0.2], list(selected))
+        write_submission(path, **(fields | columns))
         return read_submission(path)
 
 
-# site -> (call returning the int64 value held for the first element, error class)
+def _logistic(**vectors):
+    fields = dict(coefficients=[1.0], impute_values=[0.0])
+    return Model("logistic", 1, 0.0, **(fields | vectors))
+
+
+# site -> (call(v, box) with v the first entry of the column box makes,
+# returning what the site holds or computes from it; the array rule, float,
+# np.int64, bool or "labels"; the site's error class; what the call returns
+# for an accepted v, as a function of v cast to the rule's dtype)
 _ARRAY_SITES = {
-    "Tree.feature": (lambda v: _tree(feature=v).feature[0], ValueError),
-    "Tree.left": (lambda v: _tree(left=v).left[0], ValueError),
-    "Tree.right": (lambda v: _tree(right=v).right[0], ValueError),
-    "WeightedDataset.labels": (lambda v: _dataset(labels=(v, -1)).labels[0], DataError),
-    "WeightedDataset.event_ids": (lambda v: _dataset(event_ids=(v, 7)).event_ids[0], DataError),
-    "write_submission.event_ids": (lambda v: _submission(event_ids=(v, 7))[0][0], DataError),
-    "write_submission.selected": (lambda v: _submission(selected=(v, -1))[2][0], DataError),
+    "WeightedDataset.features": (
+        lambda v, box: _dataset(features=box([[v], [0.0]])).features[0, 0], float, DataError
+    ),
+    "WeightedDataset.labels": (
+        lambda v, box: _dataset(labels=box([v, -1])).labels[0], "labels", DataError
+    ),
+    "WeightedDataset.weights": (
+        lambda v, box: _dataset(weights=box([v, 1.0])).weights[0], float, DataError
+    ),
+    "WeightedDataset.event_ids": (
+        lambda v, box: _dataset(event_ids=box([v, 7])).event_ids[0], np.int64, DataError
+    ),
+    "CostVector.costs": (
+        lambda v, box: CostVector(box([v, 1.0]), 1.0).costs[0], float, ValueError
+    ),
+    "Tree.feature": (lambda v, box: _tree(feature=box([v, -1, -1])).feature[0], np.int64,
+                     ValueError),
+    "Tree.threshold": (lambda v, box: _tree(threshold=box([v, 0.0, 0.0])).threshold[0], float,
+                       ValueError),
+    "Tree.left": (lambda v, box: _tree(left=box([v, -1, -1])).left[0], np.int64, ValueError),
+    "Tree.right": (lambda v, box: _tree(right=box([v, -1, -1])).right[0], np.int64, ValueError),
+    "Tree.missing_left": (
+        lambda v, box: _tree(missing_left=box([v, False, False])).missing_left[0], bool,
+        ValueError,
+    ),
+    "Tree.value": (lambda v, box: _tree(value=box([v, 1.0, 2.0])).value[0], float, ValueError),
+    "Model.coefficients": (
+        lambda v, box: _logistic(coefficients=box([v])).coefficients[0], float, ValueError
+    ),
+    "Model.impute_values": (
+        lambda v, box: _logistic(impute_values=box([v])).impute_values[0], float, ValueError
+    ),
+    "predict_scores.features": (
+        lambda v, box: predict_scores(_logistic(), box([[v]]))[0], float, DataError,
+        lambda x: 0.0 if math.isnan(x) else x,
+    ),
+    "Tree.predict.features": (
+        lambda v, box: _tree().predict(box([[v]]))[0], float, DataError,
+        lambda x: 1.0 if x < 0.5 or math.isnan(x) else 2.0,
+    ),
+    "write_submission.event_ids": (
+        lambda v, box: _submission(event_ids=box([v, 7]))[0][0], np.int64, DataError
+    ),
+    "write_submission.scores": (
+        lambda v, box: _submission(scores=box([v, 0.2]))[1][0], float, DataError,
+        lambda x: 1 if x <= 0.2 else 2,  # event 0's rank; a tie goes to the lower id
+    ),
+    "write_submission.selected": (
+        lambda v, box: _submission(selected=box([v, -1]))[2][0], "labels", DataError
+    ),
+    "select_threshold.scores": (
+        lambda v, box: select_threshold(box([v, 0.0]), _dataset(), AMS2), float, ValueError,
+        lambda x: 0.0 if x > 0.0 else -math.inf,  # select the signal alone when it ranks first
+    ),
+    "confusion_summary.predictions": (
+        lambda v, box: confusion_summary(_dataset(), box([v, -1])).s, "labels", ValueError,
+        lambda x: 1.0 if x == 1 else 0.0,
+    ),
+    "weighted_error.predictions": (
+        lambda v, box: weighted_error(_dataset(), CostVector([1.0, 2.0], 1.0), box([v, -1])),
+        "labels", ValueError,
+        lambda x: 0.0 if x == 1 else 1.0,
+    ),
 }
 
 _ELEMENTS = st.one_of(
     st.integers(-3, 3),
     st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([np.int64(-1), np.uint64(2**63), np.uint8(1), True, False]),
     st.integers(-3, 3).map(float),
     st.floats(),
     st.sampled_from([0.5, 0.7, 1.2, 2.9, -0.5, math.nan, math.inf, -math.inf]),
-    st.sampled_from([2.0**63, -(2.0**63), 2**70, "1"]),
+    st.sampled_from([2.0**63, -(2.0**63), 2**70, 10**400]),
+    st.complex_numbers(max_magnitude=3.0),
+    st.sampled_from([1 + 5j, 1 + 0j, np.complex128(1j), "1", "a", "", None, object()]),
 )
 
 
-@settings(max_examples=600, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(sorted(_ARRAY_SITES)), _ELEMENTS)
-@example("Tree.feature", 0.7)
-@example("Tree.left", 1.2)
-@example("Tree.right", 2.9)
-@example("WeightedDataset.event_ids", 0.5)
-@example("write_submission.event_ids", 1.5)
-def test_int64_arrays_hold_exactly_what_they_were_given(site, value):
-    call, error = _ARRAY_SITES[site]
+def _objects(items):
+    return np.array(items, dtype=object)
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)
+
+
+@settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(_ARRAY_SITES)), _ELEMENTS, st.sampled_from([list, _objects]))
+@example("Tree.feature", 0.7, list)
+@example("Tree.left", 1.2, list)
+@example("Tree.right", 2.9, list)
+@example("WeightedDataset.event_ids", 0.5, list)
+@example("write_submission.event_ids", 1.5, list)
+@example("WeightedDataset.features", 1 + 5j, list)
+@example("CostVector.costs", 1 + 1j, list)
+@example("select_threshold.scores", 1 + 1j, list)
+@example("Tree.value", "1", list)
+@example("weighted_error.predictions", 0.0, list)
+@example("write_submission.scores", None, list)
+@example("WeightedDataset.labels", 1, _objects)
+def test_every_array_site_holds_exactly_what_it_was_given(site, value, box):
+    call, dtype, error, *returns = _ARRAY_SITES[site]
+    expect = returns[0] if returns else (lambda x: x)
     try:
-        held = call(value)
+        held = call(value, box)
     except error as exc:
         assert "\n" not in str(exc)
         return
-    assert not isinstance(value, str) and held == value, f"{site} holds {held!r} for {value!r}"
+    assert box is list and isinstance(value, numbers.Real), f"{site} accepted {value!r}"
+    x = float(value) if dtype is float else value
+    assert _same(held, expect(x)), f"{site} holds {held!r} for {value!r}"
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _dataset(features=np.array([[1 + 5j], [2]])), DataError),
+        (lambda: CostVector(np.array([1 + 1j, 2]), 1.0), ValueError),
+        (lambda: predict_scores(empty_model("stump-boost", 2), np.array([[1j, 1j]])), DataError),
+        (lambda: select_threshold(np.arange(2) * (1 + 1j), _dataset(), "ams2"), ValueError),
+    ],
+    ids=["WeightedDataset.features", "CostVector.costs", "predict_scores", "select_threshold"],
+)
+def test_complex_input_is_refused_not_cast_to_its_real_part(call, error):
+    with pytest.raises(error, match=r"must be real numbers, got an array of complex128$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: _dataset(features=[["1"], ["2"]]), DataError),
+        (lambda: _dataset(weights=["1", "1"]), DataError),
+        (lambda: _dataset().take([0, 1], ["1", "1"]), DataError),
+        (lambda: predict_scores(empty_model("stump-boost", 1), [["1"]]), DataError),
+        (lambda: _tree().predict([["1"]]), DataError),
+        (lambda: _submission(scores=["0.1", "0.2"]), DataError),
+        (lambda: CostVector(["1", "2"], 1.0), ValueError),
+        (lambda: _tree(value=["0", "1", "2"]), ValueError),
+        (lambda: _logistic(coefficients=["1"]), ValueError),
+    ],
+    ids=["WeightedDataset.features", "WeightedDataset.weights", "take.weights", "predict_scores",
+         "Tree.predict", "write_submission.scores", "CostVector.costs", "Tree.value",
+         "Model.coefficients"],
+)
+def test_strings_get_the_sites_own_error(call, error):
+    with pytest.raises(error, match=r"must be real numbers, got an array of <U\d$"):
+        call()
+
+
+def test_a_ragged_sequence_gets_the_sites_own_error():
+    with pytest.raises(DataError, match=r"^features must be real numbers, got a ragged sequence$"):
+        _dataset(features=[[1.0], [2.0, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "predictions, message",
+    [
+        (np.zeros(2), "must take values in {-1, +1}, got 0"),
+        (np.array(["a", "a"]), "must be integers, got an array of <U1"),
+    ],
+)
+def test_weighted_error_takes_only_plus_or_minus_one(predictions, message):
+    costs = CostVector([1.0, 2.0], 1.0)
+    with pytest.raises(ValueError, match=re.escape("predictions " + message) + "$"):
+        weighted_error(_dataset(), costs, predictions)
+
+
+_MODEL = empty_model("stump-boost", 1)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: Ensemble((_MODEL,), (True,)), "True"),
+        (lambda: Ensemble((_MODEL,), ("1",)), "'1'"),
+        (lambda: Ensemble((_MODEL,), (math.nan,)), "nan"),
+        (lambda: ensemble_average([_MODEL], ["1"]), "'1'"),
+        (lambda: ensemble_average([_MODEL], [True]), "True"),
+        (lambda: ensemble_average([_MODEL], [None]), "None"),
+        (lambda: ensemble_average([_MODEL, _MODEL], [math.inf, 1.0]), "inf"),
+        (lambda: ensemble_average([_MODEL], [-1.0]), "-1.0"),
+    ],
+    ids=["Ensemble-bool", "Ensemble-str", "Ensemble-nan", "average-str", "average-bool",
+         "average-None", "average-inf", "average-negative"],
+)
+def test_mixing_weights_take_the_real_rule(call, shown):
+    message = f"mixing weight must be a real number in [0, inf), got {shown}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        call()
+
+
+def test_mixing_weights_are_held_as_floats():
+    weights = Ensemble((_MODEL,), (np.float64(1.0),)).weights
+    assert weights == (1.0,) and type(weights[0]) is float
+    assert ensemble_average([_MODEL, _MODEL], [np.int64(1), 3]).weights == (0.25, 0.75)
+
+
+@pytest.mark.parametrize(
+    "counts, name",
+    [((1.0, 1.0, 1.0, "x"), "b_reg"), ((1.0, "x", 1.0), "background"),
+     ((1.0, None, 1.0), "background"), ((1.0, 1.0, 1.0, -1.0), "b_reg")],
+    ids=["b_reg-str", "background-str", "background-None", "b_reg-negative"],
+)
+def test_from_counts_checks_before_it_adds(counts, name):
+    message = f"{name} must be a real number in [-1e-09, inf), got "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ConfusionSummary.from_counts(*counts)
