@@ -26,7 +26,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import WeightedDataset
-from .errors import CascadeError, ConfigError, DegenerateInputError, _array, _integer, _real
+from .errors import (
+    CascadeError,
+    ConfigError,
+    DegenerateInputError,
+    _array,
+    _choice,
+    _integer,
+    _real,
+)
 from .learner import (
     LearnerConfig,
     Model,
@@ -38,6 +46,8 @@ from .learner import (
     weighted_error,
 )
 from .significance import (
+    AMS2,
+    AMS3,
     U_MAX,
     U_MIN,
     ConfusionSummary,
@@ -99,23 +109,26 @@ class CascadeConfig:
     update_duals: bool = True
 
     def __post_init__(self) -> None:
-        if isinstance(self.measure, str):
+        if not isinstance(self.measure, SignificanceMeasure):
             try:
                 resolve_measure(self.measure)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            # a name is kept as given, in its case, but as a plain str
+            object.__setattr__(self, "measure", str(self.measure))
         if self.u0 is not None:
             object.__setattr__(self, "u0", _real("u0", self.u0, 0.0, open_low=True, open_high=True))
         for name, least in (("T", 1), ("extra_rounds_after_stall", 0), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-        if self.variant not in _VARIANTS:
-            raise ConfigError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+        object.__setattr__(self, "variant", _choice("variant", self.variant, _VARIANTS))
         object.__setattr__(self, "b_reg", _real("b_reg", self.b_reg, 0.0, open_high=True))
-        if self.validation_source is not None and self.validation_source not in _VALIDATION_SOURCES:
-            raise ConfigError(
-                f"validation_source must be one of {_VALIDATION_SOURCES}, "
-                f"got {self.validation_source!r}"
-            )
+        if not isinstance(self.learner, LearnerConfig):
+            raise ConfigError(f"learner must be a LearnerConfig, got {type(self.learner).__name__}")
+        if self.validation_source is not None:
+            source = _choice("validation_source", self.validation_source, _VALIDATION_SOURCES)
+            object.__setattr__(self, "validation_source", source)
+        flag = _choice("update_duals", self.update_duals, (False, True))
+        object.__setattr__(self, "update_duals", flag)
 
     @property
     def effective_validation_source(self) -> str:
@@ -587,7 +600,10 @@ def parse_cascade_config(text: str, base: Optional[CascadeConfig] = None) -> Cas
 
 
 def format_cascade_config(config: CascadeConfig) -> str:
-    """Render a config in the same flat key-value format parse reads, in table order."""
+    """Render a config in the same flat key-value format parse reads, in table order.
+
+    A custom measure has no name that parse reads back, so it is a ConfigError.
+    """
     tables = (("", config, _CASCADE_KEYS), ("learner.", config.learner, _LEARNER_KEYS))
     lines = []
     for prefix, fields, keys in tables:
@@ -596,6 +612,8 @@ def format_cascade_config(config: CascadeConfig) -> str:
             if value is None:
                 continue
             if isinstance(value, SignificanceMeasure):
+                if value not in (AMS2, AMS3):
+                    raise ConfigError(f"custom measure {value.name!r} has no config-file form")
                 value = value.name
             elif target is bool:
                 value = "true" if value else "false"

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cascade import derive_seed, select_threshold
 from .data import WeightedDataset
-from .errors import ConfigError, _integer
+from .errors import ConfigError, _choice, _integer
 from .learner import surrogate_gradient, surrogate_loss
 from .significance import (
     AMS2,
@@ -320,7 +320,7 @@ def run_all_checks(seed=0, instances=None, inject_fault=False):
         if not 1 <= instances <= MAX_INSTANCES:
             raise ConfigError(f"instances must be in [1, {MAX_INSTANCES}], got {instances!r}")
     fy_measures = (AMS2, AMS3)
-    if inject_fault:
+    if _choice("inject_fault", inject_fault, (False, True)):
         fy_measures = (perturbed_conjugate_measure(AMS2), AMS3)
     # (suite, whether `instances` caps at its default size), built per call
     # so that a suite replaced on this module is the one that runs

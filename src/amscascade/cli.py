@@ -16,6 +16,7 @@ from dataclasses import asdict, fields, replace
 
 from . import __version__
 from .cascade import (
+    _VARIANTS,
     CascadeConfig,
     _parse_value,
     derive_seed,
@@ -36,6 +37,7 @@ from .errors import AmsCascadeError, ConfigError, DataError, _integer, _real
 # classify is not called here, but amsbench's tracer wraps it by this name
 from .learner import classify, hard_labels, load_model, predict_scores, save_model  # noqa: F401
 from .significance import (
+    _BUILTINS,
     AMS2,
     AMS3,
     ConfusionSummary,
@@ -84,8 +86,8 @@ def build_parser():
 
     run = sub.add_parser("cascade", help="run a significance cascade")
     add_dataset_flags(run)
-    run.add_argument("--measure", choices=("ams2", "ams3"))
-    run.add_argument("--variant", choices=("fresh", "warmstart"))
+    run.add_argument("--measure", choices=tuple(_BUILTINS))
+    run.add_argument("--variant", choices=_VARIANTS)
     run.add_argument("--T", type=int, help="maximum cascade rounds")
     run.add_argument("--u0", type=float, help="initial dual weight")
     run.add_argument(

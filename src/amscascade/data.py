@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _array, _integer, _labels, _real
+from .errors import ConfigError, DataError, _array, _choice, _integer, _labels, _real
 
 __all__ = [
     "MISSING_VALUE",
@@ -72,7 +72,7 @@ class WeightedDataset:
         labels: (n,) int array with values in {-1, +1}.
         weights: (n,) positive float array.
         event_ids: (n,) unique int array.
-        column_names: d feature-column names.
+        column_names: d feature-column names, a sequence of str held as a tuple.
     """
 
     features: np.ndarray
@@ -87,7 +87,13 @@ class WeightedDataset:
         object.__setattr__(self, "labels", labels)
         weights = _freeze_field(self, "weights", float, DataError)
         event_ids = _freeze_field(self, "event_ids", np.int64, DataError)
-        object.__setattr__(self, "column_names", tuple(self.column_names))
+        names = self.column_names
+        if isinstance(names, str) or not isinstance(names, Sequence):
+            raise DataError(f"column names must be a sequence of str, got {type(names).__name__}")
+        object.__setattr__(self, "column_names", tuple(names))
+        for name in self.column_names:
+            if not isinstance(name, str):
+                raise DataError(f"column names must be str, got {type(name).__name__}")
         n = features.shape[0] if features.ndim == 2 else -1
         if features.ndim != 2:
             raise DataError("features must be a 2-D array")
@@ -166,6 +172,8 @@ class SplitSpec:
                          open_low=True, open_high=True)
         object.__setattr__(self, "validation_fraction", fraction)
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        flag = _choice("renormalize", self.renormalize, (False, True))
+        object.__setattr__(self, "renormalize", flag)
 
 
 # synthesize holds a few copies of its (n_signal + n_background) x d matrix,

@@ -65,6 +65,22 @@ def _real(name, value, low=-math.inf, high=math.inf, *, open_low=False, open_hig
     raise error(f"{name} must be a real number in {interval}, got {value!r}")
 
 
+def _choice(name, value, options, error=ConfigError):
+    """The option of the tuple ``options`` that ``value`` equals: the
+    package's one rule for named choices and flags.
+
+    ``options`` is all ``str`` or all ``bool``.  A ``str`` (``np.str_``
+    too) matches only ``str`` options and a Python or numpy bool only
+    ``bool`` options, so ``0``, ``"true"`` and None are no flag.  Anything
+    else raises ``error`` with a one-line message.
+    """
+    if isinstance(value, str if isinstance(options[0], str) else (bool, np.bool_)):
+        for option in options:
+            if value == option:
+                return option
+    raise error(f"{name} must be one of {options}, got {value!r}")
+
+
 # what each array dtype takes, as its messages say
 _ARRAY_RULES = {float: "must be real numbers", np.int64: "must be integers", bool: "must be 0 or 1"}
 

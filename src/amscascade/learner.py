@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import WeightedDataset, _freeze_field
-from .errors import ConfigError, DataError, TrainingError, _array, _integer, _labels, _real
+from .errors import DataError, TrainingError, _array, _choice, _integer, _labels, _real
 from .significance import SignificanceMeasure, validate_dual
 
 __all__ = [
@@ -95,10 +95,7 @@ class LearnerConfig:
     subsample: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _LEARNER_KINDS:
-            raise ConfigError(
-                f"learner kind must be one of {_LEARNER_KINDS}, got {self.kind!r}"
-            )
+        object.__setattr__(self, "kind", _choice("learner kind", self.kind, _LEARNER_KINDS))
         for name, least in (("rounds", 1), ("max_depth", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         for name, low, high, opened in (
@@ -333,7 +330,9 @@ class Model:
     median imputation of missing values, and hold one coefficient and one
     imputation value per feature.  An n_features that is negative or not
     an integer (numpy integers are stored as int), logistic vectors of
-    another length, and either vector on a boosted model raise ValueError.
+    another length, either vector on a boosted model, trees on a logistic
+    model, and trees other than a tuple or list of Tree (stored as a
+    tuple) raise ValueError.
     """
 
     kind: str
@@ -345,8 +344,8 @@ class Model:
     impute_values: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _LEARNER_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        kind = _choice("model kind", self.kind, _LEARNER_KINDS, ValueError)
+        object.__setattr__(self, "kind", kind)
         n_features = _integer("feature count", self.n_features, error=ValueError)
         object.__setattr__(self, "n_features", n_features)
         if self.n_features < 0:
@@ -358,13 +357,22 @@ class Model:
         for name in ("coefficients", "impute_values"):
             arr = getattr(self, name)
             if arr is not None:
-                if self.kind in _BOOSTING_KINDS:
+                if self.kind != "logistic":
                     # save_model writes no vectors for a boosted model
                     raise ValueError(f"a {self.kind} model takes no {name}")
                 arr = _freeze_field(self, name, float)
             if self.kind == "logistic" and np.shape(arr) != (self.n_features,):
                 raise ValueError(f"{name} must have shape ({self.n_features},), "
                                  f"got {np.shape(arr)}")
+        if not isinstance(self.trees, (tuple, list)):
+            raise ValueError(f"trees must be a tuple of Tree, got {type(self.trees).__name__}")
+        object.__setattr__(self, "trees", tuple(self.trees))
+        for tree in self.trees:
+            if not isinstance(tree, Tree):
+                raise ValueError(f"trees must hold only Tree objects, got {type(tree).__name__}")
+        if self.trees and self.kind == "logistic":
+            # save_model writes no trees for a logistic model
+            raise ValueError("a logistic model takes no trees")
 
     def with_threshold(self, threshold: float) -> "Model":
         return replace(self, threshold=threshold)
@@ -651,8 +659,7 @@ def boost_one_round(
     Prior trees are untouched, so k calls starting from an empty model
     reproduce train(rounds=k) bit-exactly for equal seeds.
     """
-    if model.kind not in _BOOSTING_KINDS:
-        raise TrainingError(f"model kind {model.kind!r} does not support boosting")
+    _choice("boosted model kind", model.kind, _BOOSTING_KINDS, TrainingError)
     if model.kind != config.kind:
         raise TrainingError(
             f"learner kind mismatch: model is {model.kind!r}, config is {config.kind!r}"
@@ -664,8 +671,7 @@ def boost_one_round(
 
 def empty_model(kind: str, n_features: int, base_score: float = 0.0) -> Model:
     """A treeless boosting model, the warm-start zero point."""
-    if kind not in _BOOSTING_KINDS:
-        raise ValueError(f"empty_model requires a boosting kind, got {kind!r}")
+    kind = _choice("empty_model kind", kind, _BOOSTING_KINDS, ValueError)
     return Model(kind=kind, n_features=n_features, base_score=base_score)
 
 

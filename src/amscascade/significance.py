@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateInputError, _labels, _real
+from .errors import DegenerateInputError, _array, _choice, _labels, _real
 
 __all__ = [
     "U_MIN",
@@ -238,13 +238,12 @@ _BUILTINS = {"ams2": AMS2, "ams3": AMS3}
 
 
 def resolve_measure(measure: Union[str, SignificanceMeasure]) -> SignificanceMeasure:
-    """Turn a measure name ("ams2", "ams3") or instance into an instance."""
+    """Turn a measure name ("ams2", "ams3", in any case) or instance into an instance."""
     if isinstance(measure, SignificanceMeasure):
         return measure
-    key = str(measure).lower()
-    if key not in _BUILTINS:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {sorted(_BUILTINS)}")
-    return _BUILTINS[key]
+    if isinstance(measure, str):
+        measure = measure.lower()
+    return _BUILTINS[_choice("measure", measure, tuple(_BUILTINS), ValueError)]
 
 
 def custom_measure(
@@ -289,8 +288,8 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
     matching sequence of labels in {-1, +1}.
     """
     b_reg = _real("b_reg", b_reg, 0.0, open_high=True, error=ValueError)
-    labels = np.asarray(dataset.labels)
-    weights = np.asarray(dataset.weights, dtype=float)
+    labels = _labels("labels", dataset.labels)
+    weights = _array("weights", dataset.weights, float)
     preds = _labels("predictions", predictions)
     if preds.shape != labels.shape:
         raise ValueError(

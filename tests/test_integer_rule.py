@@ -1,5 +1,6 @@
 """One integer rule for every scalar count and seed the package takes, one
-real rule for every scalar real, and one exact-cast rule for every array.
+real rule for every scalar real, one exact-cast rule for every array, and
+one rule for every named choice and flag.
 
 A scalar integer site accepts Python and numpy integers at or above its
 bound and holds them as ``int``.  It answers anything else (``bool``,
@@ -11,6 +12,9 @@ the site's one-line error, which names the interval.  An array site holds
 (or computes from) exactly the values it was given, or raises the error
 class of its other checks in one line: no fraction, NaN or infinity is
 truncated to an integer, no imaginary part dropped and no string parsed.
+A choice site holds the option its value equals, as a plain ``str`` or
+``bool``; a flag takes only a Python or numpy bool, a named choice only a
+string, and anything else gets the site's one-line error.
 """
 
 import argparse
@@ -33,6 +37,7 @@ from hypothesis import strategies as st
 import amscascade
 from amscascade import (
     AMS2,
+    AMS3,
     U_MIN,
     CascadeConfig,
     ConfigError,
@@ -44,16 +49,22 @@ from amscascade import (
     Model,
     SplitSpec,
     SynthConfig,
+    TrainingError,
     Tree,
     WeightedDataset,
+    boost_one_round,
     confusion_summary,
+    custom_measure,
     default_u0,
     empty_model,
     ensemble_average,
     fenchel_young_gap,
+    format_cascade_config,
+    parse_cascade_config,
     predict_scores,
     read_submission,
     rerun_cascade,
+    resolve_measure,
     run_all_checks,
     select_threshold,
     split,
@@ -61,7 +72,7 @@ from amscascade import (
     weighted_error,
     write_submission,
 )
-from amscascade import cascade, checks, cli
+from amscascade import cascade, checks, cli, learner
 from amscascade.cascade import derive_seed
 from amscascade.significance import U_MAX, clamp_dual, validate_dual
 
@@ -224,12 +235,11 @@ def test_every_scalar_site_takes_integers_only(site, value):
 significance_module = sys.modules["amscascade.significance"]
 
 
-def _past_check(module, local, call, after="np"):
-    # the site's first call after its check, np.asarray or errors._array,
-    # ends the call
-    stub = _stop(local)
+def _past_check(module, local, call, after):
+    # the site's first call after its check, the function ``after`` of
+    # ``module`` (errors._array, say), ends the call
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, after, SimpleNamespace(asarray=stub) if after == "np" else stub)
+        patch.setattr(module, after, _stop(local))
         call()
 
 
@@ -280,14 +290,14 @@ _REAL_SITES = {
     "validate_dual": (validate_dual, "[1e-06, inf)", ValueError),
     "select_threshold.b_reg": (
         lambda v: _past_check(
-            cascade, "b_reg", lambda: select_threshold([], None, AMS2, v), after="_array"
+            cascade, "b_reg", lambda: select_threshold([], None, AMS2, v), "_array"
         ),
         "[0, inf)",
         ValueError,
     ),
     "confusion_summary.b_reg": (
         lambda v: _past_check(
-            significance_module, "b_reg", lambda: confusion_summary(_EVENTS, [], v)
+            significance_module, "b_reg", lambda: confusion_summary(_EVENTS, [], v), "_labels"
         ),
         "[0, inf)",
         ValueError,
@@ -688,3 +698,243 @@ def test_from_counts_checks_before_it_adds(counts, name):
     message = f"{name} must be a real number in [-1e-09, inf), got "
     with pytest.raises(ValueError, match=re.escape(message)):
         ConfusionSummary.from_counts(*counts)
+
+
+def _injected(value):
+    # True where the Fenchel-Young suite is handed the perturbed measure
+    try:
+        _all_checks("fy_measures", inject_fault=value)
+    except _Reached as reached:
+        return reached.args[0][0] is not AMS2
+
+
+_KINDS = ("stump-boost", "tree-boost", "logistic")
+_BOOSTING = _KINDS[:2]
+_MEASURES = ("ams2", "ams3")
+_FLAG = (False, True)
+
+# site -> (call returning the option the site holds, or None where it keeps
+# none; its options; its error class)
+_CHOICE_SITES = {
+    "CascadeConfig.variant": (lambda v: CascadeConfig(variant=v).variant, ("fresh", "warmstart"),
+                              ConfigError),
+    "CascadeConfig.validation_source": (
+        lambda v: CascadeConfig(validation_source=v).validation_source, ("held-out", "training"),
+        ConfigError,
+    ),
+    "CascadeConfig.update_duals": (lambda v: CascadeConfig(update_duals=v).update_duals, _FLAG,
+                                   ConfigError),
+    "CascadeConfig.measure": (lambda v: CascadeConfig(measure=v).measure, _MEASURES,
+                              ConfigError),
+    "LearnerConfig.kind": (lambda v: LearnerConfig(kind=v).kind, _KINDS, ConfigError),
+    "SplitSpec.renormalize": (lambda v: SplitSpec(0.5, 0, renormalize=v).renormalize, _FLAG,
+                              ConfigError),
+    "run_all_checks.inject_fault": (_injected, _FLAG, ConfigError),
+    # the feature count is checked right after the kind
+    "Model.kind": (
+        lambda v: _past_check(learner, "kind", lambda: Model(v, 1, 0.0), "_integer"),
+        _KINDS,
+        ValueError,
+    ),
+    "empty_model.kind": (lambda v: empty_model(v, 1).kind, _BOOSTING, ValueError),
+    # a stand-in model and config of kind v pass the mismatch check
+    "boost_one_round.kind": (
+        lambda v: _past_check(
+            learner, None,
+            lambda: boost_one_round(SimpleNamespace(kind=v), None, None, SimpleNamespace(kind=v)),
+            "_check_training_inputs",
+        ),
+        _BOOSTING,
+        TrainingError,
+    ),
+    "resolve_measure": (lambda v: resolve_measure(v).name, _MEASURES, ValueError),
+}
+
+# sites where None asks for the default: the variant's own summary
+_NONE_IS_CHOICE_DEFAULT = {"CascadeConfig.validation_source"}
+# sites that take a measure name in any case; CascadeConfig keeps the case
+_ANY_CASE = {"CascadeConfig.measure", "resolve_measure"}
+
+
+def _choices_for(options):
+    """Each option, as given and as numpy scalars, a case variant of each
+    name, and the values no site takes."""
+    names = [o for o in options if isinstance(o, str)]
+    return st.one_of(
+        st.sampled_from(options),
+        st.sampled_from(options).map(np.str_ if names else np.bool_),
+        st.sampled_from(names + ["x"]).map(str.upper),
+        st.sampled_from(names + ["x"]).map(str.title),
+        st.sampled_from([0, 1, np.int64(1), 1.0, "true", "True", "", "fresh", "ams2",
+                         "logistic", None, [True], list(options), tuple(options)]),
+    )
+
+
+def _option(site, value):
+    """The option a site holds for ``value``, or None if it takes none."""
+    options = _CHOICE_SITES[site][1]
+    if isinstance(options[0], bool):
+        return bool(value) if isinstance(value, (bool, np.bool_)) else None
+    if not isinstance(value, str):
+        return None
+    key = value.lower() if site in _ANY_CASE else value
+    if key not in options:
+        return None
+    # CascadeConfig keeps a measure name in the case it was given
+    return str(value) if site == "CascadeConfig.measure" else str(key)
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(sorted(_CHOICE_SITES)).flatmap(
+        lambda site: st.tuples(st.just(site), _choices_for(_CHOICE_SITES[site][1]))
+    )
+)
+@example(("CascadeConfig.update_duals", "no"))
+@example(("CascadeConfig.update_duals", None))
+@example(("CascadeConfig.update_duals", np.False_))
+@example(("SplitSpec.renormalize", None))
+@example(("run_all_checks.inject_fault", "no"))
+@example(("run_all_checks.inject_fault", np.True_))
+@example(("CascadeConfig.measure", 3))
+@example(("CascadeConfig.measure", np.str_("AMS3")))
+@example(("CascadeConfig.variant", np.str_("warmstart")))
+@example(("LearnerConfig.kind", "Logistic"))
+def test_every_choice_site_holds_one_of_its_options(case):
+    site, value = case
+    call, options, error = _CHOICE_SITES[site]
+    option = _option(site, value)
+    default = value is None and site in _NONE_IS_CHOICE_DEFAULT
+    try:
+        held = call(value)
+    except _Reached as reached:
+        held = reached.args[0]
+    except error as exc:
+        message = str(exc)
+        assert "\n" not in message
+        assert f" must be one of {options}, got " in message
+        assert option is None and not default, f"{site} refused {value!r}: {message}"
+        return
+    assert option is not None or default, f"{site} accepted {value!r}"
+    if held is not None:
+        assert type(held) is type(option) and held == option
+
+
+# the tuples each choice takes its options from, and the measures' table
+_OPTION_TUPLES = {"_VARIANTS", "_VALIDATION_SOURCES", "_LEARNER_KINDS", "_BOOSTING_KINDS",
+                  "_BUILTINS"}
+
+
+def test_only_errors_tests_membership_of_a_choice():
+    """Outside errors.py no ``in`` or ``not in`` test reads an option tuple
+    or a built-in measure name: a choice goes through errors._choice."""
+    offenders = []
+    for path in sorted(Path(amscascade.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            for op, right in zip(node.ops, node.comparators):
+                if not isinstance(op, (ast.In, ast.NotIn)):
+                    continue
+                if any(
+                    isinstance(n, ast.Name) and n.id in _OPTION_TUPLES
+                    or isinstance(n, ast.Constant) and n.value in _MEASURES
+                    for n in ast.walk(right)
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def _cascade_flag(dest):
+    commands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return next(a for a in commands.choices["cascade"]._actions if a.dest == dest)
+
+
+def test_cli_choices_are_the_librarys_tuples():
+    assert _cascade_flag("variant").choices is cascade._VARIANTS
+    assert _cascade_flag("measure").choices == tuple(significance_module._BUILTINS)
+    assert cli.main(["cascade", "--synth", "default", "--variant", "loop"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CascadeConfig(update_duals="no"),
+         "update_duals must be one of (False, True), got 'no'"),
+        (lambda: CascadeConfig(update_duals=None),
+         "update_duals must be one of (False, True), got None"),
+        (lambda: SplitSpec(0.3, 0, renormalize=None),
+         "renormalize must be one of (False, True), got None"),
+        (lambda: run_all_checks(instances=1, inject_fault="no"),
+         "inject_fault must be one of (False, True), got 'no'"),
+        (lambda: CascadeConfig(measure=3), "measure must be one of ('ams2', 'ams3'), got 3"),
+        (lambda: CascadeConfig(learner="tree-boost"),
+         "learner must be a LearnerConfig, got str"),
+    ],
+    ids=["update_duals-str", "update_duals-None", "renormalize-None", "inject_fault-str",
+         "measure-int", "learner-str"],
+)
+def test_a_config_record_refuses_what_its_run_would_misread(call, message):
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        call()
+
+
+def test_model_trees_are_a_tuple_of_trees():
+    tree = _tree()
+    model = Model("stump-boost", 1, 0.0, trees=[tree])
+    assert type(model.trees) is tuple and model.trees == (tree,)
+    # a warm round appends to the stored tuple
+    config = LearnerConfig(kind="stump-boost")
+    grown = boost_one_round(model, _dataset(), CostVector([1.0, 1.0], 1.0), config)
+    assert grown.trees[0] is tree and grown.n_trees == 2
+    with pytest.raises(ValueError, match="^trees must hold only Tree objects, got str$"):
+        Model("stump-boost", 1, 0.0, trees=("x",))
+    with pytest.raises(ValueError, match="^trees must be a tuple of Tree, got Tree$"):
+        Model("stump-boost", 1, 0.0, trees=tree)
+    with pytest.raises(ValueError, match="^a logistic model takes no trees$"):
+        _logistic(trees=(tree,))
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("x", "column names must be a sequence of str, got str"),
+        (None, "column names must be a sequence of str, got NoneType"),
+        ((1,), "column names must be str, got int"),
+    ],
+    ids=["str", "None", "int"],
+)
+def test_column_names_are_a_sequence_of_str(names, message):
+    with pytest.raises(DataError, match=re.escape(message) + "$"):
+        _dataset(column_names=names)
+
+
+@pytest.mark.parametrize(
+    "events, message",
+    [
+        (SimpleNamespace(labels=[0, 5], weights=[1.0, 2.0]),
+         "labels must take values in {-1, +1}, got 0"),
+        (SimpleNamespace(labels=[1, -1], weights=["1", "2"]),
+         "weights must be real numbers, got an array of <U1"),
+        (SimpleNamespace(labels=[1, -1], weights=[1 + 1j, 2.0]),
+         "weights must be real numbers, got an array of complex128"),
+    ],
+    ids=["labels", "weights-str", "weights-complex"],
+)
+def test_confusion_summary_checks_its_datasets_arrays(events, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        confusion_summary(events, [1, -1])
+
+
+def test_format_cascade_config_refuses_a_custom_measure():
+    measure = custom_measure(AMS3.f, AMS3.f_conjugate, AMS3.f_prime, AMS3.h)
+    with pytest.raises(ConfigError, match="^custom measure 'custom' has no config-file form$"):
+        format_cascade_config(CascadeConfig(measure=measure))
+    # a built-in instance still round-trips, as its name
+    config = CascadeConfig(measure=AMS3)
+    assert parse_cascade_config(format_cascade_config(config)).measure == "ams3"
