@@ -55,12 +55,46 @@ def _freeze_field(record, name: str, dtype, error=ValueError) -> np.ndarray:
 
 
 def _sorted_present_rows(features: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each column's non-NaN rows, sorted by (value, row index)."""
+    """Each column's non-NaN rows, sorted by (value, row index).
+
+    numpy's default argsort (a SIMD quicksort where the CPU has one) orders
+    the present values; each run of equal values (``==``, so -0.0 ties 0.0)
+    is then put back into ascending row order by one integer sort of
+    ``run * n + row``, which keeps the runs in place.  The result is the
+    stable argsort's, byte for byte.  ``run * n + row`` stays below
+    ``n**2``, so int64 holds it for any n below 3e9.  The repair works in
+    place: each new array of a column costs as much in page faults as its
+    arithmetic.
+    """
+    n = features.shape[0]
     order = []
     for col in features.T:
-        present = np.flatnonzero(~np.isnan(col))
-        order.append(_frozen(present[np.argsort(col[present], kind="stable")]))
+        values = np.ascontiguousarray(col)
+        missing = np.isnan(values)
+        if missing.any():  # numpy's argsort takes a scalar path on NaN
+            present = np.flatnonzero(~missing)
+            rows = present[np.argsort(values[present])]
+        else:
+            rows = np.argsort(values)
+        values = values[rows]
+        step = values[1:] != values[:-1]
+        if not step.all():
+            base = np.empty_like(rows)
+            base[0] = 0
+            np.cumsum(step, out=base[1:])
+            base *= n
+            rows += base
+            rows.sort()
+            rows -= base
+        order.append(_frozen(rows))
     return tuple(order)
+
+
+def _has_duplicates(ids: np.ndarray) -> bool:
+    """Whether the 1-D array ``ids`` holds some value twice: one sort and a
+    comparison of neighbours."""
+    ids = np.sort(ids)
+    return bool((ids[1:] == ids[:-1]).any())
 
 
 @dataclass(frozen=True)
@@ -111,7 +145,7 @@ class WeightedDataset:
                 raise DataError(f"{name} must have shape ({n},), got {arr.shape}")
         if not np.all(weights > 0.0):
             raise DataError("all weights must be strictly positive")
-        if np.unique(event_ids).size != n:
+        if _has_duplicates(event_ids):
             raise DataError("event ids must be unique")
 
     @property
@@ -331,14 +365,28 @@ def _load_csv_columns(path: str, schema: CsvSchema) -> Optional[WeightedDataset]
         except DataError:
             return None
         roles = (schema.id_column, schema.weight_column, schema.label_column)
-        # one parse type per column, so a column read in two roles is left
-        # to the row parser.  Labels get two characters so that 'sb' is not
-        # cut to 's', and unread columns one, which any cell fits.
+        # one parse type per column, so a column read in two roles, or as
+        # two features, is left to the row parser.  Labels get two
+        # characters so that 'sb' is not cut to 's', and unread columns one,
+        # which any cell fits.
         kinds = dict.fromkeys(feature_names, "f8")
         kinds.update(zip(roles, ("i8", "f8", "U2")))
-        if len(kinds) != len(roles) + len(set(feature_names)):
+        if len(kinds) != len(roles) + len(feature_names):
             return None
-        dtype = np.dtype([(f"c{i}", kinds.get(name, "U1")) for i, name in enumerate(header)])
+        # each record holds its feature cells first, in feature order, so
+        # that one (n, d) view covers them all; the other cells follow
+        offsets = {name: 8 * j for j, name in enumerate(feature_names)}
+        end = 8 * len(feature_names)
+        for name in header:
+            if name not in offsets:
+                offsets[name] = end
+                end += np.dtype(kinds.get(name, "U1")).itemsize
+        dtype = np.dtype({
+            "names": [f"c{i}" for i in range(len(header))],
+            "formats": [kinds.get(name, "U1") for name in header],
+            "offsets": [offsets[name] for name in header],
+            "itemsize": end,
+        })
         with warnings.catch_warnings():
             # e.g. numpy < 2 reads an int64 cell '1.0' with a DeprecationWarning,
             # and an empty body with a UserWarning
@@ -362,9 +410,9 @@ def _load_csv_columns(path: str, schema: CsvSchema) -> Optional[WeightedDataset]
         and np.all((labels == "s") | (labels == "b"))
     ):
         return None
-    features = np.empty((table.size, len(feature_names)))
-    for j, name in enumerate(feature_names):
-        features[:, j] = column(name)
+    cells = np.dtype({"names": ["f"], "formats": [("f8", (len(feature_names),))],
+                      "itemsize": dtype.itemsize})
+    features = table.view(cells)["f"].copy()  # the (n, d) feature view, copied once
     if np.isnan(features).any():
         return None
     labels = np.where(labels == "s", 1, -1)
@@ -570,7 +618,7 @@ def write_submission(
     sel = _labels("selected", selected, DataError)
     if not (ids.shape == sc.shape == sel.shape) or ids.ndim != 1:
         raise DataError("event_ids, scores, and selected must be equal-length 1-D")
-    if np.unique(ids).size != ids.size:
+    if _has_duplicates(ids):
         raise DataError("duplicate event ids in submission")
     if not np.all(np.isfinite(sc)):
         raise DataError("submission scores must be finite")

@@ -34,6 +34,12 @@ class DegenerateInputError(AmsCascadeError):
     """An operation was asked to evaluate a mathematically undefined case."""
 
 
+def _shown(value) -> str:
+    """``repr(value)`` on one line: a refused value as the rules' messages
+    show it (a 2-D array's repr spans lines; a string's never does)."""
+    return " ".join(line.strip() for line in repr(value).splitlines())
+
+
 def _integer(name, value, least=None, error=ConfigError) -> int:
     """``value`` as an ``int``: the package's one rule for scalar counts and seeds.
 
@@ -44,7 +50,7 @@ def _integer(name, value, least=None, error=ConfigError) -> int:
         if least is None or value >= least:
             return int(value)
     bound = "" if least is None else f" >= {least}"
-    raise error(f"{name} must be an integer{bound}, got {value!r}")
+    raise error(f"{name} must be an integer{bound}, got {_shown(value)}")
 
 
 def _real(name, value, low=-math.inf, high=math.inf, *, open_low=False, open_high=False,
@@ -62,7 +68,7 @@ def _real(name, value, low=-math.inf, high=math.inf, *, open_low=False, open_hig
         if (low < x if open_low else low <= x) and (x < high if open_high else x <= high):
             return x
     interval = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
-    raise error(f"{name} must be a real number in {interval}, got {value!r}")
+    raise error(f"{name} must be a real number in {interval}, got {_shown(value)}")
 
 
 def _choice(name, value, options, error=ConfigError):
@@ -78,7 +84,7 @@ def _choice(name, value, options, error=ConfigError):
         for option in options:
             if value == option:
                 return option
-    raise error(f"{name} must be one of {options}, got {value!r}")
+    raise error(f"{name} must be one of {options}, got {_shown(value)}")
 
 
 # what each array dtype takes, as its messages say

@@ -291,6 +291,8 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
     labels = _labels("labels", dataset.labels)
     weights = _array("weights", dataset.weights, float)
     preds = _labels("predictions", predictions)
+    if weights.shape != labels.shape:
+        raise ValueError(f"weights shape {weights.shape} does not match labels {labels.shape}")
     if preds.shape != labels.shape:
         raise ValueError(
             f"predictions length {preds.shape} does not match dataset {labels.shape}"

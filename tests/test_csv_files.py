@@ -204,6 +204,14 @@ NAMED_CASES = {
     ),
     "label-as-feature": (HEADER + "1,0.5,1.0,s\n", False, CsvSchema(feature_columns=("Label",))),
     "id-as-feature": (HEADER + "+5,0.5,1.0,s\n", True, CsvSchema(feature_columns=("EventId",))),
+    # the fast path stores a record's feature cells together, so a column
+    # read as two features is left to the row parser
+    "repeated-feature": (HEADER + "1,0.5,1.0,s\n", True, CsvSchema(feature_columns=("x0", "x0"))),
+    "interleaved-features": (
+        "x1,Label,u,EventId,x0,Weight\n0.5,s,77,1,-999,2.0\n0.25,b,8,2,1.5,1.0\n",
+        True,
+        CsvSchema(feature_columns=("x0", "x1")),
+    ),
 }
 
 

@@ -41,6 +41,19 @@ CSV_TEXT = """EventId,a,b,Weight,Label
 """
 
 
+# where a repeated id falls once the ids are sorted, to an index of the
+# sorted unique ids that is repeated
+DUPLICATES = {"first": 0, "middle": 49_999, "last": -1}
+
+
+def _ids_with_duplicate(where, n=100_000):
+    """n shuffled ids, spanning int64, in which exactly one value occurs twice."""
+    rng = np.random.default_rng(11)
+    middle = np.unique(rng.integers(-(2**40), 2**40, 2 * n))[: n - 3]
+    distinct = np.concatenate(([-(2**63)], middle, [2**63 - 1]))
+    return rng.permutation(np.append(distinct, distinct[DUPLICATES[where]]))
+
+
 class TestWeightedDataset:
     def test_totals(self):
         data = tiny_dataset()
@@ -92,6 +105,18 @@ class TestWeightedDataset:
             )
 
 
+    @pytest.mark.parametrize("where", sorted(DUPLICATES))
+    def test_one_duplicate_in_many_ids_rejected(self, where):
+        ids = _ids_with_duplicate(where)
+        labels = np.where(np.arange(ids.size) % 2 == 0, 1, -1)
+        with pytest.raises(DataError, match="^event ids must be unique$"):
+            WeightedDataset(np.zeros((ids.size, 1)), labels, np.ones(ids.size), ids, ("x",))
+        data = WeightedDataset(
+            np.zeros((ids.size - 1, 1)), labels[1:], np.ones(ids.size - 1), np.unique(ids), ("x",)
+        )
+        with pytest.raises(DataError, match="^event ids must be unique$"):
+            data.take(np.append(np.arange(data.n), DUPLICATES[where] % data.n))
+
     def test_uint64_ids_above_int64_are_rejected(self, tmp_path):
         good = tiny_dataset()
 
@@ -134,6 +159,35 @@ def _dataset_of(features):
 CELLS = st.sampled_from([math.nan, -0.0, 0.0, 1.0, -2.5, math.inf]) | st.floats()
 
 
+def _assert_stable_order(features):
+    """The dataset's column order is each column's stable argsort of its
+    present values, the oracle, dtype included."""
+    order = _dataset_of(features)._column_order
+    assert len(order) == features.shape[1]
+    for col, rows in zip(features.T, order):
+        present = np.flatnonzero(~np.isnan(col))
+        expected = present[np.argsort(col[present], kind="stable")]
+        assert rows.dtype == expected.dtype
+        np.testing.assert_array_equal(rows, expected)
+        # independently: sorted by (value, row index), -0.0 tying 0.0
+        v = col[rows]
+        assert np.all((v[:-1] < v[1:]) | ((v[:-1] == v[1:]) & (rows[:-1] < rows[1:])))
+
+
+# column makers, rng and length to column, for columns past the SIMD sorts' thresholds
+LONG_COLUMNS = {
+    "random-6-decimals": lambda rng, n: np.round(rng.standard_normal(n), 6),
+    "4-valued": lambda rng, n: rng.integers(0, 4, n) * 1.5,
+    "constant": lambda rng, n: np.full(n, 2.5),
+    "presorted": lambda rng, n: np.sort(np.round(rng.standard_normal(n), 2)),
+    "reversed": lambda rng, n: -np.sort(np.round(rng.standard_normal(n), 2)),
+    "signed-zeros": lambda rng, n: rng.choice([-0.0, 0.0, 1.0, -math.inf, math.inf], n),
+    "nan": lambda rng, n: np.where(rng.random(n) < 0.3, math.nan, rng.integers(-3, 4, n) / 2.0),
+    "nan-and-inf": lambda rng, n: rng.choice([math.nan, -math.inf, -0.0, 0.0, 1.5, math.inf], n),
+    "all-nan": lambda rng, n: np.full(n, math.nan),
+}
+
+
 @st.composite
 def feature_matrices(draw):
     n = draw(st.integers(1, 12))
@@ -156,16 +210,15 @@ class TestColumnOrder:
     )
     @given(feature_matrices())
     def test_order_is_each_columns_stable_argsort(self, features):
-        order = _dataset_of(features)._column_order
-        assert len(order) == features.shape[1]
-        for col, rows in zip(features.T, order):
-            present = np.flatnonzero(~np.isnan(col))
-            expected = present[np.argsort(col[present], kind="stable")]
-            assert rows.dtype == expected.dtype
-            np.testing.assert_array_equal(rows, expected)
-            # independently: sorted by (value, row index), -0.0 tying 0.0
-            v = col[rows]
-            assert np.all((v[:-1] < v[1:]) | ((v[:-1] == v[1:]) & (rows[:-1] < rows[1:])))
+        _assert_stable_order(features)
+
+    @pytest.mark.parametrize("n", [1000, 4099])
+    @pytest.mark.parametrize("kind", sorted(LONG_COLUMNS))
+    def test_long_columns_match_the_stable_argsort(self, kind, n):
+        # long enough for numpy's SIMD argsort, whose order of equal values
+        # differs from the stable sort's until the ties are repaired
+        rng = np.random.default_rng(n)
+        _assert_stable_order(np.stack([LONG_COLUMNS[kind](rng, n) for _ in range(3)], axis=1))
 
     def test_all_nan_and_one_row_columns(self):
         order = _sorted_present_rows(np.array([[math.nan, -0.0, 3.0]]))
@@ -418,6 +471,15 @@ class TestSubmission:
     def test_duplicate_ids_rejected(self, tmp_path):
         with pytest.raises(DataError):
             write_submission(str(tmp_path / "s.csv"), [1, 1], [0.1, 0.2], [1, -1])
+
+    @pytest.mark.parametrize("where", sorted(DUPLICATES))
+    def test_one_duplicate_in_many_ids_rejected(self, tmp_path, where):
+        ids = _ids_with_duplicate(where)
+        path = tmp_path / "s.csv"
+        with pytest.raises(DataError, match="^duplicate event ids in submission$"):
+            write_submission(str(path), ids, np.zeros(ids.size), np.ones(ids.size, dtype=int))
+        assert not path.exists()
+        write_submission(str(path), np.unique(ids), np.zeros(ids.size - 1), np.ones(ids.size - 1))
 
     def test_round_trip_ranks(self, tmp_path):
         rng = np.random.default_rng(42)

@@ -923,12 +923,33 @@ def test_column_names_are_a_sequence_of_str(names, message):
          "weights must be real numbers, got an array of <U1"),
         (SimpleNamespace(labels=[1, -1], weights=[1 + 1j, 2.0]),
          "weights must be real numbers, got an array of complex128"),
+        (SimpleNamespace(labels=[1, -1], weights=[1.0]),
+         "weights shape (1,) does not match labels (2,)"),
     ],
-    ids=["labels", "weights-str", "weights-complex"],
+    ids=["labels", "weights-str", "weights-complex", "weights-shape"],
 )
 def test_confusion_summary_checks_its_datasets_arrays(events, message):
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         confusion_summary(events, [1, -1])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CascadeConfig(T=np.array([[1], [2]])),
+         "T must be an integer >= 1, got array([[1], [2]])"),
+        (lambda: SplitSpec(np.array([[0.1], [0.2]]), seed=0),
+         "validation_fraction must be a real number in (0, 1), got array([[0.1], [0.2]])"),
+        (lambda: CascadeConfig(variant=np.array([["fresh"], ["warmstart"]])),
+         "variant must be one of ('fresh', 'warmstart'), got "
+         "array([['fresh'], ['warmstart']], dtype='<U9')"),
+    ],
+    ids=["integer", "real", "choice"],
+)
+def test_a_refused_value_is_shown_on_one_line(call, message):
+    """A value whose repr spans lines, such as a 2-D array, is shown on one."""
+    with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+        call()
 
 
 def test_format_cascade_config_refuses_a_custom_measure():
