@@ -462,12 +462,19 @@ def _build_tree(
     max_depth: int,
     min_child_weight: float,
     root_rows: Sequence[np.ndarray],
+    scores: np.ndarray,
+    sample: Optional[np.ndarray] = None,
 ) -> Tree:
-    # root_rows[j] lists the rows where feature j is present, sorted by
-    # (value, row index).  A split filters every such list into its children
-    # through one row-membership mask; the filter keeps the order, so each
-    # node sees exactly the sequence a stable argsort of its own ascending
-    # rows would give, and every cumulative sum runs in the same order.
+    """The tree fit on the rows ``sample`` marks (all if None).
+
+    Every row is routed to its leaf, whose value is added to the row's entry
+    of ``scores`` in place, so ``scores`` gains ``tree.predict(features)``.
+    """
+    # root_rows[j] lists the sampled rows where feature j is present, sorted
+    # by (value, row index).  A split filters every such list into its
+    # children through one row-membership mask; the filter keeps the order,
+    # so each node sees exactly the sequence a stable argsort of its own
+    # ascending rows would give, and every cumulative sum runs in one order.
     n = features.shape[0]
     columns = np.ascontiguousarray(features.T)
     missing_cells = np.isnan(columns)
@@ -526,20 +533,23 @@ def _build_tree(
         return best
 
     def build(
-        idx: np.ndarray, sorted_rows: Optional[Sequence[np.ndarray]], depth: int
+        every: np.ndarray, sorted_rows: Optional[Sequence[np.ndarray]], depth: int
     ) -> None:
+        idx = every if sample is None else every[sample[every]]
         split = None if depth >= max_depth or idx.size < 2 else best_split(idx, sorted_rows)
         if split is None:
-            rows.append(_leaf_row(leaf_value(idx)))
+            value = leaf_value(idx)
+            rows.append(_leaf_row(value))
+            scores[every] += value
             return
         j, cut, miss_left = split
-        go_left = _goes_left(columns[j][idx], cut, miss_left)
+        go_left = _goes_left(columns[j][every], cut, miss_left)
         # children at the depth limit search no split, so need no lists; the
         # lists live along one root-to-node path, at most max_depth x d x n
         # entries
         left_rows = right_rows = None
         if depth + 1 < max_depth:
-            in_left[idx] = go_left
+            in_left[every] = go_left
             left_rows, right_rows = [], []
             for sorted_idx in sorted_rows:
                 side = in_left[sorted_idx]
@@ -547,9 +557,9 @@ def _build_tree(
                 right_rows.append(sorted_idx[~side])
         node = len(rows)
         rows.append(None)  # filled in once the left subtree's size is known
-        build(idx[go_left], left_rows, depth + 1)
+        build(every[go_left], left_rows, depth + 1)
         rows[node] = (j, cut, node + 1, len(rows), miss_left, 0.0)
-        build(idx[~go_left], right_rows, depth + 1)
+        build(every[~go_left], right_rows, depth + 1)
 
     build(np.arange(n), root_rows, 0)
     return Tree._from_rows(rows)
@@ -587,22 +597,19 @@ def _fit_round(
     config: LearnerConfig,
     round_index: int,
 ) -> Tree:
-    features, root_rows = dataset.features, dataset._column_order
+    """The round's tree fit at ``scores``, whose output it adds to them."""
     g = surrogate_gradient(cost_arr, dataset.labels, scores)
     h = surrogate_hessian(cost_arr, dataset.labels, scores)
-    n = dataset.n
+    root_rows, sample = dataset._column_order, None
     if config.subsample < 1.0:
         rng = _round_rng(config.seed, round_index)
-        m = max(1, int(round(config.subsample * n)))
-        rows = np.sort(rng.permutation(n)[:m])
-        # renumber each sorted list to subsample positions, dropping the rows
-        # not sampled; rows ascend, so the order stays (value, row index)
-        position = np.full(n, -1)
-        position[rows] = np.arange(m)
-        root_rows = [kept[kept >= 0] for kept in (position[r] for r in root_rows)]
-        features, g, h, cost_arr = features[rows], g[rows], h[rows], cost_arr[rows]
+        m = max(1, int(round(config.subsample * dataset.n)))
+        sample = np.zeros(dataset.n, dtype=bool)
+        sample[rng.permutation(dataset.n)[:m]] = True
+        # the filter keeps each list's (value, row index) order
+        root_rows = [r[sample[r]] for r in root_rows]
     return _build_tree(
-        features,
+        dataset.features,
         g,
         h,
         cost_arr,
@@ -610,6 +617,8 @@ def _fit_round(
         config.depth,
         config.min_child_weight,
         root_rows,
+        scores,
+        sample,
     )
 
 
@@ -617,38 +626,20 @@ def train(dataset: WeightedDataset, costs: CostVector, config: LearnerConfig) ->
     """Fit a model minimizing the cost-weighted logistic surrogate.
 
     Boosting kinds run ``config.rounds`` rounds of Newton-step regression
-    trees; the logistic kind ignores rounds and fits by damped Newton
+    trees, whose grower adds each tree's output to the running training
+    scores; the logistic kind ignores rounds and fits by damped Newton
     iterations.  Deterministic given ``config.seed``.
     """
     _check_training_inputs(dataset, costs)
     if config.kind == "logistic":
         return _train_logistic(dataset, costs)
     base = _base_score(costs.costs, dataset.labels)
-    model = Model(kind=config.kind, n_features=dataset.d, base_score=base)
     scores = np.full(dataset.n, base, dtype=float)
-    for _ in range(config.rounds):
-        model, tree = _grow(model, dataset, costs, scores, config)
-        scores = scores + tree.predict(dataset.features)
-    return model
-
-
-def _grow(
-    model: Model,
-    dataset: WeightedDataset,
-    costs: CostVector,
-    scores: np.ndarray,
-    config: LearnerConfig,
-) -> tuple[Model, Tree]:
-    """``model`` grown by one tree fit at ``scores``, and that tree.
-
-    The grown model extends its predecessor's node table only when the
-    predecessor already holds one; otherwise it builds its own on first use.
-    """
-    tree = _fit_round(dataset, costs.costs, scores, config, model.n_trees)
-    grown = replace(model, trees=model.trees + (tree,))
-    if "_node_table" in vars(model):
-        grown.__dict__["_node_table"] = model._node_table.extended(tree)
-    return grown, tree
+    trees = []
+    for round_index in range(config.rounds):
+        # the round's grower adds the new tree's output to scores
+        trees.append(_fit_round(dataset, costs.costs, scores, config, round_index))
+    return Model(kind=config.kind, n_features=dataset.d, base_score=base, trees=trees)
 
 
 def boost_one_round(
@@ -665,8 +656,13 @@ def boost_one_round(
             f"learner kind mismatch: model is {model.kind!r}, config is {config.kind!r}"
         )
     _check_training_inputs(dataset, costs)
-    # predict_scores builds or reuses the node table that _grow extends
-    return _grow(model, dataset, costs, predict_scores(model, dataset), config)[0]
+    tree = _fit_round(dataset, costs.costs, predict_scores(model, dataset), config, model.n_trees)
+    grown = replace(model, trees=model.trees + (tree,))
+    # predict_scores built or reused the model's table, if it has trees; the
+    # grown model extends it instead of laying out every tree again
+    if "_node_table" in vars(model):
+        grown.__dict__["_node_table"] = model._node_table.extended(tree)
+    return grown
 
 
 def empty_model(kind: str, n_features: int, base_score: float = 0.0) -> Model:
@@ -717,16 +713,21 @@ def _train_logistic(dataset: WeightedDataset, costs: CostVector) -> Model:
     beta = np.zeros(design.shape[1])
     ridge = 1e-8 * np.eye(design.shape[1])
     for _ in range(100):
-        f = design @ beta
-        grad = design.T @ surrogate_gradient(c, y, f)
-        hess = (design * surrogate_hessian(c, y, f)[:, None]).T @ design
         try:
-            step = np.linalg.solve(hess + ridge, grad)
+            with np.errstate(over="raise", invalid="raise"):
+                f = design @ beta
+                grad = design.T @ surrogate_gradient(c, y, f)
+                hess = (design * surrogate_hessian(c, y, f)[:, None]).T @ design
+                step = np.linalg.solve(hess + ridge, grad)
+                beta = beta - step
         except np.linalg.LinAlgError:
             raise TrainingError(
                 "logistic Newton step failed: the Hessian is singular at these weights"
             ) from None
-        beta = beta - step
+        except FloatingPointError:
+            raise TrainingError(
+                "logistic Newton step failed: it overflows at these features and weights"
+            ) from None
         if float(np.max(np.abs(step))) < 1e-10:
             break
     return Model(

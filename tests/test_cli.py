@@ -644,6 +644,26 @@ class TestTrainingErrors:
             "cascade error: example costs exceed a total of 1e+150 at u = "
         ), err
 
+    def test_logistic_newton_overflow_exits_3(self, tmp_path, capsys):
+        # features near 1e300 under weights near 1e20 used to overflow the
+        # logistic Newton step's matmul: a warning, then a NaN base_score
+        # that Model rejected with a traceback.  Warnings are errors here
+        cells, weights = ["1e300", "-1e300", "3e299", "-2e299"], ["1e20", "5e19", "1"]
+        lines = ["EventId,x0,Weight,Label"]
+        for i in range(12):
+            lines.append(f"{i},{cells[i % 4]},{weights[i % 3]},{'s' if i % 2 else 'b'}")
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "logistic.cfg"
+        config.write_text("learner.kind = logistic\n")
+        argv = ["cascade", "--data", str(data), "--config", str(config), "--T", "2"]
+        assert run_cli(argv + ["--out-dir", str(tmp_path / "run")]) == 3
+        captured = capsys.readouterr()
+        assert "RESULT" not in captured.out
+        assert captured.err.splitlines() == [
+            "cascade error: logistic Newton step failed: it overflows at these features and weights"
+        ]
+
 
 # argv whose output paths or config file are unusable; the placeholders
 # name files and directories under tmp_path

@@ -804,6 +804,12 @@ def _tree_depth(tree, node=0):
     )
 
 
+def _exact_tree(features, *args):
+    """``_build_tree`` on every row of ``features``, from their sorted lists."""
+    n = features.shape[0]
+    return _build_tree(features, *args, _sorted_present_rows(features), np.zeros(n))
+
+
 class TestSplitSearchOracle:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("depth", [1, 3, 5])
@@ -816,7 +822,7 @@ class TestSplitSearchOracle:
         features, g, h, costs = _split_search_inputs(seed, zero_cost_share=zero_cost_share)
         args = (features, g, h, costs, 0.3, depth, min_child_weight)
         expected = _reference_build_tree(*args)
-        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
+        assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(expected)
 
     def test_inputs_cover_both_missing_sides_and_ties(self):
         # the oracle cases above only show agreement if they reach both
@@ -847,7 +853,7 @@ class TestSplitSearchOracle:
         args = (features, g, h, costs, 0.3, 3, float(costs.sum()))
         expected = _reference_build_tree(*args)
         assert expected.n_nodes == 1
-        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
+        assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(expected)
 
     def test_fewer_than_two_present_rows(self):
         features = np.array([[np.nan], [np.nan], [3.0], [np.nan]])
@@ -856,7 +862,7 @@ class TestSplitSearchOracle:
         args = (features, g, h, np.ones(4), 0.3, 3, 0.0)
         expected = _reference_build_tree(*args)
         assert expected.n_nodes == 1
-        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
+        assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(expected)
 
     def test_child_with_fewer_than_two_present_rows(self):
         # the root splits on column 0; in its left child column 1 has one
@@ -877,7 +883,7 @@ class TestSplitSearchOracle:
         expected = _reference_build_tree(*args)
         assert expected.feature[0] == 0 and expected.threshold[0] == 1.0
         assert expected.feature[1] == 3
-        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
+        assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(expected)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_ties_straddling_the_cut(self, seed):
@@ -898,7 +904,7 @@ class TestSplitSearchOracle:
         args = (features, g, h, np.ones(n), 0.3, 3, 0.0)
         expected = _reference_build_tree(*args)
         assert expected.feature[0] == 0 and expected.threshold[0] == 1.0
-        assert _tree_bytes(_build_tree(*args, _sorted_present_rows(features))) == _tree_bytes(expected)
+        assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(expected)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_subsampled_round(self, seed):
@@ -912,7 +918,8 @@ class TestSplitSearchOracle:
             kind="tree-boost", learning_rate=0.3, max_depth=4, min_child_weight=0.0,
             seed=seed, subsample=0.7,
         )
-        tree = learner_module._fit_round(_dataset_of(features, labels), costs, scores, config, 2)
+        dataset = _dataset_of(features, labels)
+        tree = learner_module._fit_round(dataset, costs, scores.copy(), config, 2)
         rows = np.sort(learner_module._round_rng(seed, 2).permutation(n)[:round(0.7 * n)])
         g = surrogate_gradient(costs, labels, scores)[rows]
         h = surrogate_hessian(costs, labels, scores)[rows]
@@ -922,8 +929,9 @@ class TestSplitSearchOracle:
 
     @pytest.mark.parametrize("subsample", [0.3, 0.7, 0.01])
     def test_subsample_lists_are_the_samples_own_order(self, subsample, monkeypatch):
-        # _fit_round filters the full set's lists down to the sampled rows;
-        # they must equal the order of the sample's own feature matrix
+        # _fit_round marks the sampled rows and filters the full set's lists
+        # down to them; they must equal the order of the sample's own feature
+        # matrix, in the full set's row numbers
         features, _, _, costs = _split_search_inputs(1)
         features[::7, 2] = -0.0
         features[::5, 2] = 0.0
@@ -937,12 +945,14 @@ class TestSplitSearchOracle:
         learner_module._fit_round(dataset, costs, np.zeros(n), config, 1)
         rows = np.sort(learner_module._round_rng(4, 1).permutation(n)[:max(1, round(subsample * n))])
         (args,) = grown
-        np.testing.assert_array_equal(args[0], features[rows])
+        root_rows, sample = args[7], args[9]
+        assert args[0] is dataset.features
+        np.testing.assert_array_equal(np.flatnonzero(sample), rows)
         expected = _sorted_present_rows(features[rows])
-        assert len(args[-1]) == len(expected)
-        for got, want in zip(args[-1], expected):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        assert len(root_rows) == len(expected)
+        for got, order in zip(root_rows, expected):
+            assert got.dtype == order.dtype
+            np.testing.assert_array_equal(got, rows[order])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_overflowing_gains(self, seed):
@@ -954,8 +964,32 @@ class TestSplitSearchOracle:
         args = (features, g, h, costs, 0.3, 3, 0.0)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = _reference_build_tree(*args)
-            got = _build_tree(*args, _sorted_present_rows(features))
+            got = _exact_tree(*args)
         assert _tree_bytes(got) == _tree_bytes(expected)
+
+
+class TestGrowerOutput:
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("subsample", [1.0, 0.7, 0.05])
+    def test_scores_gain_the_trees_output(self, subsample, depth):
+        # the grower routes every row, sampled or not, NaN cells and -0.0
+        # cells tied with 0.0 included, to its leaf, and adds the leaf's value
+        # to the row's score
+        features, _, _, costs = _split_search_inputs(depth, n=200)
+        zeros = np.flatnonzero(features[:, 0] == 0.0)
+        features[zeros[::2], 0] = -0.0
+        n = features.shape[0]
+        labels = np.where(np.arange(n) % 3 == 0, 1, -1)
+        scores = np.random.default_rng(depth).normal(0.0, 0.5, size=n)
+        config = LearnerConfig(
+            kind="tree-boost", learning_rate=0.3, max_depth=depth, min_child_weight=0.0,
+            seed=5, subsample=subsample,
+        )
+        dataset = _dataset_of(features, labels)
+        grown = scores.copy()
+        tree = learner_module._fit_round(dataset, costs, grown, config, 3)
+        assert tree.n_nodes > 1
+        assert grown.tobytes() == (scores + tree.predict(features)).tobytes()
 
 
 def _reference_predict(tree, features):
@@ -1261,6 +1295,23 @@ class TestPredictionOracle:
         data = gaussian_data(40, 40, seed=3)
         model = train(data, uniform_costs(data), LearnerConfig(kind="tree-boost", rounds=3))
         assert "_node_table" not in vars(model)
+
+    def test_train_builds_no_table(self, monkeypatch):
+        # the grower adds each new tree's output to the training scores, so
+        # train scores no tree through a node table
+        built = []
+
+        class Spy(learner_module._NodeTable):
+            def __init__(self, trees):
+                built.append(trees)
+                super().__init__(trees)
+
+        monkeypatch.setattr(learner_module, "_NodeTable", Spy)
+        data = gaussian_data(40, 40, seed=3)
+        for subsample in (1.0, 0.5):
+            config = LearnerConfig(kind="tree-boost", rounds=3, subsample=subsample)
+            assert train(data, uniform_costs(data), config).n_trees == 3
+        assert built == []
 
     def test_boosted_model_extends_the_prior_table(self):
         data = gaussian_data(40, 40, seed=3)
