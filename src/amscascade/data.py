@@ -97,6 +97,20 @@ def _has_duplicates(ids: np.ndarray) -> bool:
     return bool((ids[1:] == ids[:-1]).any())
 
 
+def _names(what: str, value, error) -> tuple[str, ...]:
+    """``value`` as a tuple of str: the rule for a sequence of column names.
+
+    A string (a sequence of its characters) or a non-sequence, or an entry
+    other than a str, raises ``error`` with a one-line message.
+    """
+    if isinstance(value, str) or not isinstance(value, Sequence):
+        raise error(f"{what} must be a sequence of str, got {type(value).__name__}")
+    for name in value:
+        if not isinstance(name, str):
+            raise error(f"{what} must be str, got {type(name).__name__}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class WeightedDataset:
     """Immutable weighted binary-classification dataset.
@@ -104,7 +118,7 @@ class WeightedDataset:
     Attributes:
         features: (n, d) float array; NaN marks a missing value.
         labels: (n,) int array with values in {-1, +1}.
-        weights: (n,) positive float array.
+        weights: (n,) positive float array with a finite total.
         event_ids: (n,) unique int array.
         column_names: d feature-column names, a sequence of str held as a tuple.
     """
@@ -121,13 +135,8 @@ class WeightedDataset:
         object.__setattr__(self, "labels", labels)
         weights = _freeze_field(self, "weights", float, DataError)
         event_ids = _freeze_field(self, "event_ids", np.int64, DataError)
-        names = self.column_names
-        if isinstance(names, str) or not isinstance(names, Sequence):
-            raise DataError(f"column names must be a sequence of str, got {type(names).__name__}")
-        object.__setattr__(self, "column_names", tuple(names))
-        for name in self.column_names:
-            if not isinstance(name, str):
-                raise DataError(f"column names must be str, got {type(name).__name__}")
+        names = _names("column names", self.column_names, DataError)
+        object.__setattr__(self, "column_names", names)
         n = features.shape[0] if features.ndim == 2 else -1
         if features.ndim != 2:
             raise DataError("features must be a 2-D array")
@@ -145,6 +154,9 @@ class WeightedDataset:
                 raise DataError(f"{name} must have shape ({n},), got {arr.shape}")
         if not np.all(weights > 0.0):
             raise DataError("all weights must be strictly positive")
+        with np.errstate(over="ignore"):  # a total past the float range is inf
+            total = float(weights.sum())
+        _real("weight total", total, 0.0, open_high=True, error=DataError)
         if _has_duplicates(event_ids):
             raise DataError("event ids must be unique")
 
@@ -185,12 +197,26 @@ class WeightedDataset:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column-role mapping for the CSV interchange format."""
+    """Column-role mapping for the CSV interchange format.
+
+    The three role names are str; ``feature_columns`` is None or a sequence
+    of str other than a string, held as a tuple.  Anything else raises
+    ConfigError.
+    """
 
     id_column: str = "EventId"
     weight_column: str = "Weight"
     label_column: str = "Label"
     feature_columns: Optional[tuple[str, ...]] = None  # None: all other columns
+
+    def __post_init__(self) -> None:
+        for role in ("id_column", "weight_column", "label_column"):
+            name = getattr(self, role)
+            if not isinstance(name, str):
+                raise ConfigError(f"{role} must be str, got {type(name).__name__}")
+        if self.feature_columns is not None:
+            names = _names("feature_columns", self.feature_columns, ConfigError)
+            object.__setattr__(self, "feature_columns", names)
 
 
 @dataclass(frozen=True)

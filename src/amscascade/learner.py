@@ -647,8 +647,11 @@ def boost_one_round(
 ) -> Model:
     """Append exactly one tree fit to the current surrogate gradient.
 
-    Prior trees are untouched, so k calls starting from an empty model
-    reproduce train(rounds=k) bit-exactly for equal seeds.
+    Prior trees are untouched, and the new tree is fit as train() fits its
+    round ``model.n_trees``.  So for equal costs and config, k calls on
+    train(rounds=j) give train(rounds=j + k) bit-exactly.  From a treeless
+    model they give train(rounds=k) only if it carries train()'s base score
+    for those costs; empty_model's default base score, 0.0, is not that.
     """
     _choice("boosted model kind", model.kind, _BOOSTING_KINDS, TrainingError)
     if model.kind != config.kind:
@@ -666,7 +669,7 @@ def boost_one_round(
 
 
 def empty_model(kind: str, n_features: int, base_score: float = 0.0) -> Model:
-    """A treeless boosting model, the warm-start zero point."""
+    """A treeless boosting model that scores ``base_score`` everywhere."""
     kind = _choice("empty_model kind", kind, _BOOSTING_KINDS, ValueError)
     return Model(kind=kind, n_features=n_features, base_score=base_score)
 
@@ -788,6 +791,9 @@ def hard_labels(scores: np.ndarray, threshold: float) -> np.ndarray:
 
 
 _FORMAT_HEADER = "amscascade model format 1"
+# a logistic model's vector blocks, as save_model writes and load_model
+# reads them: (header keyword, entry keyword, Model field)
+_VECTOR_BLOCKS = (("coefficients", "c", "coefficients"), ("impute", "i", "impute_values"))
 
 
 def save_model(model: Model, path: str) -> None:
@@ -800,12 +806,10 @@ def save_model(model: Model, path: str) -> None:
         f"threshold {model.threshold!r}",
     ]
     if model.kind == "logistic":
-        lines.append(f"coefficients {model.n_features}")
-        for j in range(model.n_features):
-            lines.append(f"c {j} {float(model.coefficients[j])!r}")
-        lines.append(f"impute {model.n_features}")
-        for j in range(model.n_features):
-            lines.append(f"i {j} {float(model.impute_values[j])!r}")
+        for header, prefix, name in _VECTOR_BLOCKS:
+            vector = getattr(model, name)
+            lines.append(f"{header} {model.n_features}")
+            lines += (f"{prefix} {j} {float(vector[j])!r}" for j in range(model.n_features))
     else:
         lines.append(f"trees {model.n_trees}")
         for t, tree in enumerate(model.trees):
@@ -825,35 +829,6 @@ def save_model(model: Model, path: str) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-class _LineReader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise DataError("model file truncated")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, prefix: str) -> list[str]:
-        line = self.next()
-        parts = line.split()
-        if not line.startswith(prefix + " ") and line != prefix:
-            raise DataError(f"model file: expected {prefix!r}, got {line!r}")
-        return parts
-
-    def indexed(self, prefix: str, position: int) -> list[str]:
-        # trees, nodes and vector entries are numbered by their position
-        parts = self.expect(prefix)
-        if int(parts[1]) != position:
-            raise DataError(
-                f"model file: expected {prefix} {position}, got {' '.join(parts)!r}"
-            )
-        return parts
-
-
 def load_model(path: str) -> Model:
     """Parse a model saved by save_model.
 
@@ -864,66 +839,62 @@ def load_model(path: str) -> Model:
             lines = [line.rstrip("\n") for line in handle]
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read model {path!r}: {exc}") from None
+    if lines[:1] != [_FORMAT_HEADER]:
+        raise DataError(f"{path!r} is not a model file (bad header)" if lines
+                        else "model file truncated")
+    rest = iter(lines[1:])
+
+    def fields(prefix: str, position: Optional[int] = None) -> list[str]:
+        # the next line's fields; trees, nodes and vector entries are
+        # numbered by their position
+        line = next(rest, None)
+        if line is None:
+            raise DataError("model file truncated")
+        parts = line.split()
+        if not line.startswith(prefix + " ") and line != prefix:
+            raise DataError(f"model file: expected {prefix!r}, got {line!r}")
+        if position is not None and int(parts[1]) != position:
+            raise DataError(f"model file: expected {prefix} {position}, got {' '.join(parts)!r}")
+        return parts
+
+    def count(prefix: str, noun: str) -> int:
+        # Model checks a vector's count against the feature count
+        n = int(fields(prefix)[1])
+        if n < 0:
+            raise DataError(f"model file: negative {noun} count {n}")
+        return n
+
+    def node(k: int) -> tuple:
+        parts = fields("node", k)
+        if parts[2] == "leaf":
+            return _leaf_row(float(parts[3]))
+        if parts[2] != "split":
+            raise DataError(f"model file: bad node line {parts!r}")
+        j, left, right = int(parts[3]), int(parts[5]), int(parts[6])
+        if not 0 <= j < n_features:
+            raise DataError(f"model file: node {k} splits on feature {j} of {n_features}")
+        if parts[7] not in ("left", "right"):
+            raise DataError(f"model file: node {k} sends missing values to {parts[7]!r}")
+        return (j, float(parts[4]), left, right, parts[7] == "left", 0.0)
+
     try:
-        return _parse_model(_LineReader(lines), path)
+        kind = fields("kind")[1]
+        n_features = int(fields("features")[1])
+        base_score = float(fields("base_score")[1])
+        threshold = float(fields("threshold")[1])
+        trees, vectors = [], {}
+        if kind == "logistic":
+            for header, prefix, name in _VECTOR_BLOCKS:
+                entries = range(count(header, header))
+                vectors[name] = np.array([float(fields(prefix, j)[2]) for j in entries])
+        else:
+            for t in range(count("trees", "tree")):
+                n_nodes = int(fields("tree", t)[3])
+                trees.append(Tree._from_rows([node(k) for k in range(n_nodes)]))
+        if fields("end") != ["end"]:
+            raise DataError("model file: missing end marker")
+        return Model(kind, n_features, base_score, threshold, trees, **vectors)
     except (ValueError, IndexError) as exc:
         # int()/float() on a bad field, a short line, an out-of-range index,
         # a tree that Tree rejects
         raise DataError(f"model file {path!r}: malformed field ({exc})") from None
-
-
-def _parse_vector(reader: _LineReader, header: str, prefix: str) -> np.ndarray:
-    # Model checks the count against the feature count
-    count = int(reader.expect(header)[1])
-    if count < 0:
-        raise DataError(f"model file: negative {header} count {count}")
-    return np.array([float(reader.indexed(prefix, j)[2]) for j in range(count)])
-
-
-def _parse_tree(reader: _LineReader, position: int, n_features: int) -> Tree:
-    n_nodes = int(reader.indexed("tree", position)[3])
-    rows = []
-    for k in range(n_nodes):
-        parts = reader.indexed("node", k)
-        if parts[2] == "leaf":
-            rows.append(_leaf_row(float(parts[3])))
-        elif parts[2] == "split":
-            j, left, right = int(parts[3]), int(parts[5]), int(parts[6])
-            if not 0 <= j < n_features:
-                raise DataError(f"model file: node {k} splits on feature {j} of {n_features}")
-            if parts[7] not in ("left", "right"):
-                raise DataError(f"model file: node {k} sends missing values to {parts[7]!r}")
-            rows.append((j, float(parts[4]), left, right, parts[7] == "left", 0.0))
-        else:
-            raise DataError(f"model file: bad node line {parts!r}")
-    return Tree._from_rows(rows)
-
-
-def _parse_model(reader: _LineReader, path: str) -> Model:
-    if reader.next() != _FORMAT_HEADER:
-        raise DataError(f"{path!r} is not a model file (bad header)")
-    kind = reader.expect("kind")[1]
-    n_features = int(reader.expect("features")[1])
-    base_score = float(reader.expect("base_score")[1])
-    threshold = float(reader.expect("threshold")[1])
-    trees: tuple[Tree, ...] = ()
-    coefficients = impute = None
-    if kind == "logistic":
-        coefficients = _parse_vector(reader, "coefficients", "c")
-        impute = _parse_vector(reader, "impute", "i")
-    else:
-        n_trees = int(reader.expect("trees")[1])
-        if n_trees < 0:
-            raise DataError(f"model file: negative tree count {n_trees}")
-        trees = tuple(_parse_tree(reader, t, n_features) for t in range(n_trees))
-    if reader.expect("end") != ["end"]:
-        raise DataError("model file: missing end marker")
-    return Model(
-        kind=kind,
-        n_features=n_features,
-        base_score=base_score,
-        threshold=threshold,
-        trees=trees,
-        coefficients=coefficients,
-        impute_values=impute,
-    )

@@ -598,6 +598,31 @@ class TestNumericInputErrors:
         err = capsys.readouterr().err
         assert err == "config error: config key 'd': cannot parse 'oops' as int\n"
 
+    @pytest.mark.parametrize("command", ["cascade", "eval"])
+    def test_weight_total_past_the_float_range_exits_2(self, tmp_path, capsys, command):
+        # six weights of 1.7e308 are each finite, but their total is not:
+        # cascade used to warn twice and blame the weights' sign, eval to
+        # raise a bare ValueError.  Warnings are errors here
+        lines = ["EventId,x0,Weight,Label"]
+        for i in range(12):
+            lines.append(f"{i},{i * 0.5},{'1.7e308' if i < 6 else '1.0'},{'sb'[i % 2]}")
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.txt"
+        save_model(empty_model("tree-boost", n_features=1), str(model))
+        out = tmp_path / "run"
+        argv = {
+            "cascade": ["cascade", "--data", str(data), "--out-dir", str(out)],
+            "eval": ["eval", "--model", str(model), "--data", str(data)],
+        }[command]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert "RESULT" not in captured.out
+        assert captured.err.splitlines() == [
+            "data error: weight total must be a real number in [0, inf), got inf"
+        ]
+        assert not out.exists()
+
 
 class TestTrainingErrors:
     def test_singular_logistic_newton_step_exits_3(self, tmp_path, capsys):

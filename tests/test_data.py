@@ -104,6 +104,23 @@ class TestWeightedDataset:
                 column_names=("a",),
             )
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[math.inf, 1.0, 1.0, 1.0], [1e308, 1.0, 1e308, 1.0], [1.7e308] * 4],
+        ids=["inf", "two-overflow", "all-overflow"],
+    )
+    def test_weight_total_past_the_float_range_rejected(self, weights):
+        good = tiny_dataset()
+        with pytest.raises(DataError) as caught:
+            WeightedDataset(good.features, good.labels, np.array(weights), good.event_ids,
+                            good.column_names)
+        assert str(caught.value) == "weight total must be a real number in [0, inf), got inf"
+
+    def test_weight_total_near_the_float_limit_accepted(self):
+        good = tiny_dataset()
+        data = WeightedDataset(good.features, good.labels, np.full(4, 4e307), good.event_ids,
+                               good.column_names)
+        assert data.signal_total == 8e307 and data.background_total == 8e307
 
     @pytest.mark.parametrize("where", sorted(DUPLICATES))
     def test_one_duplicate_in_many_ids_rejected(self, where):
@@ -270,6 +287,14 @@ class TestLoadCsv:
             with pytest.raises(DataError, match="line 3"):
                 load_csv(str(path))
 
+    def test_weight_total_past_the_float_range_rejected(self, tmp_path):
+        # each cell passes the per-row check; the dataset refuses the total
+        path = tmp_path / "big.csv"
+        path.write_text("EventId,a,Weight,Label\n1,2.0,1.7e308,s\n2,3.0,1.7e308,b\n")
+        with pytest.raises(DataError, match=r"^weight total must be a real number in \[0, inf\), "
+                           r"got inf$"):
+            load_csv(str(path))
+
     def test_unparseable_numeric_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         # only -999.0 marks a missing value; a literal NaN cell is an error
@@ -310,6 +335,45 @@ class TestLoadCsv:
         third = tmp_path / "three.csv"
         write_csv(again, str(third))
         assert second.read_bytes() == third.read_bytes()
+
+
+class TestCsvSchema:
+    def test_names_are_held_as_given_and_feature_lists_as_tuples(self):
+        schema = CsvSchema("id", "w", "y", ["b", "a"])
+        assert schema == CsvSchema("id", "w", "y", ("b", "a"))
+        assert type(schema.feature_columns) is tuple
+        assert CsvSchema().feature_columns is None
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"feature_columns": "x0"}, "feature_columns must be a sequence of str, got str"),
+            ({"feature_columns": 3}, "feature_columns must be a sequence of str, got int"),
+            ({"feature_columns": np.array(["x0"])},
+             "feature_columns must be a sequence of str, got ndarray"),
+            ({"feature_columns": ("x0", 1)}, "feature_columns must be str, got int"),
+            ({"feature_columns": b"x0"}, "feature_columns must be str, got int"),
+            ({"id_column": None}, "id_column must be str, got NoneType"),
+            ({"weight_column": 1}, "weight_column must be str, got int"),
+            ({"label_column": ("Label",)}, "label_column must be str, got tuple"),
+        ],
+        ids=["string-features", "int-features", "array-features", "int-feature",
+             "bytes-features", "none-id", "int-weight", "tuple-label"],
+    )
+    def test_refused_value_is_config_error(self, fields, message):
+        with pytest.raises(ConfigError) as caught:
+            CsvSchema(**fields)
+        assert str(caught.value) == message
+
+    def test_string_feature_columns_no_longer_load_its_characters(self, tmp_path):
+        # a string was read as the columns of its characters, x and 0
+        path = tmp_path / "toy.csv"
+        path.write_text("EventId,x,0,x0,Weight,Label\n1,1.0,2.0,3.0,1.0,s\n2,4.0,5.0,6.0,1.0,b\n")
+        assert load_csv(str(path), CsvSchema(feature_columns=("x0",))).features.tolist() == [
+            [3.0], [6.0]
+        ]
+        with pytest.raises(ConfigError, match="got str$"):
+            load_csv(str(path), CsvSchema(feature_columns="x0"))
 
 
 class TestSplit:

@@ -331,7 +331,7 @@ class TestTrain:
 
 
 class TestWarmStart:
-    def test_bit_exact_equivalence(self):
+    def test_bit_exact_equivalence(self, tmp_path):
         data = gaussian_data(400, 400, seed=21)
         costs = make_cost_vector(data, 0.8, AMS2)
         for config in (
@@ -339,13 +339,21 @@ class TestWarmStart:
             LearnerConfig(kind="stump-boost", rounds=6, seed=3, subsample=0.8),
         ):
             full = train(data, costs, config)
-            model = train(data, costs, replace(config, rounds=1))
-            for _ in range(5):
-                model = boost_one_round(model, data, costs, config)
-            assert model.n_trees == full.n_trees == 6
-            np.testing.assert_array_equal(
-                predict_scores(model, data), predict_scores(full, data)
-            )
+            # from one trained round, and from no tree at train()'s base score
+            for model, calls in (
+                (train(data, costs, replace(config, rounds=1)), 5),
+                (empty_model(config.kind, data.d, full.base_score), 6),
+            ):
+                for _ in range(calls):
+                    model = boost_one_round(model, data, costs, config)
+                assert model.n_trees == full.n_trees == 6
+                np.testing.assert_array_equal(
+                    predict_scores(model, data), predict_scores(full, data)
+                )
+                warm, cold = tmp_path / "warm.txt", tmp_path / "cold.txt"
+                save_model(model, str(warm))
+                save_model(full, str(cold))
+                assert warm.read_bytes() == cold.read_bytes()
 
     def test_appends_exactly_one_tree(self):
         data = gaussian_data(50, 50)

@@ -196,3 +196,57 @@ def test_nan_cuts_and_scores_are_data_errors(tmp_path, line, bad):
     with pytest.raises(DataError) as caught:
         load_model(str(path))
     assert "\n" not in str(caught.value)
+
+
+_TREE_FILE = (
+    "amscascade model format 1\nkind tree-boost\nfeatures 2\nbase_score 0.25\n"
+    "threshold 0.0\ntrees 1\ntree 0 nodes 3\nnode 0 split 1 0.5 1 2 left\n"
+    "node 1 leaf 1.0\nnode 2 leaf 2.0\nend\n"
+)
+_LOGISTIC_FILE = (
+    "amscascade model format 1\nkind logistic\nfeatures 2\nbase_score 0.25\n"
+    "threshold 0.0\ncoefficients 2\nc 0 1.5\nc 1 -0.5\nimpute 2\ni 0 0.0\ni 1 3.0\nend\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, old, new, message",
+    [
+        (_TREE_FILE, "end\n", "", "model file truncated"),
+        (_TREE_FILE, _TREE_FILE, "", "model file truncated"),
+        (_TREE_FILE, "format 1", "format 2", "{path!r} is not a model file (bad header)"),
+        (_TREE_FILE, "features 2", "feature 2",
+         "model file: expected 'features', got 'feature 2'"),
+        (_TREE_FILE, "node 2 leaf", "node 3 leaf",
+         "model file: expected node 2, got 'node 3 leaf 2.0'"),
+        (_LOGISTIC_FILE, "c 1 -0.5", "c 0 -0.5", "model file: expected c 1, got 'c 0 -0.5'"),
+        (_TREE_FILE, "trees 1", "trees -1", "model file: negative tree count -1"),
+        (_LOGISTIC_FILE, "coefficients 2", "coefficients -1",
+         "model file: negative coefficients count -1"),
+        (_LOGISTIC_FILE, "impute 2", "impute -2", "model file: negative impute count -2"),
+        (_TREE_FILE, "node 1 leaf", "node 1 stem",
+         "model file: bad node line ['node', '1', 'stem', '1.0']"),
+        (_TREE_FILE, "split 1 0.5", "split 2 0.5", "model file: node 0 splits on feature 2 of 2"),
+        (_TREE_FILE, "1 2 left", "1 2 up", "model file: node 0 sends missing values to 'up'"),
+        (_TREE_FILE, "end", "end now", "model file: missing end marker"),
+        (_TREE_FILE, "base_score 0.25", "base_score x",
+         "model file {path!r}: malformed field (could not convert string to float: 'x')"),
+        (_LOGISTIC_FILE, "kind logistic", "kind",
+         "model file {path!r}: malformed field (list index out of range)"),
+    ],
+    ids=[
+        "truncated", "empty", "bad-header", "expected-keyword", "expected-node-position",
+        "expected-entry-position", "negative-trees", "negative-coefficients",
+        "negative-impute", "bad-node-line", "feature-out-of-range", "missing-side",
+        "missing-end-marker", "malformed-float", "malformed-short-line",
+    ],
+)
+def test_each_damaged_file_gets_its_message(tmp_path, text, old, new, message):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    load_model(str(path))  # the undamaged file loads
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(DataError) as caught:
+        load_model(str(path))
+    assert str(caught.value) == message.format(path=str(path))
