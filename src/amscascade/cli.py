@@ -109,7 +109,12 @@ def build_parser():
 
     chk = sub.add_parser("check", help="run the built-in verification suites")
     chk.add_argument("--seed", type=int, help="master seed (default 0)")
-    chk.add_argument("--instances", type=int, help="instances per suite")
+    chk.add_argument(
+        "--instances",
+        type=int,
+        help="instances per suite; the grid-optimum, gradient-fd and "
+        "threshold-scan suites cap it at their default sizes",
+    )
     chk.add_argument(
         "--inject-fault",
         action="store_true",

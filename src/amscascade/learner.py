@@ -844,9 +844,11 @@ def load_model(path: str) -> Model:
                         else "model file truncated")
     rest = iter(lines[1:])
 
-    def fields(prefix: str, position: Optional[int] = None) -> list[str]:
-        # the next line's fields; trees, nodes and vector entries are
-        # numbered by their position
+    def fields(prefix: str, size: Optional[int] = None,
+               position: Optional[int] = None) -> list[str]:
+        # the next line's fields, no more than the `size` save_model writes
+        # (a shorter line fails on its missing field); trees, nodes and
+        # vector entries are numbered by their position
         line = next(rest, None)
         if line is None:
             raise DataError("model file truncated")
@@ -855,20 +857,23 @@ def load_model(path: str) -> Model:
             raise DataError(f"model file: expected {prefix!r}, got {line!r}")
         if position is not None and int(parts[1]) != position:
             raise DataError(f"model file: expected {prefix} {position}, got {' '.join(parts)!r}")
+        if size is not None and len(parts) > size:
+            raise DataError(f"model file: expected {size} fields, got {line!r}")
         return parts
 
     def count(prefix: str, noun: str) -> int:
         # Model checks a vector's count against the feature count
-        n = int(fields(prefix)[1])
+        n = int(fields(prefix, 2)[1])
         if n < 0:
             raise DataError(f"model file: negative {noun} count {n}")
         return n
 
     def node(k: int) -> tuple:
-        parts = fields("node", k)
-        if parts[2] == "leaf":
+        # a leaf line has 4 fields, a split line 8
+        parts = fields("node", position=k)
+        if parts[2] == "leaf" and len(parts) <= 4:
             return _leaf_row(float(parts[3]))
-        if parts[2] != "split":
+        if parts[2] != "split" or len(parts) > 8:
             raise DataError(f"model file: bad node line {parts!r}")
         j, left, right = int(parts[3]), int(parts[5]), int(parts[6])
         if not 0 <= j < n_features:
@@ -878,21 +883,27 @@ def load_model(path: str) -> Model:
         return (j, float(parts[4]), left, right, parts[7] == "left", 0.0)
 
     try:
-        kind = fields("kind")[1]
-        n_features = int(fields("features")[1])
-        base_score = float(fields("base_score")[1])
-        threshold = float(fields("threshold")[1])
+        kind = fields("kind", 2)[1]
+        n_features = int(fields("features", 2)[1])
+        base_score = float(fields("base_score", 2)[1])
+        threshold = float(fields("threshold", 2)[1])
         trees, vectors = [], {}
         if kind == "logistic":
             for header, prefix, name in _VECTOR_BLOCKS:
                 entries = range(count(header, header))
-                vectors[name] = np.array([float(fields(prefix, j)[2]) for j in entries])
+                vectors[name] = np.array([float(fields(prefix, 3, j)[2]) for j in entries])
         else:
             for t in range(count("trees", "tree")):
-                n_nodes = int(fields("tree", t)[3])
+                parts = fields("tree", 4, t)
+                if parts[2] != "nodes":
+                    raise DataError(f"model file: expected tree {t} nodes, got {' '.join(parts)!r}")
+                n_nodes = int(parts[3])
                 trees.append(Tree._from_rows([node(k) for k in range(n_nodes)]))
         if fields("end") != ["end"]:
             raise DataError("model file: missing end marker")
+        extra = next(rest, None)
+        if extra is not None:
+            raise DataError(f"model file: line after end marker: {extra!r}")
         return Model(kind, n_features, base_score, threshold, trees, **vectors)
     except (ValueError, IndexError) as exc:
         # int()/float() on a bad field, a short line, an out-of-range index,

@@ -454,3 +454,34 @@ class TestThresholdOracleDifferential:
         reference = _scalar_loop_threshold(scores, dataset, measure, b_reg)
         assert vectorised == reference
         assert type(vectorised) is type(reference)
+
+    @pytest.mark.parametrize("shape", ["spread", "ties", "lone-top", "signal-low"])
+    @pytest.mark.parametrize("n", [61, 1000, 1001, 4096, 4097, 5000])
+    def test_blocks_of_cuts_give_the_scalar_loop_cut(self, n, shape):
+        # sizes past one block of cuts: a partial last block, a block of one
+        # cut from 4,097 events on; "signal-low" puts the best cut in the
+        # last block, where selecting everything wins
+        rng = np.random.default_rng(n)
+        scores = rng.standard_normal(n)
+        labels = rng.choice([-1, 1], n)
+        if shape == "ties":  # a few hundred distinct scores
+            scores = np.round(scores * 50.0) / 50.0
+        if shape == "lone-top":
+            scores = np.round(scores * 4.0) / 4.0
+            top = int(np.argmax(scores))
+            scores[top] = scores.max() + 1.0
+            labels[top] = 1
+        if shape == "signal-low":
+            labels = np.where(scores < 1.5, 1, -1)
+        dataset = WeightedDataset(
+            features=np.zeros((n, 1)),
+            labels=labels,
+            weights=rng.uniform(0.05, 2.0, n),
+            event_ids=np.arange(n),
+            column_names=("x0",),
+        )
+        for measure, b_reg in ((AMS2, 0.0), (AMS3, 10.0)):
+            vectorised = checks._brute_force_threshold(scores, dataset, measure, b_reg)
+            reference = _scalar_loop_threshold(scores, dataset, measure, b_reg)
+            assert vectorised == reference
+            assert type(vectorised) is type(reference)

@@ -24,7 +24,7 @@ from amscascade.data import (
     synthesize,
     write_csv,
 )
-from amscascade.learner import Model, empty_model, predict_scores, save_model
+from amscascade.learner import Model, Tree, _leaf_row, empty_model, predict_scores, save_model
 
 SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,background_total=350"
 
@@ -435,6 +435,30 @@ class TestEvalCommand:
         assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("kind tree-boost\n", "kind tree-boost extra\n"),
+            ("features 5\n", "features 5 2 3\n"),
+            ("base_score 0.0\n", "base_score 0.0 junk\n"),
+            ("trees 1\n", "trees 1 x\n"),
+            ("tree 0 nodes 1\n", "tree 0 leaves 1\n"),
+            ("node 0 leaf 1.0\n", "node 0 leaf 1.0 z\n"),
+            ("end\n", "end\nend\n"),
+        ],
+        ids=["kind", "features", "base-score", "trees", "tree-word", "node", "after-end"],
+    )
+    def test_model_line_save_model_never_writes_exits_2(self, tmp_path, capsys, old, new):
+        tree = Tree._from_rows([_leaf_row(1.0)])
+        path = tmp_path / "m.txt"
+        save_model(Model("tree-boost", 5, 0.0, trees=(tree,)), str(path))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert run_cli(["eval", "--model", str(path), "--synth", "default"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: model file") and err.count("\n") == 1
 
     def test_missing_model_exits_2(self, tmp_path, capsys):
         code = run_cli(["eval", "--model", str(tmp_path / "absent.txt"), "--synth", "default"])

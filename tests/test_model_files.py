@@ -233,12 +233,34 @@ _LOGISTIC_FILE = (
          "model file {path!r}: malformed field (could not convert string to float: 'x')"),
         (_LOGISTIC_FILE, "kind logistic", "kind",
          "model file {path!r}: malformed field (list index out of range)"),
+        (_TREE_FILE, "kind tree-boost", "kind tree-boost extra",
+         "model file: expected 2 fields, got 'kind tree-boost extra'"),
+        (_TREE_FILE, "features 2", "features 2 3",
+         "model file: expected 2 fields, got 'features 2 3'"),
+        (_TREE_FILE, "base_score 0.25", "base_score 0.25 junk",
+         "model file: expected 2 fields, got 'base_score 0.25 junk'"),
+        (_TREE_FILE, "trees 1", "trees 1 x", "model file: expected 2 fields, got 'trees 1 x'"),
+        (_LOGISTIC_FILE, "c 1 -0.5", "c 1 -0.5 x",
+         "model file: expected 3 fields, got 'c 1 -0.5 x'"),
+        (_TREE_FILE, "tree 0 nodes 3", "tree 0 nodes 3 y",
+         "model file: expected 4 fields, got 'tree 0 nodes 3 y'"),
+        (_TREE_FILE, "tree 0 nodes", "tree 0 leaves",
+         "model file: expected tree 0 nodes, got 'tree 0 leaves 3'"),
+        (_TREE_FILE, "node 1 leaf 1.0", "node 1 leaf 1.0 z",
+         "model file: bad node line ['node', '1', 'leaf', '1.0', 'z']"),
+        (_TREE_FILE, "1 2 left", "1 2 left z",
+         "model file: bad node line ['node', '0', 'split', '1', '0.5', '1', '2', 'left', 'z']"),
+        (_TREE_FILE, "end\n", "end\nend\n", "model file: line after end marker: 'end'"),
+        (_LOGISTIC_FILE, "end\n", "end\n\n", "model file: line after end marker: ''"),
     ],
     ids=[
         "truncated", "empty", "bad-header", "expected-keyword", "expected-node-position",
         "expected-entry-position", "negative-trees", "negative-coefficients",
         "negative-impute", "bad-node-line", "feature-out-of-range", "missing-side",
         "missing-end-marker", "malformed-float", "malformed-short-line",
+        "extra-kind-field", "extra-features-field", "extra-base-score-field",
+        "extra-trees-field", "extra-entry-field", "extra-tree-field", "tree-without-nodes",
+        "extra-leaf-field", "extra-split-field", "line-after-end", "blank-line-after-end",
     ],
 )
 def test_each_damaged_file_gets_its_message(tmp_path, text, old, new, message):
@@ -250,3 +272,26 @@ def test_each_damaged_file_gets_its_message(tmp_path, text, old, new, message):
     with pytest.raises(DataError) as caught:
         load_model(str(path))
     assert str(caught.value) == message.format(path=str(path))
+
+
+_STUMP = Tree._from_rows([(0, 0.5, 1, 2, False, 0.0), _leaf_row(-1.0), _leaf_row(2.5)])
+_SAVED_MODELS = {
+    "tree-boost": Model("tree-boost", 2, 0.25, 0.0, (_tree((1, 0.5, True, 1.0, 2.0), 2), _STUMP)),
+    "stump-boost": Model("stump-boost", 1, -0.5, 1.5, (_STUMP, _STUMP)),
+    "logistic": Model("logistic", 2, 0.1, -0.25, coefficients=np.array([1.5, -0.5]),
+                      impute_values=np.array([0.0, 3.0])),
+    "treeless": Model("tree-boost", 3, 0.75, -np.inf),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SAVED_MODELS))
+def test_saved_models_round_trip_byte_for_byte(tmp_path, kind):
+    # the reader takes every line save_model writes, field counts included
+    model = _SAVED_MODELS[kind]
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    text = path.read_bytes()
+    back = load_model(str(path))
+    assert _model_bytes(back) == _model_bytes(model)
+    save_model(back, str(path))
+    assert path.read_bytes() == text
