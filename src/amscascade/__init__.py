@@ -6,153 +6,28 @@ the surrounding tooling: significance/conjugate math, HiggsML-format data
 handling, boosted-tree and logistic base learners, the cascade loop with
 trace auditing, ensembling, threshold selection, and brute-force
 verification suites.
+
+The package exports the union of its modules' ``__all__``, so each public
+name is listed once, in its own module. The significance star import runs
+last: it rebinds ``amscascade.significance`` from the submodule to the
+function.
 """
 
-from .cascade import (
-    AuditReport,
-    CascadeConfig,
-    CascadeTrace,
-    Ensemble,
-    RoundRecord,
-    default_u0,
-    ensemble_average,
-    ensemble_scores,
-    format_cascade_config,
-    monotonicity_audit,
-    parse_cascade_config,
-    rerun_cascade,
-    run_cascade,
-    run_cascade_fresh,
-    run_cascade_warmstart,
-    select_threshold,
-    write_trace_csv,
-)
-from .checks import CheckResult, run_all_checks
-from .data import (
-    MISSING_VALUE,
-    CsvSchema,
-    SplitSpec,
-    SynthConfig,
-    WeightedDataset,
-    default_synth_config,
-    load_csv,
-    read_submission,
-    split,
-    synthesize,
-    write_csv,
-    write_submission,
-)
-from .errors import (
-    AmsCascadeError,
-    CascadeError,
-    ConfigError,
-    DataError,
-    DegenerateInputError,
-    TrainingError,
-)
-from .learner import (
-    CostVector,
-    LearnerConfig,
-    Model,
-    Tree,
-    boost_one_round,
-    classify,
-    empty_model,
-    load_model,
-    make_cost_vector,
-    predict_scores,
-    save_model,
-    surrogate_gradient,
-    surrogate_hessian,
-    surrogate_loss,
-    train,
-    weighted_error,
-)
-from .significance import (
-    AMS2,
-    AMS3,
-    U_MAX,
-    U_MIN,
-    ConfusionSummary,
-    SignificanceMeasure,
-    confusion_summary,
-    custom_measure,
-    dual_risk,
-    fenchel_young_gap,
-    optimal_u,
-    resolve_measure,
-    significance,
-    significance_curve,
-)
+from . import cascade, checks, data, errors, learner
+from . import significance as _significance
+from .cascade import *  # noqa: F403
+from .checks import *  # noqa: F403
+from .data import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .learner import *  # noqa: F403
+from .significance import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMS2",
-    "AMS3",
-    "AmsCascadeError",
-    "AuditReport",
-    "CascadeConfig",
-    "CascadeError",
-    "CascadeTrace",
-    "CheckResult",
-    "ConfigError",
-    "ConfusionSummary",
-    "CostVector",
-    "CsvSchema",
-    "DataError",
-    "DegenerateInputError",
-    "Ensemble",
-    "LearnerConfig",
-    "MISSING_VALUE",
-    "Model",
-    "RoundRecord",
-    "SignificanceMeasure",
-    "SplitSpec",
-    "SynthConfig",
-    "TrainingError",
-    "Tree",
-    "U_MAX",
-    "U_MIN",
-    "WeightedDataset",
-    "boost_one_round",
-    "classify",
-    "confusion_summary",
-    "custom_measure",
-    "default_synth_config",
-    "default_u0",
-    "dual_risk",
-    "empty_model",
-    "ensemble_average",
-    "ensemble_scores",
-    "fenchel_young_gap",
-    "format_cascade_config",
-    "load_csv",
-    "load_model",
-    "make_cost_vector",
-    "monotonicity_audit",
-    "optimal_u",
-    "parse_cascade_config",
-    "predict_scores",
-    "read_submission",
-    "rerun_cascade",
-    "resolve_measure",
-    "run_all_checks",
-    "run_cascade",
-    "run_cascade_fresh",
-    "run_cascade_warmstart",
-    "save_model",
-    "select_threshold",
-    "significance",
-    "significance_curve",
-    "split",
-    "surrogate_gradient",
-    "surrogate_hessian",
-    "surrogate_loss",
-    "synthesize",
-    "train",
-    "weighted_error",
-    "write_csv",
-    "write_submission",
-    "write_trace_csv",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (cascade, checks, data, errors, learner, _significance)
+        for name in module.__all__
+    }
+)

@@ -46,8 +46,7 @@ from .learner import (
     weighted_error,
 )
 from .significance import (
-    AMS2,
-    AMS3,
+    _BUILTINS,
     U_MAX,
     U_MIN,
     ConfusionSummary,
@@ -66,7 +65,6 @@ __all__ = [
     "AuditReport",
     "Ensemble",
     "default_u0",
-    "derive_seed",
     "run_cascade",
     "run_cascade_fresh",
     "run_cascade_warmstart",
@@ -612,7 +610,7 @@ def format_cascade_config(config: CascadeConfig) -> str:
             if value is None:
                 continue
             if isinstance(value, SignificanceMeasure):
-                if value not in (AMS2, AMS3):
+                if not any(value == builtin for builtin in _BUILTINS.values()):
                     raise ConfigError(f"custom measure {value.name!r} has no config-file form")
                 value = value.name
             elif target is bool:

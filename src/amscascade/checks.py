@@ -32,6 +32,8 @@ from .significance import (
     significance_curve,
 )
 
+__all__ = ["CheckResult", "run_all_checks"]
+
 FY_TOLERANCE = 1e-9
 DUALITY_RTOL = 1e-9
 GRADIENT_RTOL = 1e-6

@@ -186,25 +186,30 @@ def _resolve_cascade_config(args):
     return replace(base, **overrides) if overrides else base
 
 
-def _check_output_paths(out_dir, submission):
-    """Reject output paths that cannot be written, before any work is done.
+def _check_output_paths(out_dir, outputs):
+    """Reject output paths that cannot be written, before any file is written.
 
-    ``out_dir`` (None for eval) may be missing, but its nearest existing
-    ancestor must be a directory. ``submission`` must name a file in an
-    existing directory or in ``out_dir``.
+    ``out_dir`` (None for eval) may be missing, but not empty, and its
+    nearest existing ancestor must be a directory. Each path in ``outputs``
+    (None for a file not asked for) must be non-empty, not a directory, and
+    in an existing directory or in ``out_dir``.
     """
     if out_dir is not None:
+        if not out_dir:
+            raise ConfigError("--out-dir '': not a directory")
         probe = os.path.abspath(out_dir)
         while not os.path.exists(probe):
             probe = os.path.dirname(probe)
         if not os.path.isdir(probe):
             raise ConfigError(f"--out-dir {out_dir!r}: {probe!r} is not a directory")
-    if submission is None:
-        return
-    parent = os.path.dirname(os.path.abspath(submission))
-    in_out_dir = out_dir is not None and parent == os.path.abspath(out_dir)
-    if os.path.isdir(submission) or not (os.path.isdir(parent) or in_out_dir):
-        raise ConfigError(f"--submission {submission!r}: not a file in an existing directory")
+    for name, path in outputs.items():
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        in_out_dir = out_dir is not None and parent == os.path.abspath(out_dir)
+        if not path or os.path.isdir(path) or not (os.path.isdir(parent) or in_out_dir):
+            flag = "--submission" if name == "submission" else f"{name} file"
+            raise ConfigError(f"{flag} {path!r}: not a file in an existing directory")
 
 
 def _write_manifest(path, config, fingerprint, val_frac, outputs):
@@ -224,13 +229,6 @@ def _write_manifest(path, config, fingerprint, val_frac, outputs):
 def cmd_cascade(args):
     config = _resolve_cascade_config(args)
     val_frac = DEFAULT_VAL_FRAC if args.val_frac is None else args.val_frac
-    _check_output_paths(args.out_dir, args.submission)
-    dataset = _load_dataset(args, config.seed)
-    train_ds, val_ds = split(
-        dataset, SplitSpec(validation_fraction=val_frac, seed=derive_seed(config.seed, 102))
-    )
-
-    os.makedirs(args.out_dir, exist_ok=True)
     manifest_path = os.path.join(args.out_dir, "run_manifest.json")
     model_path = os.path.join(args.out_dir, "model.txt")
     trace_path = os.path.join(args.out_dir, "trace.csv")
@@ -240,6 +238,13 @@ def cmd_cascade(args):
         "trace": trace_path,
         "submission": args.submission,
     }
+    _check_output_paths(args.out_dir, outputs)
+    dataset = _load_dataset(args, config.seed)
+    train_ds, val_ds = split(
+        dataset, SplitSpec(validation_fraction=val_frac, seed=derive_seed(config.seed, 102))
+    )
+
+    os.makedirs(args.out_dir, exist_ok=True)
     # manifest first, so a failed run still leaves an auditable record
     _write_manifest(manifest_path, config, _dataset_fingerprint(args, dataset), val_frac, outputs)
 
@@ -304,7 +309,7 @@ def cmd_eval(args):
     else:
         if args.model is None:
             raise ConfigError("eval requires --model (or --summary)")
-        _check_output_paths(None, args.submission)
+        _check_output_paths(None, {"submission": args.submission})
         model = load_model(args.model)
         dataset = _load_dataset(args, seed)
         scores = predict_scores(model, dataset)

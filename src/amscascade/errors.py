@@ -9,6 +9,15 @@ import numbers
 
 import numpy as np
 
+__all__ = [
+    "AmsCascadeError",
+    "ConfigError",
+    "DataError",
+    "TrainingError",
+    "CascadeError",
+    "DegenerateInputError",
+]
+
 
 class AmsCascadeError(Exception):
     """Base class for all package-specific errors."""

@@ -40,7 +40,6 @@ __all__ = [
     "empty_model",
     "predict_scores",
     "classify",
-    "hard_labels",
     "save_model",
     "load_model",
 ]

@@ -31,8 +31,6 @@ __all__ = [
     "AMS3",
     "custom_measure",
     "resolve_measure",
-    "clamp_dual",
-    "validate_dual",
     "confusion_summary",
     "significance",
     "significance_curve",

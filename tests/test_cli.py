@@ -745,6 +745,29 @@ BAD_PATH_INPUTS = {
     "undecodable-config": [
         "cascade", "--synth", _QUICK_SYNTH, "--config", "{undecodable}", "--out-dir", "{out}",
     ],
+    # every file a command writes is checked before the first one is: a
+    # directory in the way of the manifest, model or trace, and an empty path
+    "manifest-path-is-directory": [
+        "cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", "{manifest_taken}",
+    ],
+    "model-path-is-directory": [
+        "cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", "{model_taken}",
+    ],
+    "trace-path-is-directory": [
+        "cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", "{trace_taken}",
+    ],
+    "out-dir-empty": ["cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", ""],
+    "cascade-submission-empty": [
+        "cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", "{out}", "--submission", "",
+    ],
+    "eval-submission-empty": [
+        "eval", "--model", "{model}", "--synth", _QUICK_SYNTH, "--submission", "",
+    ],
+}
+
+# --out-dir placeholders holding a directory where the cascade writes a file
+_TAKEN = {
+    "manifest_taken": "run_manifest.json", "model_taken": "model.txt", "trace_taken": "trace.csv",
 }
 
 
@@ -755,7 +778,10 @@ def _tree(root):
 
 class TestPathInputErrors:
     @pytest.mark.parametrize("case", list(BAD_PATH_INPUTS), ids=list(BAD_PATH_INPUTS))
-    def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, capsys, case):
+    def test_exits_1_with_one_line_and_writes_nothing(self, tmp_path, monkeypatch, capsys, case):
+        # an empty path names the working directory, so it must be one whose
+        # contents the test sees
+        monkeypatch.chdir(tmp_path)
         paths = {
             "dir": tmp_path,
             "file": tmp_path / "file.txt",
@@ -764,6 +790,9 @@ class TestPathInputErrors:
             "out": tmp_path / "run",
             "missing": tmp_path / "missing",
         }
+        for key, name in _TAKEN.items():
+            paths[key] = tmp_path / key
+            (paths[key] / name).mkdir(parents=True)
         paths["file"].write_text("not a directory\n")
         paths["undecodable"].write_bytes(b"\xff\xfeT = 3\n")
         save_model(empty_model("tree-boost", n_features=5, base_score=-1.0), str(paths["model"]))
@@ -772,6 +801,7 @@ class TestPathInputErrors:
         assert run_cli(argv) == 1
         captured = capsys.readouterr()
         assert "RESULT" not in captured.out
+        assert "Traceback" not in captured.err
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: "), err
         assert _tree(tmp_path) == before
@@ -852,9 +882,11 @@ _CONFIG_PATHS = _mostly(
         ["{bad_config}", "{logistic_warm_config}", "{undecodable}", "{dir}", "{missing}"]
     ),
 )
-_OUT_DIRS = _mostly(st.just("{out}"), st.sampled_from(["{file}", "{file}/sub", "{missing}/a/b"]))
+_OUT_DIRS = _mostly(
+    st.just("{out}"), st.sampled_from(["{file}", "{file}/sub", "{missing}/a/b", "{taken}", ""])
+)
 _SUBMISSIONS = _mostly(
-    st.just("{dir}/s.csv"), st.sampled_from(["{dir}", "{missing}/s.csv", "{file}/s.csv"])
+    st.just("{dir}/s.csv"), st.sampled_from(["{dir}", "{missing}/s.csv", "{file}/s.csv", ""])
 )
 
 
@@ -935,7 +967,7 @@ def fuzz_paths(tmp_path_factory):
     paths = {name: root / name for name in (
         "csv", "subnormal_csv", "bad_csv", "empty", "dir", "missing", "file", "model",
         "model5", "bad_model", "config", "bad_config", "logistic_warm_config",
-        "undecodable", "out", "cwd",
+        "undecodable", "out", "cwd", "taken",
     )}
     rows = ["EventId,x0,x1,Weight,Label"]
     rows += [f"{i},{i % 7},{(i * 3) % 5},{1 + i % 3},{'s' if i % 3 == 0 else 'b'}"
@@ -949,6 +981,7 @@ def fuzz_paths(tmp_path_factory):
     paths["empty"].write_text("")
     paths["dir"].mkdir()
     paths["cwd"].mkdir()
+    (paths["taken"] / "trace.csv").mkdir(parents=True)
     paths["file"].write_text("not a directory\n")
     save_model(empty_model("tree-boost", n_features=2, base_score=-1.0), str(paths["model"]))
     save_model(empty_model("tree-boost", n_features=5, base_score=0.5), str(paths["model5"]))

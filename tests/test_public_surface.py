@@ -8,6 +8,7 @@ edit to the pin, so that adding one is a visible decision.
 import argparse
 import ast
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
@@ -72,14 +73,65 @@ CLI_FLAGS = {
 }
 
 
+# the modules whose __all__ lists the package re-exports; import_module, as
+# the package attribute `significance` is the function of that name
+MODULES = {
+    name: importlib.import_module(f"amscascade.{name}")
+    for name in ("cascade", "checks", "data", "errors", "learner", "significance")
+}
+
+
 def _option_strings(parser):
     return tuple(option for action in parser._actions for option in action.option_strings)
+
+
+def _top_level_definitions(module):
+    """The names a module's own source binds at top level, imports aside."""
+    tree = ast.parse(Path(module.__file__).read_text(), filename=module.__file__)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(target.id for target in targets if isinstance(target, ast.Name))
+    return names
 
 
 def test_public_names():
     assert tuple(amscascade.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(amscascade, name), name
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_module_exports_are_public_and_its_own(module):
+    module = MODULES[module]
+    assert "__all__" in vars(module)
+    defined = _top_level_definitions(module)
+    for name in module.__all__:
+        assert name in PUBLIC_NAMES, name
+        assert name in defined, name
+        assert getattr(amscascade, name) is getattr(module, name), name
+
+
+def test_modules_export_the_public_names_once():
+    exports = [name for module in MODULES.values() for name in module.__all__]
+    assert sorted(exports) == list(PUBLIC_NAMES)
+
+
+def test_package_init_spells_no_public_name():
+    """The package restates no export: no string in __init__.py, and no name
+    it imports from a module (``from . import`` names submodules), is a
+    public name."""
+    path = Path(amscascade.__file__)
+    spelled = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant):
+            spelled.append(node.value)
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            spelled += [alias.name for alias in node.names]
+    assert [word for word in spelled if word in PUBLIC_NAMES] == []
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
