@@ -186,13 +186,15 @@ def _resolve_cascade_config(args):
     return replace(base, **overrides) if overrides else base
 
 
-def _check_output_paths(out_dir, outputs):
+def _check_output_paths(out_dir, outputs, inputs):
     """Reject output paths that cannot be written, before any file is written.
 
     ``out_dir`` (None for eval) may be missing, but not empty, and its
     nearest existing ancestor must be a directory. Each path in ``outputs``
     (None for a file not asked for) must be non-empty, not a directory, and
-    in an existing directory or in ``out_dir``.
+    in an existing directory or in ``out_dir``; nor may its real path be
+    that of an earlier output or of a file in ``inputs`` (flag -> path,
+    None for a flag not given), which writing it would replace.
     """
     if out_dir is not None:
         if not out_dir:
@@ -202,14 +204,21 @@ def _check_output_paths(out_dir, outputs):
             probe = os.path.dirname(probe)
         if not os.path.isdir(probe):
             raise ConfigError(f"--out-dir {out_dir!r}: {probe!r} is not a directory")
+    # real path -> the flag or file that names it
+    named = {os.path.realpath(path): f"{flag} {path!r}" for flag, path in inputs.items() if path}
     for name, path in outputs.items():
         if path is None:
             continue
+        flag = "--submission" if name == "submission" else f"{name} file"
+        label = f"{flag} {path!r}"
         parent = os.path.dirname(os.path.abspath(path))
         in_out_dir = out_dir is not None and parent == os.path.abspath(out_dir)
         if not path or os.path.isdir(path) or not (os.path.isdir(parent) or in_out_dir):
-            flag = "--submission" if name == "submission" else f"{name} file"
-            raise ConfigError(f"{flag} {path!r}: not a file in an existing directory")
+            raise ConfigError(f"{label}: not a file in an existing directory")
+        real = os.path.realpath(path)
+        if real in named:
+            raise ConfigError(f"{label}: the same file as {named[real]}")
+        named[real] = label
 
 
 def _write_manifest(path, config, fingerprint, val_frac, outputs):
@@ -238,7 +247,7 @@ def cmd_cascade(args):
         "trace": trace_path,
         "submission": args.submission,
     }
-    _check_output_paths(args.out_dir, outputs)
+    _check_output_paths(args.out_dir, outputs, {"--data": args.data, "--config": args.config})
     dataset = _load_dataset(args, config.seed)
     train_ds, val_ds = split(
         dataset, SplitSpec(validation_fraction=val_frac, seed=derive_seed(config.seed, 102))
@@ -309,7 +318,9 @@ def cmd_eval(args):
     else:
         if args.model is None:
             raise ConfigError("eval requires --model (or --summary)")
-        _check_output_paths(None, {"submission": args.submission})
+        _check_output_paths(
+            None, {"submission": args.submission}, {"--model": args.model, "--data": args.data}
+        )
         model = load_model(args.model)
         dataset = _load_dataset(args, seed)
         scores = predict_scores(model, dataset)

@@ -763,6 +763,28 @@ BAD_PATH_INPUTS = {
     "eval-submission-empty": [
         "eval", "--model", "{model}", "--synth", _QUICK_SYNTH, "--submission", "",
     ],
+    # an output whose real path is another output's or an input's would
+    # replace that file
+    "cascade-submission-is-the-model": [
+        "cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", "{dir}",
+        "--submission", "{dir}/model.txt",
+    ],
+    "cascade-submission-is-the-data": [
+        "cascade", "--data", "{data}", "--T", "1", "--out-dir", "{out}", "--submission", "{data}",
+    ],
+    "cascade-trace-is-the-config": [
+        "cascade", "--synth", _QUICK_SYNTH, "--config", "{config_run}/trace.csv",
+        "--out-dir", "{config_run}",
+    ],
+    "eval-submission-is-the-data": [
+        "eval", "--model", "{model}", "--data", "{data}", "--submission", "{data}",
+    ],
+    "eval-submission-links-to-the-data": [
+        "eval", "--model", "{model}", "--data", "{data}", "--submission", "{data_link}",
+    ],
+    "eval-submission-is-the-model-by-a-relative-path": [
+        "eval", "--model", "{model}", "--synth", _QUICK_SYNTH, "--submission", "model.txt",
+    ],
 }
 
 # --out-dir placeholders holding a directory where the cascade writes a file
@@ -789,11 +811,18 @@ class TestPathInputErrors:
             "undecodable": tmp_path / "utf16.cfg",
             "out": tmp_path / "run",
             "missing": tmp_path / "missing",
+            "data": tmp_path / "events.csv",
+            "data_link": tmp_path / "link.csv",
+            "config_run": tmp_path / "config_run",
         }
         for key, name in _TAKEN.items():
             paths[key] = tmp_path / key
             (paths[key] / name).mkdir(parents=True)
         paths["file"].write_text("not a directory\n")
+        write_csv(synthesize(SynthConfig(n_signal=20, n_background=20), seed=0), str(paths["data"]))
+        paths["data_link"].symlink_to(paths["data"])
+        paths["config_run"].mkdir()
+        (paths["config_run"] / "trace.csv").write_text("T = 1\n")
         paths["undecodable"].write_bytes(b"\xff\xfeT = 3\n")
         save_model(empty_model("tree-boost", n_features=5, base_score=-1.0), str(paths["model"]))
         before = _tree(tmp_path)

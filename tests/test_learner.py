@@ -788,13 +788,42 @@ def _split_search_inputs(seed, n=120, zero_cost_share=0.0, nan_share=0.15):
     features[:, 3] = np.nan
     features[rng.integers(n), 3] = 1.0
     features[rng.random(n) < 2 * nan_share, 4] = np.nan
+    return (features, *_newton_terms(rng, n, zero_cost_share))
+
+
+def _newton_terms(rng, n, zero_cost_share=0.0):
+    """Gradients, hessians and costs of ``n`` rows at random labels and scores."""
     labels = np.where(rng.random(n) < 0.4, 1, -1)
     costs = rng.choice([0.5, 1.0, 2.0], size=n)
     costs[rng.random(n) < zero_cost_share] = 0.0
     scores = rng.normal(0.0, 0.5, size=n)
     g = surrogate_gradient(costs, labels, scores)
     h = surrogate_hessian(costs, labels, scores)
-    return features, g, h, costs
+    return g, h, costs
+
+
+_BATCH_KINDS = ("continuous", "tied", "nan-middle")
+
+
+def _batch_inputs(seed, kind, n=120):
+    """Seven columns whose lists share lengths, so features scan in batches.
+
+    ``continuous`` and ``tied`` (integer values, column 1 repeating column 0)
+    hold no NaN, so every list is as long as its node; ``nan-middle`` makes
+    columns 2 and 3 NaN in the same n / 5 rows and column 4 in as many other
+    random rows, so the batches break there, and the root scans these three
+    in one batch with each its own missing sums.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "tied":
+        features = rng.integers(0, 4, size=(n, 7)).astype(float)
+        features[:, 1] = features[:, 0]
+    else:
+        features = rng.normal(size=(n, 7))
+    if kind == "nan-middle":
+        features[rng.permutation(n)[:n // 5], 2:4] = np.nan
+        features[rng.permutation(n)[:n // 5], 4] = np.nan
+    return (features, *_newton_terms(rng, n))
 
 
 def _tree_bytes(tree):
@@ -974,6 +1003,75 @@ class TestSplitSearchOracle:
             expected = _reference_build_tree(*args)
             got = _exact_tree(*args)
         assert _tree_bytes(got) == _tree_bytes(expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    @pytest.mark.parametrize("min_child_weight", [0.0, 1.0], ids=["mcw0", "mcw1"])
+    @pytest.mark.parametrize("kind", _BATCH_KINDS)
+    def test_batched_features_match_scalar_scan(self, kind, min_child_weight, depth, seed):
+        args = (*_batch_inputs(seed, kind), 0.3, depth, min_child_weight)
+        assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(_reference_build_tree(*args))
+
+    @pytest.mark.parametrize("cells", [1, 2**40])
+    @pytest.mark.parametrize("kind", ["nan-edges", *_BATCH_KINDS])
+    def test_any_batch_budget_gives_the_same_trees(self, kind, cells, monkeypatch):
+        # one feature per batch, and every feature of a list length in one
+        monkeypatch.setattr(learner_module, "_SPLIT_CELLS", cells)
+        for seed in range(3):
+            inputs = _split_search_inputs(seed) if kind == "nan-edges" else _batch_inputs(seed, kind)
+            args = (*inputs, 0.3, 4, 0.0)
+            assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(_reference_build_tree(*args))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["continuous", "tied"])
+    def test_overflowing_gains_without_missing_rows(self, kind, seed):
+        # as test_overflowing_gains, where one missing side is scanned
+        features, g, h, costs = _batch_inputs(seed, kind, n=40)
+        args = (features, g * 1e155, h, costs, 0.3, 3, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _reference_build_tree(*args)
+            got = _exact_tree(*args)
+        assert _tree_bytes(got) == _tree_bytes(expected)
+
+    def test_split_batches(self, monkeypatch):
+        # runs of one list length within the budget; lists under 2 rows are
+        # not scanned, and a list shorter than the node's rows scans two sides
+        monkeypatch.setattr(learner_module, "_SPLIT_CELLS", 10)
+        lists = [np.arange(size) for size in (5, 5, 5, 3, 3, 1, 0, 4, 4, 12)]
+        assert list(learner_module._split_batches(lists, 5)) == [
+            (0, 2, 1), (2, 3, 1), (3, 5, 2), (7, 9, 2), (9, 10, 1),
+        ]
+
+    @pytest.mark.parametrize("cells", [None, 1, 2**40])
+    def test_batch_inputs_reach_wide_batches(self, cells, monkeypatch):
+        # the batch cases above test the batched scan only if their nodes
+        # scan several features at once, with one missing side where no row
+        # misses, and with two at nan-middle's root
+        if cells is not None:
+            monkeypatch.setattr(learner_module, "_SPLIT_CELLS", cells)
+        split_batches = learner_module._split_batches
+        batches = []
+
+        def spy(sorted_rows, n_rows):
+            for batch in split_batches(sorted_rows, n_rows):
+                batches.append(batch)
+                yield batch
+
+        monkeypatch.setattr(learner_module, "_split_batches", spy)
+        seen = {}  # kind -> its (start, width, sides) batches
+        for kind in _BATCH_KINDS:
+            batches.clear()
+            for seed in range(3):
+                _exact_tree(*_batch_inputs(seed, kind), 0.3, 3, 0.0)
+            seen[kind] = {(start, stop - start, sides) for start, stop, sides in batches}
+        if cells == 1:
+            assert {width for found in seen.values() for _, width, _ in found} == {1}
+            return
+        for kind in ("continuous", "tied"):
+            assert {sides for _, _, sides in seen[kind]} == {1}
+            assert max(width for _, width, _ in seen[kind]) == 7
+        assert (2, 3, 2) in seen["nan-middle"]
+        assert any(width >= 2 and sides == 1 for _, width, sides in seen["nan-middle"])
 
 
 class TestGrowerOutput:
