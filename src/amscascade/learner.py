@@ -448,15 +448,17 @@ def surrogate_hessian(
 
 
 # (feature, row) entries per batch of _build_tree's split search, so each
-# float temporary of a batch takes at most 64 KiB.  A batch holds about ten
-# such temporaries at once; past the 128 KiB trim threshold (see
-# _BLOCK_CELLS) the heap top they grow is handed back when they are freed
-# and faults in again at the next batch.  Fresh-lift's cascade in one
-# process, 9 interleaved passes per budget (2-CPU sandbox, numpy 2.4),
-# median time and minor page faults: 2^12 1.01 s, 965 faults; 2^13 0.92 s,
-# 823; 2^14 0.96 s, 56,609; 2^15 0.98 s, 57,915.  2^14 scans the root's 5
-# features of 2,800 rows in one batch but faults ~370 more pages per tree; 2^13
-# scans them as 2 + 2 + 1 and every deeper node in one.
+# float temporary of a batch takes at most 64 KiB, or 128 KiB with its two
+# missing sides.  A batch holds its sorted values, one cumulative sum and
+# the six child sums, gains and masks of its candidates at once; past the
+# 128 KiB trim threshold (see _BLOCK_CELLS) the heap top they grow is handed
+# back when they are freed and faults in again at the next batch.
+# Fresh-lift's cascade in one process, 9 interleaved passes per budget
+# (2-CPU sandbox, numpy 2.4), median time and minor page faults: 2^12
+# 1.01 s, 965 faults; 2^13 0.92 s, 823; 2^14 0.96 s, 56,609; 2^15 0.98 s,
+# 57,915.  2^14 scans the root's 5 features of 2,800 rows in one batch but
+# faults ~370 more pages per tree; 2^13 scans them as 2 + 2 + 1 and every
+# deeper node in one.
 _SPLIT_CELLS = 1 << 13
 
 
@@ -521,7 +523,11 @@ def _build_tree(
         # returns (feature, threshold, missing_left) or None.  Features are
         # scanned in batches: runs of consecutive features whose lists have
         # one length L, at most _SPLIT_CELLS entries (one feature at least).
-        # A batch's candidates form a (boundary, missing side) grid, flattened
+        # boundary[f, p] marks a cut between v[f, p] and v[f, p + 1].  Where
+        # at least half of a batch's positions are cuts, every position's
+        # sums are taken as views and boundary masks the non-cuts out of
+        # keep; elsewhere the cuts alone are gathered with one boolean index.
+        # Either way the candidates, with a last axis of missing sides, ravel
         # in scan order: feature index ascending, threshold ascending,
         # missing-to-left before missing-to-right; ties go to the first.  A
         # list as long as the node has no missing row, and there both sides
@@ -532,39 +538,47 @@ def _build_tree(
         best_gain = 0.0
         for start, stop, sides in _split_batches(sorted_rows, idx.size):
             order = np.stack(sorted_rows[start:stop])
-            size = order.shape[1]
             v = np.take_along_axis(columns[start:stop], order, axis=1)
-            # flat = f * (L - 1) + p marks the boundary between v[f, p] and
-            # v[f, p + 1]; the rows below it end at flat + f in v's flat order
-            flat = np.flatnonzero(v[:, 1:] > v[:, :-1])
-            if flat.size == 0:
+            boundary = v[:, 1:] > v[:, :-1]
+            counts = np.count_nonzero(boundary, axis=1)
+            cuts = int(counts.sum())
+            if cuts == 0:
                 continue
-            feature = flat // (size - 1)
-            below_end = flat + feature
+            masked = 2 * cuts >= boundary.size
             if sides == 2:
                 missing = [idx[missing_cells[j][idx]] for j in range(start, stop)]
-            grid = np.empty((6, flat.size, sides))
-            for left, right, values in zip(grid[::2], grid[1::2], (g, h, costs)):
+            sums = []
+            for values in (g, h, costs):
                 cum = np.cumsum(values[order], axis=1)
-                below, above = left[:, -1], right[:, 0]
-                np.take(cum, below_end, out=below)
-                np.subtract(cum[feature, -1], below, out=above)
+                if masked:
+                    below = cum[:, :-1]
+                    above = cum[:, -1:] - below
+                else:
+                    below = cum[:, :-1][boundary]
+                    above = np.repeat(cum[:, -1], counts) - below
                 if sides == 2:
-                    miss = np.array([values[rows].sum() for rows in missing])[feature]
-                    np.add(below, miss, out=left[:, 0])
-                    np.add(above, miss, out=right[:, 1])
-            GL, GR, HL, HR, CL, CR = grid
+                    miss = np.array([values[rows].sum() for rows in missing])
+                    miss = miss[:, None] if masked else np.repeat(miss, counts)
+                    below = np.stack([below + miss, below], axis=-1)
+                    above = np.stack([above, above + miss], axis=-1)
+                sums += [below, above]
+            GL, GR, HL, HR, CL, CR = sums
             gain = (_safe_ratio(GL, HL) + _safe_ratio(GR, HR)) - parent
             # the skip rules negated: a NaN cost or gain compares false, so it
             # is not skipped
             keep = ~((CL < min_child_weight) | (CR < min_child_weight) | (gain <= 0.0))
+            if masked:
+                keep &= boundary if sides == 1 else boundary[..., None]
             if not keep.any():
                 continue
             gain, keep = gain.ravel(), keep.ravel()
 
             def candidate(i: int) -> tuple:
-                at = i // sides
-                return start + int(feature[at]), float(v.take(below_end[at] + 1)), i % sides == 0
+                at, side = divmod(i, sides)
+                if not masked:
+                    at = int(np.flatnonzero(boundary)[at])
+                f, p = divmod(at, boundary.shape[1])
+                return start + f, float(v[f, p + 1]), side == 0
 
             first = int(np.argmax(keep))
             if best is None and np.isnan(gain[first]):

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amscascade import cli
@@ -1040,6 +1040,10 @@ def _main(argv, cwd):
 class TestArgvFuzz:
     @settings(derandomize=True, max_examples=500, deadline=None, database=None)
     @given(argv=_argvs())
+    # output paths refused only by the check before any file is written: an
+    # empty --submission, and an --out-dir whose trace.csv is a directory
+    @example(argv=["cascade", "--data", "{csv}", "--T", "1", "--submission", ""])
+    @example(argv=["cascade", "--data", "{csv}", "--T", "1", "--out-dir", "{taken}"])
     def test_documented_exit_and_one_line(self, fuzz_paths, argv):
         argv = [arg.format(**fuzz_paths) for arg in argv]
         # a traceback here would be an exception out of main

@@ -847,6 +847,65 @@ def _exact_tree(features, *args):
     return _build_tree(features, *args, _sorted_present_rows(features), np.zeros(n))
 
 
+def _spy_candidate_forms(monkeypatch):
+    """The set the split search adds each scanned batch's (form, sides) to.
+
+    A batch with a cut builds its gains from arrays of its candidates, with a
+    last axis of missing sides where it has two.  ``form`` is "masked" where
+    they hold every position of the (features, positions) block, one axis
+    more than the sides need, and "gathered" where they hold the cuts only.
+    """
+    split_batches, safe_ratio = learner_module._split_batches, learner_module._safe_ratio
+    forms, pending = set(), []  # pending: the sides of a batch not yet classified
+
+    def batches(sorted_rows, n_rows):
+        for batch in split_batches(sorted_rows, n_rows):
+            pending[:] = [batch[2]]
+            yield batch
+
+    def ratio(g, h):
+        # the first array call after a batch is its left children's ratio;
+        # the node's own ratio is a scalar
+        if pending and np.ndim(g) > 0:
+            sides = pending.pop()
+            forms.add(("masked" if np.ndim(g) == sides + 1 else "gathered", sides))
+        return safe_ratio(g, h)
+
+    monkeypatch.setattr(learner_module, "_split_batches", batches)
+    monkeypatch.setattr(learner_module, "_safe_ratio", ratio)
+    return forms
+
+
+def _column_cases(n):
+    """One column of ``n`` cells: continuous, 2-4 levels, constant, signed
+    zeros, or a mix of NaN and few levels."""
+    def cells(elements):
+        return st.lists(elements, min_size=n, max_size=n)
+
+    return st.one_of(
+        cells(st.floats(-100.0, 100.0, allow_nan=False)),
+        st.integers(2, 4).flatmap(lambda k: cells(st.integers(0, k - 1).map(float))),
+        st.floats(-3.0, 3.0, allow_nan=False).map(lambda c: [c] * n),
+        cells(st.sampled_from([-1.0, -0.0, 0.0, 1.0])),
+        cells(st.sampled_from([math.nan, math.nan, 0.0, 1.0, 2.0])),
+    )
+
+
+@st.composite
+def _grower_cases(draw):
+    """Small trees: features, g, h and costs of small integers (so gains tie),
+    learning rate, depth and min_child_weight."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    features = np.array([draw(_column_cases(n)) for _ in range(d)]).T
+    g, h, costs = (
+        np.array(draw(st.lists(st.integers(low, 3), min_size=n, max_size=n)), dtype=float)
+        for low in (-3, 0, 0)
+    )
+    depth = draw(st.integers(1, 4))
+    return features, g, h, costs, 0.5, depth, draw(st.sampled_from([0.0, 1.0, 5.0]))
+
+
 class TestSplitSearchOracle:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("depth", [1, 3, 5])
@@ -1072,6 +1131,50 @@ class TestSplitSearchOracle:
             assert max(width for _, width, _ in seen[kind]) == 7
         assert (2, 3, 2) in seen["nan-middle"]
         assert any(width >= 2 and sides == 1 for _, width, sides in seen["nan-middle"])
+
+    def test_oracle_inputs_reach_both_candidate_forms(self, monkeypatch):
+        # the oracle cases above test both ways of picking a batch's
+        # candidates only if they scan masked batches (continuous columns)
+        # and gathered ones (few levels), each with one missing side and two
+        forms = _spy_candidate_forms(monkeypatch)
+        for seed in range(3):
+            _exact_tree(*_split_search_inputs(seed), 0.3, 3, 0.0)
+            for kind in _BATCH_KINDS:
+                _exact_tree(*_batch_inputs(seed, kind), 0.3, 3, 0.0)
+        assert forms == {(form, sides) for form in ("masked", "gathered") for sides in (1, 2)}
+
+    @pytest.mark.parametrize("sides", [1, 2])
+    @pytest.mark.parametrize(
+        "top,form", [(4.0, "masked"), (3.0, "gathered")], ids=["at-cut-over", "one-cut-below"]
+    )
+    def test_batch_at_the_cut_over(self, top, form, sides, monkeypatch):
+        # column 0 holds pairs of tied values: 8 positions between its 9
+        # present rows, 4 of them cuts (masked, exactly half) or 3 (gathered).
+        # Column 1 has the same values, so both scan in one batch.  Splitting
+        # the tied pair at 0 would have the largest gain, so a masked scan
+        # must drop the positions that are not cuts
+        values = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, top] + [math.nan] * (sides - 1)
+        features = np.array([values, values]).T
+        n = features.shape[0]
+        g = np.array([-3.0, 3.0, 1.0, 1.0, -1.0, -1.0, 0.5, 2.0, -2.0, 1.5][:n])
+        args = (features, g, np.ones(n), np.ones(n), 0.3, 1, 0.0)
+        forms = _spy_candidate_forms(monkeypatch)
+        got = _exact_tree(*args)
+        assert forms == {(form, sides)}
+        expected = _reference_build_tree(*args)
+        assert expected.feature[0] == 0
+        assert _tree_bytes(got) == _tree_bytes(expected)
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_grower_cases())
+    def test_small_trees_match_scalar_scan(self, args):
+        assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(_reference_build_tree(*args))
 
 
 class TestGrowerOutput:
