@@ -510,9 +510,24 @@ def _build_tree(
     # ascending rows would give, and every cumulative sum runs in one order.
     n = features.shape[0]
     columns = np.ascontiguousarray(features.T)
+    offsets = (np.arange(columns.shape[0]) * n)[:, None]  # row j of columns.ravel()
     missing_cells = np.isnan(columns)
     in_left = np.empty(n, dtype=bool)  # the splitting node's left rows
     rows: list[tuple] = []
+    # The min_child_weight rule cannot fire where every row's cost clears it
+    # by more than rounding can take away, and then no cost sum is built.
+    # Take c_min the least cost, total their sum and u = eps / 2; where the
+    # test below holds, every cost is > min_child_weight >= 0.  A prefix sum
+    # of such costs never decreases in floating point, so a left child's
+    # CL >= c_min.  A right child's CR = fl(T - B) is at least
+    # (c_min - n u (1 + 2 n u) total)(1 - u): each of the at most n additions
+    # from the prefix B to the node's total T rounds by at most u times a
+    # partial sum <= (1 + 2 n u) total.  The margin of 4 n eps total keeps
+    # that above min_child_weight, the rounding of the test included.  A
+    # missing side adds a sum >= 0 to either child.  The test is one > so
+    # that a NaN or inf cost, or an overflowing margin, keeps the rule.
+    c_min, total = costs.min(), costs.sum()
+    cost_rule = not c_min - min_child_weight > 4 * n * np.finfo(float).eps * total
 
     def leaf_value(idx: np.ndarray) -> float:
         G = float(g[idx].sum())
@@ -538,7 +553,7 @@ def _build_tree(
         best_gain = 0.0
         for start, stop, sides in _split_batches(sorted_rows, idx.size):
             order = np.stack(sorted_rows[start:stop])
-            v = np.take_along_axis(columns[start:stop], order, axis=1)
+            v = columns.take(order + offsets[start:stop])
             boundary = v[:, 1:] > v[:, :-1]
             counts = np.count_nonzero(boundary, axis=1)
             cuts = int(counts.sum())
@@ -548,7 +563,7 @@ def _build_tree(
             if sides == 2:
                 missing = [idx[missing_cells[j][idx]] for j in range(start, stop)]
             sums = []
-            for values in (g, h, costs):
+            for values in (g, h, costs) if cost_rule else (g, h):
                 cum = np.cumsum(values[order], axis=1)
                 if masked:
                     below = cum[:, :-1]
@@ -562,11 +577,15 @@ def _build_tree(
                     below = np.stack([below + miss, below], axis=-1)
                     above = np.stack([above, above + miss], axis=-1)
                 sums += [below, above]
-            GL, GR, HL, HR, CL, CR = sums
+            GL, GR, HL, HR, *cost_sums = sums
             gain = (_safe_ratio(GL, HL) + _safe_ratio(GR, HR)) - parent
-            # the skip rules negated: a NaN cost or gain compares false, so it
-            # is not skipped
-            keep = ~((CL < min_child_weight) | (CR < min_child_weight) | (gain <= 0.0))
+            # the skip rules, kept negated: a NaN cost or gain compares false,
+            # so it is not skipped
+            skip = gain <= 0.0
+            if cost_rule:
+                CL, CR = cost_sums
+                skip |= (CL < min_child_weight) | (CR < min_child_weight)
+            keep = ~skip
             if masked:
                 keep &= boundary if sides == 1 else boundary[..., None]
             if not keep.any():

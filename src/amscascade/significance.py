@@ -319,10 +319,16 @@ def significance_curve(
 
     ``b`` must already include any regularizer.  Entries with s = 0 give 0;
     entries with b = 0 and s > 0 give +inf (the supremum of the measure as
-    the selected background vanishes).  The one copy of the formula.
+    the selected background vanishes).  Every entry of ``s`` and ``b`` must
+    lie in [-1e-9, inf), the interval ``ConfusionSummary`` accepts; a NaN,
+    infinite or more negative one raises ValueError.  The one copy of the
+    formula.
     """
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
+    # one check of both arrays, written so that NaN fails it
+    if not ((s >= -_ABS_TOL) & (s < math.inf) & (b >= -_ABS_TOL) & (b < math.inf)).all():
+        raise ValueError(f"s and b must be real numbers in [{-_ABS_TOL:g}, inf)")
     ok = b > 0.0
     # a subnormal b can overflow s / b, and a huge b the product b * f(s / b);
     # either gives +inf without a warning

@@ -31,7 +31,7 @@ from amscascade.learner import (
     weighted_error,
 )
 import amscascade.learner as learner_module
-from amscascade.learner import _build_tree, _goes_left, _leaf_row
+from amscascade.learner import _goes_left, _leaf_row
 from amscascade.significance import AMS2, AMS3, U_MIN
 
 TWO_ONE_MINUS_LN2 = 0.61370563888010938117  # frozen: 2 * f2*(ln 2)
@@ -844,7 +844,10 @@ def _tree_depth(tree, node=0):
 def _exact_tree(features, *args):
     """``_build_tree`` on every row of ``features``, from their sorted lists."""
     n = features.shape[0]
-    return _build_tree(features, *args, _sorted_present_rows(features), np.zeros(n))
+    # through the module, so that _spy_cost_rule sees the call
+    return learner_module._build_tree(
+        features, *args, _sorted_present_rows(features), np.zeros(n)
+    )
 
 
 def _spy_candidate_forms(monkeypatch):
@@ -876,6 +879,35 @@ def _spy_candidate_forms(monkeypatch):
     return forms
 
 
+class _CostGathers(np.ndarray):
+    """A cost array that notes whether the split search gathers from it."""
+
+    def __getitem__(self, key):
+        self.gathered = True
+        return np.asarray(self)[key]
+
+
+def _spy_cost_rule(monkeypatch):
+    """The set the grower adds each tree's path of the min_child_weight rule to.
+
+    A split search that evaluates the rule gathers costs to sum them; one
+    that skips it only takes their least value and total.  So a tree is
+    "evaluated" where its costs were gathered, "skipped" where it split with
+    no gather, and "no split" where it is one leaf, which tells neither.
+    """
+    build_tree, paths = learner_module._build_tree, set()
+
+    def spy(features, g, h, costs, *rest):
+        costs = np.asarray(costs).view(_CostGathers)
+        costs.gathered = False
+        tree = build_tree(features, g, h, costs, *rest)
+        paths.add("evaluated" if costs.gathered else "skipped" if tree.n_nodes > 1 else "no split")
+        return tree
+
+    monkeypatch.setattr(learner_module, "_build_tree", spy)
+    return paths
+
+
 def _column_cases(n):
     """One column of ``n`` cells: continuous, 2-4 levels, constant, signed
     zeros, or a mix of NaN and few levels."""
@@ -894,16 +926,27 @@ def _column_cases(n):
 @st.composite
 def _grower_cases(draw):
     """Small trees: features, g, h and costs of small integers (so gains tie),
-    learning rate, depth and min_child_weight."""
+    learning rate, depth and min_child_weight.  Costs start at 0, 1 or 5, so
+    the least cost falls below, on or above the floor of 0, 1 or 5."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 4))
     features = np.array([draw(_column_cases(n)) for _ in range(d)]).T
+    cost_low = draw(st.sampled_from([0, 1, 5]))
     g, h, costs = (
-        np.array(draw(st.lists(st.integers(low, 3), min_size=n, max_size=n)), dtype=float)
-        for low in (-3, 0, 0)
+        np.array(draw(st.lists(st.integers(low, high), min_size=n, max_size=n)), dtype=float)
+        for low, high in ((-3, 3), (0, 3), (cost_low, cost_low + 3))
     )
     depth = draw(st.integers(1, 4))
     return features, g, h, costs, 0.5, depth, draw(st.sampled_from([0.0, 1.0, 5.0]))
+
+
+_GROWER_FUZZ = settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 class TestSplitSearchOracle:
@@ -1003,23 +1046,36 @@ class TestSplitSearchOracle:
         assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(expected)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_subsampled_round(self, seed):
-        # _fit_round grows the tree on the round's sampled rows only
+    @pytest.mark.parametrize(
+        "min_child_weight,unsampled_cost,path",
+        [(0.0, None, "skipped"), (0.4, 0.25, "evaluated")],
+        ids=["costs-clear-the-floor", "unsampled-cost-below-the-floor"],
+    )
+    def test_subsampled_round(self, seed, min_child_weight, unsampled_cost, path, monkeypatch):
+        # _fit_round grows the tree on the round's sampled rows only, but
+        # takes the cost rule's margin over every row's cost: a cost below
+        # the floor on a row left out of the sample keeps the rule
         features, _, _, costs = _split_search_inputs(seed)
         n = features.shape[0]
         rng = np.random.default_rng(seed + 100)
         labels = np.where(rng.random(n) < 0.4, 1, -1)
         scores = rng.normal(0.0, 0.5, size=n)
         config = LearnerConfig(
-            kind="tree-boost", learning_rate=0.3, max_depth=4, min_child_weight=0.0,
-            seed=seed, subsample=0.7,
+            kind="tree-boost", learning_rate=0.3, max_depth=4,
+            min_child_weight=min_child_weight, seed=seed, subsample=0.7,
         )
-        dataset = _dataset_of(features, labels)
-        tree = learner_module._fit_round(dataset, costs, scores.copy(), config, 2)
         rows = np.sort(learner_module._round_rng(seed, 2).permutation(n)[:round(0.7 * n)])
+        if unsampled_cost is not None:
+            costs[np.setdiff1d(np.arange(n), rows)[0]] = unsampled_cost
+        dataset = _dataset_of(features, labels)
+        paths = _spy_cost_rule(monkeypatch)
+        tree = learner_module._fit_round(dataset, costs, scores.copy(), config, 2)
+        assert paths == {path}
         g = surrogate_gradient(costs, labels, scores)[rows]
         h = surrogate_hessian(costs, labels, scores)[rows]
-        expected = _reference_build_tree(features[rows], g, h, costs[rows], 0.3, 4, 0.0)
+        expected = _reference_build_tree(
+            features[rows], g, h, costs[rows], 0.3, 4, min_child_weight
+        )
         assert _tree_depth(expected) >= 3
         assert _tree_bytes(tree) == _tree_bytes(expected)
 
@@ -1165,16 +1221,100 @@ class TestSplitSearchOracle:
         assert expected.feature[0] == 0
         assert _tree_bytes(got) == _tree_bytes(expected)
 
-    @settings(
-        max_examples=300,
-        derandomize=True,
-        database=None,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @_GROWER_FUZZ
     @given(_grower_cases())
     def test_small_trees_match_scalar_scan(self, args):
         assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(_reference_build_tree(*args))
+
+    def test_small_trees_reach_both_cost_rule_paths(self, monkeypatch):
+        # the fuzz above draws the same examples, and holds both paths of the
+        # min_child_weight rule to the oracle only if it reaches them
+        paths = _spy_cost_rule(monkeypatch)
+
+        @_GROWER_FUZZ
+        @given(_grower_cases())
+        def grow(args):
+            _exact_tree(*args)
+
+        grow()
+        assert {"evaluated", "skipped"} <= paths
+
+    def test_oracle_inputs_reach_both_cost_rule_paths(self, monkeypatch):
+        # the oracle cases above test the skipped cost rule only if some of
+        # their trees clear the floor by the margin (every cost of 0.5 or
+        # more against a floor of 0) and others do not (a floor of 1 or 25,
+        # or zero costs)
+        paths = _spy_cost_rule(monkeypatch)
+        for min_child_weight, zero_cost_share in ((0.0, 0.0), (1.0, 0.0), (0.0, 0.3), (25.0, 0.2)):
+            _exact_tree(*_split_search_inputs(0, zero_cost_share=zero_cost_share), 0.3, 3,
+                        min_child_weight)
+        assert paths == {"evaluated", "skipped"}
+        paths.clear()
+        for kind in _BATCH_KINDS:
+            for min_child_weight in (0.0, 1.0):
+                _exact_tree(*_batch_inputs(0, kind), 0.3, 3, min_child_weight)
+        assert paths == {"evaluated", "skipped"}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-316], ids=["normal", "margin-underflows"])
+    def test_least_cost_on_the_floor(self, scale, monkeypatch):
+        # c_min == min_child_weight leaves no margin, so the rule is
+        # evaluated; at subnormal costs the margin 4 n eps total rounds to 0,
+        # and c_min - min_child_weight = 0 must still not clear it
+        features, g, h, costs = _split_search_inputs(2)
+        costs = costs * scale
+        margin = 4 * costs.size * np.finfo(float).eps * costs.sum()
+        assert (margin == 0.0) == (scale < 1.0)
+        args = (features, g, h, costs, 0.3, 3, float(costs.min()))
+        paths = _spy_cost_rule(monkeypatch)
+        got = _exact_tree(*args)
+        assert paths == {"evaluated"}
+        assert _tree_bytes(got) == _tree_bytes(_reference_build_tree(*args))
+
+    @pytest.mark.parametrize(
+        "min_child_weight,zero_cost_share", [(0.0, 0.2), (1.0, 0.2), (0.0, 1.0)],
+        ids=["floor-0", "floor-1", "every-cost-zero"],
+    )
+    def test_zero_cost(self, min_child_weight, zero_cost_share, monkeypatch):
+        # a zero cost leaves no margin over any floor >= 0, so the rule is
+        # evaluated; with every cost and the floor 0 the margin is 0 too
+        features, g, h, costs = _split_search_inputs(3, zero_cost_share=zero_cost_share)
+        if zero_cost_share == 1.0:
+            g, h = _newton_terms(np.random.default_rng(3), features.shape[0])[:2]
+        assert costs.min() == 0.0
+        args = (features, g, h, costs, 0.3, 3, min_child_weight)
+        paths = _spy_cost_rule(monkeypatch)
+        got = _exact_tree(*args)
+        assert paths == {"evaluated"}
+        assert _tree_bytes(got) == _tree_bytes(_reference_build_tree(*args))
+
+    @pytest.mark.parametrize("min_child_weight", [0.0, 1.0])
+    def test_nan_cost(self, min_child_weight, monkeypatch):
+        # a NaN cost makes c_min NaN, which clears no margin: the rule is
+        # evaluated, and any cost sum past the NaN row compares false, so no
+        # candidate is skipped on its account
+        features, g, h, costs = _split_search_inputs(4)
+        costs[[5, 60]] = math.nan
+        args = (features, g, h, costs, 0.3, 3, min_child_weight)
+        paths = _spy_cost_rule(monkeypatch)
+        got = _exact_tree(*args)
+        assert paths == {"evaluated"}
+        assert _tree_bytes(got) == _tree_bytes(_reference_build_tree(*args))
+
+    def test_right_cost_sum_rounds_below_the_floor(self, monkeypatch):
+        # costs 1e20, 1e20, 1, 1 in value order: the prefix sum absorbs both
+        # ones, so CR = fl(T - B) is 0 at the cuts at 2 and 3, though every
+        # cost clears the floor of 0.5.  The cut at 3 has the larger gain, and
+        # the rule, evaluated here since the margin is not cleared, leaves the
+        # cut at 1
+        features = np.array([[0.0], [1.0], [2.0], [3.0]])
+        g = np.array([1.0, 1.0, 1.0, -5.0])
+        args = (features, g, np.ones(4), np.array([1e20, 1e20, 1.0, 1.0]), 0.3, 1, 0.5)
+        paths = _spy_cost_rule(monkeypatch)
+        got = _exact_tree(*args)
+        assert paths == {"evaluated"}
+        expected = _reference_build_tree(*args)
+        assert expected.threshold[0] == 1.0
+        assert _tree_bytes(got) == _tree_bytes(expected)
 
 
 class TestGrowerOutput:

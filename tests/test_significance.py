@@ -518,6 +518,42 @@ class TestSignificance:
         np.testing.assert_allclose(curve[1], 2.0 / math.sqrt(8.0), rtol=1e-15)
         assert curve[2] == math.inf
 
+    @pytest.mark.parametrize("measure", [AMS2, AMS3])
+    @pytest.mark.parametrize(
+        "s, b",
+        [
+            ([-1.0], [1.0]),
+            ([math.nan], [1.0]),
+            ([2.0, -2e-9], [1.0, 1.0]),
+            ([1.0], [-1.0]),
+            ([1.0], [math.nan]),
+            ([1.0], [math.inf]),
+            ([math.inf], [1.0]),
+            (-1.0, 1.0),
+        ],
+        ids=[
+            "negative-s", "nan-s", "s-below-tolerance", "negative-b", "nan-b",
+            "inf-b", "inf-s", "scalar",
+        ],
+    )
+    def test_curve_rejects_entries_outside_the_summary_interval(self, measure, s, b):
+        # outside the interval ConfusionSummary accepts, AMS2's log1p and the
+        # product b * f(s / b) would warn and give NaN, and a NaN s would give
+        # NaN silently
+        with pytest.raises(ValueError, match=r"in \[-1e-09, inf\)"):
+            significance_curve(np.asarray(s), np.asarray(b), measure)
+        with pytest.raises(ValueError):
+            ConfusionSummary(s=float(np.ravel(s)[-1]), b=float(np.ravel(b)[-1]), p=10.0)
+
+    @pytest.mark.parametrize("measure", [AMS2, AMS3])
+    def test_curve_takes_entries_within_the_tolerance(self, measure):
+        # -1e-9 is the summary's tolerance, so such entries score as before
+        s, b = np.array([-1e-9, 0.0, 1.0]), np.array([1.0, -1e-9, 0.0])
+        curve = significance_curve(s, b, measure)
+        summary = ConfusionSummary(s=-1e-9, b=1.0, p=0.0)
+        assert curve[0] == significance(summary, measure)
+        assert curve[1] == 0.0 and curve[2] == math.inf
+
 
 def _reference_significance(summary, measure):
     """significance() as the scalar formula on Python floats, for comparison
