@@ -486,6 +486,17 @@ def _safe_ratio(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.divide(g * g, h, out=np.zeros_like(h), where=h > 0.0)
 
 
+def _split_gains(GL, GR, HL, HR, parent, guard: bool) -> np.ndarray:
+    """The gains of one batch's candidates from their children's sums.
+
+    Without ``guard`` every HL and HR must be > 0, where the plain divide
+    gives the bits ``_safe_ratio`` would.
+    """
+    if guard:
+        return (_safe_ratio(GL, HL) + _safe_ratio(GR, HR)) - parent
+    return (GL * GL / HL + GR * GR / HR) - parent
+
+
 def _build_tree(
     features: np.ndarray,
     g: np.ndarray,
@@ -540,15 +551,28 @@ def _build_tree(
         # one length L, at most _SPLIT_CELLS entries (one feature at least).
         # boundary[f, p] marks a cut between v[f, p] and v[f, p + 1].  Where
         # at least half of a batch's positions are cuts, every position's
-        # sums are taken as views and boundary masks the non-cuts out of
-        # keep; elsewhere the cuts alone are gathered with one boolean index.
+        # sums are taken as views and boundary zeroes the non-cuts' scores;
+        # elsewhere the cuts alone are gathered with one boolean index.
         # Either way the candidates, with a last axis of missing sides, ravel
         # in scan order: feature index ascending, threshold ascending,
         # missing-to-left before missing-to-right; ties go to the first.  A
         # list as long as the node has no missing row, and there both sides
         # add 0.0 to the same sums, which only turns -0.0 into 0.0: the gains
         # and skip rules agree, so missing-to-right, never first, is not built
-        parent = _safe_ratio(g[idx].sum(), h[idx].sum())
+        h_node = h[idx]
+        h_total = h_node.sum()
+        parent = _safe_ratio(g[idx].sum(), h_total)
+        # No child's hessian sum can be <= 0 where the node's hessians clear
+        # the margin below; then the gains need no h > 0 guard.  This is the
+        # cost rule's argument with the floor at 0: with h_min > 0, a prefix
+        # sum of positive terms never decreases in floating point, so
+        # HL >= h_min; HR = fl(T - B) is at least
+        # (h_min - L u (1 + 2 L u) h_total)(1 - u), with u = eps / 2 and
+        # L = idx.size, which is > 0 under the margin; a missing side adds a
+        # sum >= 0.  Where the margin underflows, every sum is subnormal and
+        # exact.  The test is one > so that a NaN, inf or zero hessian keeps
+        # the guard.
+        guard = not h_node.min() > 4 * idx.size * np.finfo(float).eps * h_total
         best = None
         best_gain = 0.0
         for start, stop, sides in _split_batches(sorted_rows, idx.size):
@@ -578,19 +602,16 @@ def _build_tree(
                     above = np.stack([above, above + miss], axis=-1)
                 sums += [below, above]
             GL, GR, HL, HR, *cost_sums = sums
-            gain = (_safe_ratio(GL, HL) + _safe_ratio(GR, HR)) - parent
-            # the skip rules, kept negated: a NaN cost or gain compares false,
-            # so it is not skipped
-            skip = gain <= 0.0
+            # a candidate's score is its gain where the skip rules keep it,
+            # else 0: kept gains are > 0 or NaN, which np.maximum passes on,
+            # and a NaN cost sum compares false, so it skips nothing
+            score = np.maximum(_split_gains(GL, GR, HL, HR, parent, guard), 0.0)
             if cost_rule:
                 CL, CR = cost_sums
-                skip |= (CL < min_child_weight) | (CR < min_child_weight)
-            keep = ~skip
+                score[(CL < min_child_weight) | (CR < min_child_weight)] = 0.0
             if masked:
-                keep &= boundary if sides == 1 else boundary[..., None]
-            if not keep.any():
-                continue
-            gain, keep = gain.ravel(), keep.ravel()
+                score[~boundary] = 0.0
+            score = score.ravel()
 
             def candidate(i: int) -> tuple:
                 at, side = divmod(i, sides)
@@ -599,13 +620,16 @@ def _build_tree(
                 f, p = divmod(at, boundary.shape[1])
                 return start + f, float(v[f, p + 1]), side == 0
 
-            first = int(np.argmax(keep))
-            if best is None and np.isnan(gain[first]):
-                # a NaN gain taken first is final: no gain compares greater
-                return candidate(first)
-            # kept gains are > 0 or NaN, so 0 marks a candidate never taken
-            score = np.where(keep & ~np.isnan(gain), gain, 0.0)
+            # the first best, or the first kept NaN where there is one
             i = int(np.argmax(score))
+            if np.isnan(score[i]):
+                # a NaN gain before any other kept candidate of the node (a
+                # score != 0) is final, as no gain compares greater; after
+                # one, it is never taken
+                if best is None and i == int(np.argmax(score != 0.0)):
+                    return candidate(i)
+                score[np.isnan(score)] = 0.0
+                i = int(np.argmax(score))
             if score[i] > best_gain:
                 best_gain = score[i]
                 best = candidate(i)

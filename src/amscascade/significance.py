@@ -321,14 +321,17 @@ def significance_curve(
     entries with b = 0 and s > 0 give +inf (the supremum of the measure as
     the selected background vanishes).  Every entry of ``s`` and ``b`` must
     lie in [-1e-9, inf), the interval ``ConfusionSummary`` accepts; a NaN,
-    infinite or more negative one raises ValueError.  The one copy of the
-    formula.
+    infinite or more negative one raises ValueError.  An ``s`` below 0 within
+    that tolerance gives 0, as s = 0 does.  The one copy of the formula.
     """
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
     # one check of both arrays, written so that NaN fails it
     if not ((s >= -_ABS_TOL) & (s < math.inf) & (b >= -_ABS_TOL) & (b < math.inf)).all():
         raise ValueError(f"s and b must be real numbers in [{-_ABS_TOL:g}, inf)")
+    # a negative s over a small b would leave f's domain: AMS2's log1p warns
+    # and gives NaN below s / b = -1, and AMS3 squares it into a positive value
+    s = np.maximum(s, 0.0)
     ok = b > 0.0
     # a subnormal b can overflow s / b, and a huge b the product b * f(s / b);
     # either gives +inf without a warning

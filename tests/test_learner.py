@@ -858,25 +858,36 @@ def _spy_candidate_forms(monkeypatch):
     they hold every position of the (features, positions) block, one axis
     more than the sides need, and "gathered" where they hold the cuts only.
     """
-    split_batches, safe_ratio = learner_module._split_batches, learner_module._safe_ratio
-    forms, pending = set(), []  # pending: the sides of a batch not yet classified
+    split_batches, split_gains = learner_module._split_batches, learner_module._split_gains
+    forms, sides = set(), []  # sides: those of the batch being scanned
 
     def batches(sorted_rows, n_rows):
         for batch in split_batches(sorted_rows, n_rows):
-            pending[:] = [batch[2]]
+            sides[:] = [batch[2]]
             yield batch
 
-    def ratio(g, h):
-        # the first array call after a batch is its left children's ratio;
-        # the node's own ratio is a scalar
-        if pending and np.ndim(g) > 0:
-            sides = pending.pop()
-            forms.add(("masked" if np.ndim(g) == sides + 1 else "gathered", sides))
-        return safe_ratio(g, h)
+    def gains(GL, *rest):
+        # a batch with a cut takes its gains once, guarded or not
+        forms.add(("masked" if np.ndim(GL) == sides[0] + 1 else "gathered", sides[0]))
+        return split_gains(GL, *rest)
 
     monkeypatch.setattr(learner_module, "_split_batches", batches)
-    monkeypatch.setattr(learner_module, "_safe_ratio", ratio)
+    monkeypatch.setattr(learner_module, "_split_gains", gains)
     return forms
+
+
+def _spy_hessian_guard(monkeypatch):
+    """The list the split search appends each gain batch's path to, in scan
+    order: "guarded" where the node's hessians may let a child's sum reach
+    0, "unguarded" where they clear the margin that rules it out."""
+    split_gains, paths = learner_module._split_gains, []
+
+    def gains(*args):
+        paths.append("guarded" if args[-1] else "unguarded")
+        return split_gains(*args)
+
+    monkeypatch.setattr(learner_module, "_split_gains", gains)
+    return paths
 
 
 class _CostGathers(np.ndarray):
@@ -1137,6 +1148,24 @@ class TestSplitSearchOracle:
             args = (*inputs, 0.3, 4, 0.0)
             assert _tree_bytes(_exact_tree(*args)) == _tree_bytes(_reference_build_tree(*args))
 
+    @pytest.mark.parametrize("first_gradient,cut", [(1.0, 1.0), (0.0, 2.0)])
+    def test_nan_gain_after_the_first_kept_candidate(self, first_gradient, cut):
+        # the hessian at row 1 is inf, so from the cut at 2 on HL is inf; at
+        # that cut GL overflows too and its gain is inf / inf = NaN, while
+        # the node's own G and the other cuts stay finite.  A NaN is final
+        # only when no kept gain comes before it: with a first gradient of 1
+        # the cut at 1 has a gain of 1 and wins, with 0 it is not kept and
+        # the NaN at 2 is taken
+        features = np.arange(5.0)[:, None]
+        g = np.array([first_gradient, 2e154, -2e154, 1.0, -1.0])
+        h = np.array([1.0, math.inf, 1.0, 1.0, 1.0])
+        args = (features, g, h, np.ones(5), 0.3, 1, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _reference_build_tree(*args)
+            got = _exact_tree(*args)
+        assert expected.threshold[0] == cut
+        assert _tree_bytes(got) == _tree_bytes(expected)
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["continuous", "tied"])
     def test_overflowing_gains_without_missing_rows(self, kind, seed):
@@ -1314,6 +1343,115 @@ class TestSplitSearchOracle:
         assert paths == {"evaluated"}
         expected = _reference_build_tree(*args)
         assert expected.threshold[0] == 1.0
+        assert _tree_bytes(got) == _tree_bytes(expected)
+
+    def test_oracle_inputs_reach_both_hessian_paths(self, monkeypatch):
+        # the oracle cases above test both paths of the hessian guard only if
+        # some nodes clear its margin (every cost positive) and others do not
+        # (zero costs give zero hessians, here in every node)
+        paths = _spy_hessian_guard(monkeypatch)
+        for seed in range(3):
+            _exact_tree(*_split_search_inputs(seed, zero_cost_share=0.3), 0.3, 3, 0.0)
+        assert set(paths) == {"guarded"}
+        paths.clear()
+        for seed in range(3):
+            _exact_tree(*_split_search_inputs(seed), 0.3, 3, 0.0)
+            for kind in _BATCH_KINDS:
+                _exact_tree(*_batch_inputs(seed, kind), 0.3, 3, 0.0)
+        assert set(paths) == {"unguarded"}
+
+    def test_small_trees_reach_both_hessian_paths(self, monkeypatch):
+        # the fuzz above draws the same examples, and holds both paths of the
+        # hessian guard to the oracle only if it reaches them: its hessians
+        # are integers from 0
+        paths = _spy_hessian_guard(monkeypatch)
+
+        @_GROWER_FUZZ
+        @given(_grower_cases())
+        def grow(args):
+            _exact_tree(*args)
+
+        grow()
+        assert set(paths) == {"guarded", "unguarded"}
+
+    @pytest.mark.parametrize("zeros", [[0], [0, 7, 33], "all"])
+    def test_zero_hessian(self, zeros, monkeypatch):
+        # a zero hessian leaves no margin, and a child of only zero-hessian
+        # rows has HL or HR = 0, whose g * g / 0 the guard sets to 0.  With
+        # every hessian zero the margin is 0 too, and 0 must not clear it
+        features, g, h, costs = _split_search_inputs(5)
+        h[slice(None) if zeros == "all" else zeros] = 0.0
+        args = (features, g, h, costs, 0.3, 3, 0.0)
+        paths = _spy_hessian_guard(monkeypatch)
+        got = _exact_tree(*args)
+        assert paths[0] == "guarded"
+        assert _tree_bytes(got) == _tree_bytes(_reference_build_tree(*args))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_hessian(self, value, monkeypatch):
+        # a NaN hessian makes h_min NaN, and an inf one the margin inf; neither
+        # clears it, so every node holding such a row keeps the guard
+        features, g, h, costs = _split_search_inputs(6)
+        h[[5, 60]] = value
+        args = (features, g, h, costs, 0.3, 3, 0.0)
+        paths = _spy_hessian_guard(monkeypatch)
+        with np.errstate(invalid="ignore"):  # inf - inf in a right child's sum
+            got = _exact_tree(*args)
+            expected = _reference_build_tree(*args)
+        assert paths[0] == "guarded"
+        assert _tree_bytes(got) == _tree_bytes(expected)
+
+    def test_subnormal_hessians(self, monkeypatch):
+        # hessians of 1 to 3 times the least subnormal: the margin
+        # 4 n eps h_total underflows to 0, but every sum of such hessians is
+        # exact, so no child's sum reaches 0 and the guard is dropped.  The
+        # gradients are scaled so that g * g / h is exact and finite
+        features, _, _, costs = _split_search_inputs(7)
+        rng = np.random.default_rng(7)
+        n = features.shape[0]
+        g = rng.integers(-3, 4, size=n) * 2.0**-537
+        h = rng.integers(1, 4, size=n) * 2.0**-1074
+        assert 4 * n * np.finfo(float).eps * h.sum() == 0.0
+        args = (features, g, h, costs, 0.3, 3, 0.0)
+        paths = _spy_hessian_guard(monkeypatch)
+        got = _exact_tree(*args)
+        assert set(paths) == {"unguarded"}
+        expected = _reference_build_tree(*args)
+        assert _tree_depth(expected) == 3
+        assert _tree_bytes(got) == _tree_bytes(expected)
+
+    def test_right_hessian_sum_rounds_to_zero(self, monkeypatch):
+        # hessians 1e20, 1e20, 1, 1 in value order: the prefix sum absorbs
+        # both ones, so HR = fl(T - B) is 0 at the cuts at 2 and 3, though
+        # every hessian is > 0.  The margin is not cleared, so the guard sets
+        # those children's ratios to 0 and the cut at 1 wins; unguarded,
+        # (-4)^2 / 0 would be inf at the cut at 2
+        features = np.array([[0.0], [1.0], [2.0], [3.0]])
+        g = np.array([1.0, 1.0, 1.0, -5.0])
+        h = np.array([1e20, 1e20, 1.0, 1.0])
+        args = (features, g, h, np.ones(4), 0.3, 1, 0.0)
+        paths = _spy_hessian_guard(monkeypatch)
+        got = _exact_tree(*args)
+        assert paths == ["guarded"]
+        expected = _reference_build_tree(*args)
+        assert expected.threshold[0] == 1.0
+        assert _tree_bytes(got) == _tree_bytes(expected)
+
+    def test_child_clears_the_margin_its_parent_does_not(self, monkeypatch):
+        # row 0's zero hessian keeps the guard at the root and in the left
+        # child, where the cut at 1 has HL = 0; the right child's hessians
+        # are all 1 and clear the margin.  The reverse cannot happen: a
+        # child's least hessian is no smaller than its parent's, and its sum
+        # no larger
+        features = np.arange(8.0)[:, None]
+        g = np.array([-2.0, -2.0, -2.0, -2.0, 1.0, 3.0, -1.0, 2.0])
+        h = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        args = (features, g, h, np.ones(8), 0.3, 2, 0.0)
+        paths = _spy_hessian_guard(monkeypatch)
+        got = _exact_tree(*args)
+        assert paths == ["guarded", "guarded", "unguarded"]
+        expected = _reference_build_tree(*args)
+        assert list(expected.threshold[expected.feature >= 0]) == [4.0, 2.0, 6.0]
         assert _tree_bytes(got) == _tree_bytes(expected)
 
 

@@ -459,6 +459,14 @@ class TestSignificance:
             with pytest.raises(DegenerateInputError):
                 significance(make_summary(s=s, b=0.0, p=p), AMS2)
 
+    @pytest.mark.parametrize("measure", [AMS2, AMS3], ids=["ams2", "ams3"])
+    @pytest.mark.parametrize("s", [-1e-9, -1e-10, -5e-324, -0.0])
+    def test_negative_signal_within_the_tolerance_gives_zero(self, measure, s):
+        # at b = 1e-12, s = -1e-10 gives s / b = -100: AMS2's log1p would warn
+        # and give NaN, and AMS3 would square it into a positive 1e-4
+        assert significance(ConfusionSummary(s=s, b=1e-12, p=0.0), measure) == 0.0
+        assert significance(ConfusionSummary(s=s, b=1e6, p=0.0), measure) == 0.0
+
     def test_quadratic_closed_form_random(self):
         # AMS3 significance must equal s / sqrt(b) to 1e-12
         rng = np.random.default_rng(42)
@@ -555,6 +563,17 @@ class TestSignificance:
         assert curve[1] == 0.0 and curve[2] == math.inf
 
 
+    @pytest.mark.parametrize("measure", [AMS2, AMS3], ids=["ams2", "ams3"])
+    def test_curve_gives_zero_for_negative_signal_within_the_tolerance(self, measure):
+        # each negative entry scores as s = 0 does, whatever its b, while the
+        # positive entry keeps its bytes
+        s = np.array([-1e-9, -1e-10, -1e-10, -0.0, 2.0, -1e-10])
+        b = np.array([1e-12, 1e-12, 1e6, 1.0, 8.0, 0.0])
+        curve = significance_curve(s, b, measure)
+        expected = np.array([0.0, 0.0, 0.0, 0.0, significance_curve(2.0, 8.0, measure), 0.0])
+        assert curve.tobytes() == expected.tobytes()
+
+
 def _reference_significance(summary, measure):
     """significance() as the scalar formula on Python floats, for comparison
     with the same formula evaluated through significance_curve."""
@@ -562,6 +581,8 @@ def _reference_significance(summary, measure):
         return 0.0
     if summary.b <= 0.0:
         raise DegenerateInputError("no background weight selected")
+    if summary.s < 0.0:  # within the summary's tolerance of 0, scored as 0
+        return 0.0
     return float(measure.h(summary.b * np.asarray(measure.f(summary.s / summary.b))))
 
 
