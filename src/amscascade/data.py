@@ -54,26 +54,28 @@ def _freeze_field(record, name: str, dtype, error=ValueError) -> np.ndarray:
     return arr
 
 
-def _sorted_present_rows(features: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each column's non-NaN rows, sorted by (value, row index).
+def _sorted_rows(features: np.ndarray) -> np.ndarray:
+    """Each column's stable argsort, as one read-only (d, n) int64 block.
 
-    numpy's default argsort (a SIMD quicksort where the CPU has one) orders
-    the present values; each run of equal values (``==``, so -0.0 ties 0.0)
-    is then put back into ascending row order by one integer sort of
-    ``run * n + row``, which keeps the runs in place.  The result is the
-    stable argsort's, byte for byte.  ``run * n + row`` stays below
-    ``n**2``, so int64 holds it for any n below 3e9.  The repair works in
-    place: each new array of a column costs as much in page faults as its
-    arithmetic.
+    Row j is ``np.argsort(features[:, j], kind="stable")`` byte for byte:
+    the rows where column j is present, sorted by (value, row index), then
+    the rows where it is NaN, in ascending row order.  numpy's default
+    argsort (a SIMD quicksort where the CPU has one) orders the present
+    values; each run of equal values (``==``, so -0.0 ties 0.0) is then put
+    back into ascending row order by one integer sort of ``run * n + row``,
+    which keeps the runs in place.  ``run * n + row`` stays below ``n**2``,
+    so int64 holds it for any n below 3e9.  The repair works in place: each
+    new array of a column costs as much in page faults as its arithmetic.
     """
-    n = features.shape[0]
-    order = []
-    for col in features.T:
+    n, d = features.shape
+    order = np.empty((d, n), dtype=np.int64)
+    for j, col in enumerate(features.T):
         values = np.ascontiguousarray(col)
         missing = np.isnan(values)
         if missing.any():  # numpy's argsort takes a scalar path on NaN
             present = np.flatnonzero(~missing)
             rows = present[np.argsort(values[present])]
+            order[j, rows.size:] = np.flatnonzero(missing)
         else:
             rows = np.argsort(values)
         values = values[rows]
@@ -86,8 +88,8 @@ def _sorted_present_rows(features: np.ndarray) -> tuple[np.ndarray, ...]:
             rows += base
             rows.sort()
             rows -= base
-        order.append(_frozen(rows))
-    return tuple(order)
+        order[j, :rows.size] = rows
+    return _frozen(order)
 
 
 def _has_duplicates(ids: np.ndarray) -> bool:
@@ -169,11 +171,11 @@ class WeightedDataset:
         return self.features.shape[1]
 
     @cached_property
-    def _column_order(self) -> tuple[np.ndarray, ...]:
+    def _column_order(self) -> np.ndarray:
         # sorted on first use and kept: the learners read it in every tree
         # and every cascade round, and rounds change only the costs, never
         # the features.  Not a field, so ==, repr and replace() ignore it
-        return _sorted_present_rows(self.features)
+        return _sorted_rows(self.features)
 
     @property
     def signal_total(self) -> float:

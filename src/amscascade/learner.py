@@ -462,25 +462,6 @@ def surrogate_hessian(
 _SPLIT_CELLS = 1 << 13
 
 
-def _split_batches(sorted_rows: Sequence[np.ndarray], n_rows: int):
-    """The batches a node's split search scans, as ``(start, stop, sides)``.
-
-    A batch is a run of consecutive features whose sorted lists have one
-    length L of at least 2, within ``_SPLIT_CELLS`` entries (one feature at
-    least).  ``sides`` is 2 where a list is shorter than the node's
-    ``n_rows``, so rows are missing, and 1 where none is.
-    """
-    stop, n_features = 0, len(sorted_rows)
-    while stop < n_features:
-        start, size = stop, sorted_rows[stop].size
-        stop += 1
-        while (stop < n_features and sorted_rows[stop].size == size
-               and (stop + 1 - start) * size <= _SPLIT_CELLS):
-            stop += 1
-        if size >= 2:
-            yield start, stop, 2 if size < n_rows else 1
-
-
 def _safe_ratio(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Element-wise g * g / h where h > 0, else 0."""
     return np.divide(g * g, h, out=np.zeros_like(h), where=h > 0.0)
@@ -505,7 +486,7 @@ def _build_tree(
     learning_rate: float,
     max_depth: int,
     min_child_weight: float,
-    root_rows: Sequence[np.ndarray],
+    root_order: np.ndarray,
     scores: np.ndarray,
     sample: Optional[np.ndarray] = None,
 ) -> Tree:
@@ -514,15 +495,16 @@ def _build_tree(
     Every row is routed to its leaf, whose value is added to the row's entry
     of ``scores`` in place, so ``scores`` gains ``tree.predict(features)``.
     """
-    # root_rows[j] lists the sampled rows where feature j is present, sorted
-    # by (value, row index).  A split filters every such list into its
-    # children through one row-membership mask; the filter keeps the order,
-    # so each node sees exactly the sequence a stable argsort of its own
-    # ascending rows would give, and every cumulative sum runs in one order.
-    n = features.shape[0]
+    # root_order is a (features, rows) block: row j lists the sampled rows
+    # sorted by feature j's value and then row index, the rows where it is
+    # NaN last, in ascending order, as a stable argsort puts them.  A split
+    # filters the block into its children through one row-membership mask;
+    # the filter keeps each row's order, so every node's block is exactly
+    # the stable argsort of its own ascending rows, and every cumulative sum
+    # runs in one order.
+    n, d = features.shape
     columns = np.ascontiguousarray(features.T)
-    offsets = (np.arange(columns.shape[0]) * n)[:, None]  # row j of columns.ravel()
-    missing_cells = np.isnan(columns)
+    offsets = (np.arange(d) * n)[:, None]  # row j of columns.ravel()
     in_left = np.empty(n, dtype=bool)  # the splitting node's left rows
     rows: list[tuple] = []
     # The min_child_weight rule cannot fire where every row's cost clears it
@@ -545,20 +527,26 @@ def _build_tree(
         H = float(h[idx].sum())
         return -learning_rate * G / H if H > 0.0 else 0.0
 
-    def best_split(idx: np.ndarray, sorted_rows: Sequence[np.ndarray]):
+    def best_split(idx: np.ndarray, block: np.ndarray):
         # returns (feature, threshold, missing_left) or None.  Features are
-        # scanned in batches: runs of consecutive features whose lists have
-        # one length L, at most _SPLIT_CELLS entries (one feature at least).
-        # boundary[f, p] marks a cut between v[f, p] and v[f, p + 1].  Where
-        # at least half of a batch's positions are cuts, every position's
-        # sums are taken as views and boundary zeroes the non-cuts' scores;
-        # elsewhere the cuts alone are gathered with one boolean index.
-        # Either way the candidates, with a last axis of missing sides, ravel
-        # in scan order: feature index ascending, threshold ascending,
-        # missing-to-left before missing-to-right; ties go to the first.  A
-        # list as long as the node has no missing row, and there both sides
-        # add 0.0 to the same sums, which only turns -0.0 into 0.0: the gains
-        # and skip rules agree, so missing-to-right, never first, is not built
+        # scanned in batches: slices of the node's block of at most
+        # _SPLIT_CELLS entries (one feature at least).  NaN sorts last and
+        # compares false, so boundary[f, p], a cut between v[f, p] and
+        # v[f, p + 1], lies between present values only.  A batch misses rows
+        # exactly where some last value is NaN; there a feature's present
+        # total is its cumulative sum at its last present position, its
+        # missing sum is the sum of its NaN tail, and both missing sides are
+        # built.  Where no row is missing, the missing-to-right side would
+        # add 0.0 to the same sums, which only turns -0.0 into 0.0, so its
+        # gain ties, it is never first, and it is not built; there, where at
+        # least half of the positions are cuts, every position's sums are
+        # taken as views and boundary zeroes the non-cuts' scores.  Elsewhere
+        # the cuts alone are gathered with one boolean index (past a last
+        # present position a right child's hessian sum is <= 0, and an
+        # unguarded divide would warn).  Either way the candidates, with a
+        # last axis of missing sides, ravel in scan order: feature index
+        # ascending, threshold ascending, missing-to-left before
+        # missing-to-right; ties go to the first
         h_node = h[idx]
         h_total = h_node.sum()
         parent = _safe_ratio(g[idx].sum(), h_total)
@@ -575,29 +563,32 @@ def _build_tree(
         guard = not h_node.min() > 4 * idx.size * np.finfo(float).eps * h_total
         best = None
         best_gain = 0.0
-        for start, stop, sides in _split_batches(sorted_rows, idx.size):
-            order = np.stack(sorted_rows[start:stop])
-            v = columns.take(order + offsets[start:stop])
+        step = max(1, _SPLIT_CELLS // idx.size)
+        for start in range(0, d, step):
+            order = block[start:start + step]
+            v = columns.take(order + offsets[start:start + step])
             boundary = v[:, 1:] > v[:, :-1]
             counts = np.count_nonzero(boundary, axis=1)
             cuts = int(counts.sum())
             if cuts == 0:
                 continue
-            masked = 2 * cuts >= boundary.size
+            sides = 2 if np.isnan(v[:, -1]).any() else 1
+            masked = sides == 1 and 2 * cuts >= boundary.size
             if sides == 2:
-                missing = [idx[missing_cells[j][idx]] for j in range(start, stop)]
+                last = np.count_nonzero(v == v, axis=1) - 1  # each last present position
             sums = []
             for values in (g, h, costs) if cost_rule else (g, h):
-                cum = np.cumsum(values[order], axis=1)
+                vals = values[order]
+                cum = np.cumsum(vals, axis=1)
                 if masked:
                     below = cum[:, :-1]
                     above = cum[:, -1:] - below
                 else:
                     below = cum[:, :-1][boundary]
-                    above = np.repeat(cum[:, -1], counts) - below
+                    present = cum[np.arange(len(cum)), last] if sides == 2 else cum[:, -1]
+                    above = np.repeat(present, counts) - below
                 if sides == 2:
-                    miss = np.array([values[rows].sum() for rows in missing])
-                    miss = miss[:, None] if masked else np.repeat(miss, counts)
+                    miss = np.repeat([tail[p + 1:].sum() for tail, p in zip(vals, last)], counts)
                     below = np.stack([below + miss, below], axis=-1)
                     above = np.stack([above, above + miss], axis=-1)
                 sums += [below, above]
@@ -635,11 +626,9 @@ def _build_tree(
                 best = candidate(i)
         return best
 
-    def build(
-        every: np.ndarray, sorted_rows: Optional[Sequence[np.ndarray]], depth: int
-    ) -> None:
+    def build(every: np.ndarray, block: Optional[np.ndarray], depth: int) -> None:
         idx = every if sample is None else every[sample[every]]
-        split = None if depth >= max_depth or idx.size < 2 else best_split(idx, sorted_rows)
+        split = None if depth >= max_depth or idx.size < 2 else best_split(idx, block)
         if split is None:
             value = leaf_value(idx)
             rows.append(_leaf_row(value))
@@ -647,24 +636,21 @@ def _build_tree(
             return
         j, cut, miss_left = split
         go_left = _goes_left(columns[j][every], cut, miss_left)
-        # children at the depth limit search no split, so need no lists; the
-        # lists live along one root-to-node path, at most max_depth x d x n
+        # children at the depth limit search no split, so need no block; the
+        # blocks live along one root-to-node path, at most max_depth x d x n
         # entries
-        left_rows = right_rows = None
+        left = right = None
         if depth + 1 < max_depth:
             in_left[every] = go_left
-            left_rows, right_rows = [], []
-            for sorted_idx in sorted_rows:
-                side = in_left[sorted_idx]
-                left_rows.append(sorted_idx[side])
-                right_rows.append(sorted_idx[~side])
+            side = in_left[block]
+            left, right = block[side].reshape(d, -1), block[~side].reshape(d, -1)
         node = len(rows)
         rows.append(None)  # filled in once the left subtree's size is known
-        build(every[go_left], left_rows, depth + 1)
+        build(every[go_left], left, depth + 1)
         rows[node] = (j, cut, node + 1, len(rows), miss_left, 0.0)
-        build(every[~go_left], right_rows, depth + 1)
+        build(every[~go_left], right, depth + 1)
 
-    build(np.arange(n), root_rows, 0)
+    build(np.arange(n), root_order, 0)
     return Tree._from_rows(rows)
 
 
@@ -703,14 +689,14 @@ def _fit_round(
     """The round's tree fit at ``scores``, whose output it adds to them."""
     g = surrogate_gradient(cost_arr, dataset.labels, scores)
     h = surrogate_hessian(cost_arr, dataset.labels, scores)
-    root_rows, sample = dataset._column_order, None
+    order, sample = dataset._column_order, None
     if config.subsample < 1.0:
         rng = _round_rng(config.seed, round_index)
         m = max(1, int(round(config.subsample * dataset.n)))
         sample = np.zeros(dataset.n, dtype=bool)
         sample[rng.permutation(dataset.n)[:m]] = True
-        # the filter keeps each list's (value, row index) order
-        root_rows = [r[sample[r]] for r in root_rows]
+        # the filter keeps each row's order, its NaN tail last
+        order = order[sample[order]].reshape(dataset.d, m)
     return _build_tree(
         dataset.features,
         g,
@@ -719,7 +705,7 @@ def _fit_round(
         config.learning_rate,
         config.depth,
         config.min_child_weight,
-        root_rows,
+        order,
         scores,
         sample,
     )
@@ -810,9 +796,10 @@ def _design_matrix(features: np.ndarray, impute: np.ndarray) -> np.ndarray:
 
 def _train_logistic(dataset: WeightedDataset, costs: CostVector) -> Model:
     impute = np.zeros(dataset.d)
-    for j, order in enumerate(dataset._column_order):
-        if order.size:
-            impute[j] = _weighted_median(dataset.features[:, j], order, costs.costs)
+    present = dataset.n - np.isnan(dataset.features).sum(axis=0)
+    for j, (order, k) in enumerate(zip(dataset._column_order, present)):
+        if k:
+            impute[j] = _weighted_median(dataset.features[:, j], order[:k], costs.costs)
     y = dataset.labels.astype(float)
     c = costs.costs
     design = _design_matrix(dataset.features, impute)

@@ -304,8 +304,10 @@ def confusion_summary(dataset, predictions, b_reg: float = 0.0) -> ConfusionSumm
 
 
 def significance(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:
-    """``significance_curve`` at one summary, but b <= 0 with s != 0 raises."""
-    if summary.s != 0.0 and summary.b <= 0.0:
+    """``significance_curve`` at one summary, but where it would give +inf,
+    s > 0 with b <= 0, raises DegenerateInputError.  An ``s`` below 0 within
+    the tolerance gives 0 at any b, as s = 0 does."""
+    if summary.s > 0.0 and summary.b <= 0.0:
         raise DegenerateInputError(
             "significance undefined: no background weight selected and b_reg = 0"
         )

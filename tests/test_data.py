@@ -21,7 +21,7 @@ from amscascade.data import (
     write_csv,
     write_submission,
 )
-from amscascade.data import _sorted_present_rows
+from amscascade.data import _sorted_rows
 from amscascade.errors import ConfigError, DataError
 
 
@@ -177,18 +177,18 @@ CELLS = st.sampled_from([math.nan, -0.0, 0.0, 1.0, -2.5, math.inf]) | st.floats(
 
 
 def _assert_stable_order(features):
-    """The dataset's column order is each column's stable argsort of its
-    present values, the oracle, dtype included."""
+    """The dataset's column order is one (d, n) int64 block whose rows are
+    each column's stable argsort, the oracle, NaN rows last."""
     order = _dataset_of(features)._column_order
-    assert len(order) == features.shape[1]
+    assert order.shape == features.shape[::-1] and order.dtype == np.int64
     for col, rows in zip(features.T, order):
-        present = np.flatnonzero(~np.isnan(col))
-        expected = present[np.argsort(col[present], kind="stable")]
-        assert rows.dtype == expected.dtype
-        np.testing.assert_array_equal(rows, expected)
-        # independently: sorted by (value, row index), -0.0 tying 0.0
-        v = col[rows]
-        assert np.all((v[:-1] < v[1:]) | ((v[:-1] == v[1:]) & (rows[:-1] < rows[1:])))
+        np.testing.assert_array_equal(rows, np.argsort(col, kind="stable"))
+        # independently: the present prefix is sorted by (value, row index),
+        # -0.0 tying 0.0, and the NaN rows follow in ascending order
+        present = rows[:np.count_nonzero(~np.isnan(col))]
+        v = col[present]
+        assert np.all((v[:-1] < v[1:]) | ((v[:-1] == v[1:]) & (present[:-1] < present[1:])))
+        np.testing.assert_array_equal(rows[present.size:], np.flatnonzero(np.isnan(col)))
 
 
 # column makers, rng and length to column, for columns past the SIMD sorts' thresholds
@@ -216,7 +216,7 @@ def feature_matrices(draw):
 
 
 class TestColumnOrder:
-    """The per-column sorted present rows that both learners share."""
+    """The per-column sorted rows that both learners share."""
 
     @settings(
         max_examples=200,
@@ -238,8 +238,10 @@ class TestColumnOrder:
         _assert_stable_order(np.stack([LONG_COLUMNS[kind](rng, n) for _ in range(3)], axis=1))
 
     def test_all_nan_and_one_row_columns(self):
-        order = _sorted_present_rows(np.array([[math.nan, -0.0, 3.0]]))
-        assert [rows.tolist() for rows in order] == [[], [0], [0]]
+        order = _sorted_rows(np.array([[math.nan, -0.0, 3.0]]))
+        assert order.tolist() == [[0], [0], [0]]
+        order = _sorted_rows(np.array([[math.nan, 1.0], [math.nan, math.nan], [math.nan, 0.0]]))
+        assert order.tolist() == [[0, 1, 2], [2, 0, 1]]
 
     def test_cached_read_only_and_not_a_field(self):
         data = _dataset_of(np.array([[1.0, math.nan], [-0.0, 2.0], [0.0, 2.0]]))
@@ -247,11 +249,10 @@ class TestColumnOrder:
         text = repr(data)
         order = data._column_order
         assert data._column_order is order
-        for rows in order:
-            assert not rows.flags.writeable
+        assert not order.flags.writeable
         with pytest.raises(ValueError):
-            order[0][0] = 2
-        assert [rows.tolist() for rows in order] == [[1, 2, 0], [1, 2]]
+            order[0, 0] = 2
+        assert order.tolist() == [[1, 2, 0], [1, 2, 0]]
         assert "_column_order" not in {f.name for f in fields(data)}
         assert repr(data) == text == repr(twin)
         assert data == twin

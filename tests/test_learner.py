@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amscascade.data import SynthConfig, WeightedDataset, _sorted_present_rows, synthesize
+from amscascade.data import SynthConfig, WeightedDataset, _sorted_rows, synthesize
 from amscascade.errors import ConfigError, DataError, TrainingError
 from amscascade.learner import (
     CostVector,
@@ -652,7 +652,7 @@ class TestLogisticInputs:
         present = ~np.isnan(col)
         if not present.any():
             return
-        (order,) = _sorted_present_rows(col[:, None])
+        order = _sorted_rows(col[:, None])[0, :np.count_nonzero(present)]
         got = learner_module._weighted_median(col, order, costs)
         expected = _reference_weighted_median(col[present], costs[present])
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
@@ -660,7 +660,7 @@ class TestLogisticInputs:
     @pytest.mark.parametrize("values", [[0.0, -0.0, 2.0], [-0.0, 0.0, 0.0, -0.0], [3.0, 1.0]])
     def test_weighted_median_zero_cost_fallback(self, values):
         col = np.array(values + [math.nan])
-        (order,) = _sorted_present_rows(col[:, None])
+        order = _sorted_rows(col[:, None])[0, :len(values)]  # the present prefix
         got = learner_module._weighted_median(col, order, np.zeros(col.size))
         expected = np.median(np.array(values))
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
@@ -806,13 +806,13 @@ _BATCH_KINDS = ("continuous", "tied", "nan-middle")
 
 
 def _batch_inputs(seed, kind, n=120):
-    """Seven columns whose lists share lengths, so features scan in batches.
+    """Seven columns, which the nodes of a few rows scan in one batch.
 
     ``continuous`` and ``tied`` (integer values, column 1 repeating column 0)
-    hold no NaN, so every list is as long as its node; ``nan-middle`` makes
+    hold no NaN, so no row of a node is missing; ``nan-middle`` makes
     columns 2 and 3 NaN in the same n / 5 rows and column 4 in as many other
-    random rows, so the batches break there, and the root scans these three
-    in one batch with each its own missing sums.
+    random rows, so the root's batch mixes features with and without
+    missing rows, each with its own missing sums.
     """
     rng = np.random.default_rng(seed)
     if kind == "tied":
@@ -823,6 +823,18 @@ def _batch_inputs(seed, kind, n=120):
     if kind == "nan-middle":
         features[rng.permutation(n)[:n // 5], 2:4] = np.nan
         features[rng.permutation(n)[:n // 5], 4] = np.nan
+    return (features, *_newton_terms(rng, n))
+
+
+def _mixed_batch_inputs(seed, n=80):
+    """Four columns, with missing rows in the odd ones: 0 continuous, 1 of
+    four levels with a third of its rows NaN, 2 of four levels, 3 continuous
+    with a fifth of its rows NaN."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, 4))
+    features[:, 1:3] = rng.integers(0, 4, size=(n, 2))
+    features[rng.random(n) < 1 / 3, 1] = np.nan
+    features[rng.random(n) < 1 / 5, 3] = np.nan
     return (features, *_newton_terms(rng, n))
 
 
@@ -841,13 +853,42 @@ def _tree_depth(tree, node=0):
     )
 
 
-def _exact_tree(features, *args):
-    """``_build_tree`` on every row of ``features``, from their sorted lists."""
+def _exact_tree(features, *args, order=None):
+    """``_build_tree`` on every row of ``features``, from their column order
+    (or ``order``, a block of the same rows)."""
     n = features.shape[0]
+    order = _sorted_rows(features) if order is None else order
     # through the module, so that _spy_cost_rule sees the call
-    return learner_module._build_tree(
-        features, *args, _sorted_present_rows(features), np.zeros(n)
-    )
+    return learner_module._build_tree(features, *args, order, np.zeros(n))
+
+
+class _BatchSlices(np.ndarray):
+    """A column-order block that notes, in ``batches``, each slice of
+    features the split search takes from it or from its children's blocks."""
+
+    def __array_finalize__(self, obj):
+        self.batches = getattr(obj, "batches", None)
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.batches.append((key.start, np.asarray(out)))
+        return out
+
+
+def _scanned_batches(features, *args):
+    """``_exact_tree``'s tree and its batches as (start, width, sides, rows):
+    a node of ``rows`` rows scans features start to start + width, with two
+    missing sides where one of them is NaN in some of the node's rows."""
+    order = _sorted_rows(features).view(_BatchSlices)
+    order.batches = []
+    tree = _exact_tree(features, *args, order=order)
+    batches = []
+    for start, block in order.batches:
+        width, rows = block.shape
+        missing = np.isnan(features[block, np.arange(start, start + width)[:, None]]).any()
+        batches.append((start, width, 2 if missing else 1, rows))
+    return tree, batches
 
 
 def _spy_candidate_forms(monkeypatch):
@@ -855,23 +896,18 @@ def _spy_candidate_forms(monkeypatch):
 
     A batch with a cut builds its gains from arrays of its candidates, with a
     last axis of missing sides where it has two.  ``form`` is "masked" where
-    they hold every position of the (features, positions) block, one axis
-    more than the sides need, and "gathered" where they hold the cuts only.
+    they are views of the cumulative sums at every position of the
+    (features, positions) block, one axis more than the sides need, and
+    "gathered" where they hold the cuts only, in arrays of their own.
     """
-    split_batches, split_gains = learner_module._split_batches, learner_module._split_gains
-    forms, sides = set(), []  # sides: those of the batch being scanned
-
-    def batches(sorted_rows, n_rows):
-        for batch in split_batches(sorted_rows, n_rows):
-            sides[:] = [batch[2]]
-            yield batch
+    split_gains, forms = learner_module._split_gains, set()
 
     def gains(GL, *rest):
         # a batch with a cut takes its gains once, guarded or not
-        forms.add(("masked" if np.ndim(GL) == sides[0] + 1 else "gathered", sides[0]))
+        masked = not GL.flags.owndata
+        forms.add(("masked" if masked else "gathered", GL.ndim - masked))
         return split_gains(GL, *rest)
 
-    monkeypatch.setattr(learner_module, "_split_batches", batches)
     monkeypatch.setattr(learner_module, "_split_gains", gains)
     return forms
 
@@ -1091,10 +1127,10 @@ class TestSplitSearchOracle:
         assert _tree_bytes(tree) == _tree_bytes(expected)
 
     @pytest.mark.parametrize("subsample", [0.3, 0.7, 0.01])
-    def test_subsample_lists_are_the_samples_own_order(self, subsample, monkeypatch):
-        # _fit_round marks the sampled rows and filters the full set's lists
-        # down to them; they must equal the order of the sample's own feature
-        # matrix, in the full set's row numbers
+    def test_subsample_block_is_the_samples_own_order(self, subsample, monkeypatch):
+        # _fit_round marks the sampled rows and filters the full set's block
+        # down to them; it must equal the stable argsort of the sample's own
+        # feature matrix, NaN rows last, in the full set's row numbers
         features, _, _, costs = _split_search_inputs(1)
         features[::7, 2] = -0.0
         features[::5, 2] = 0.0
@@ -1108,14 +1144,24 @@ class TestSplitSearchOracle:
         learner_module._fit_round(dataset, costs, np.zeros(n), config, 1)
         rows = np.sort(learner_module._round_rng(4, 1).permutation(n)[:max(1, round(subsample * n))])
         (args,) = grown
-        root_rows, sample = args[7], args[9]
+        root_order, sample = args[7], args[9]
         assert args[0] is dataset.features
         np.testing.assert_array_equal(np.flatnonzero(sample), rows)
-        expected = _sorted_present_rows(features[rows])
-        assert len(root_rows) == len(expected)
-        for got, order in zip(root_rows, expected):
-            assert got.dtype == order.dtype
-            np.testing.assert_array_equal(got, rows[order])
+        expected = rows[np.argsort(features[rows], axis=0, kind="stable").T]
+        assert np.isnan(features[rows]).any()
+        assert root_order.dtype == np.int64 and root_order.shape == expected.shape
+        np.testing.assert_array_equal(root_order, expected)
+
+    def test_subsampled_round_without_features(self):
+        # a zero-feature set reshapes its empty sampled block and grows leaves
+        n = 20
+        labels = np.where(np.arange(n) % 3 == 0, 1, -1)
+        dataset = _dataset_of(np.empty((n, 0)), labels)
+        costs = make_cost_vector(dataset, 1.0, AMS3)
+        config = LearnerConfig(kind="tree-boost", rounds=3, seed=2, subsample=0.5)
+        model = train(dataset, costs, config)
+        assert model.n_trees == 3 and all(tree.n_nodes == 1 for tree in model.trees)
+        assert np.all(np.isfinite(predict_scores(model, dataset)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_overflowing_gains(self, seed):
@@ -1141,7 +1187,7 @@ class TestSplitSearchOracle:
     @pytest.mark.parametrize("cells", [1, 2**40])
     @pytest.mark.parametrize("kind", ["nan-edges", *_BATCH_KINDS])
     def test_any_batch_budget_gives_the_same_trees(self, kind, cells, monkeypatch):
-        # one feature per batch, and every feature of a list length in one
+        # one feature per batch, and every feature of a node in one
         monkeypatch.setattr(learner_module, "_SPLIT_CELLS", cells)
         for seed in range(3):
             inputs = _split_search_inputs(seed) if kind == "nan-edges" else _batch_inputs(seed, kind)
@@ -1177,56 +1223,86 @@ class TestSplitSearchOracle:
             got = _exact_tree(*args)
         assert _tree_bytes(got) == _tree_bytes(expected)
 
-    def test_split_batches(self, monkeypatch):
-        # runs of one list length within the budget; lists under 2 rows are
-        # not scanned, and a list shorter than the node's rows scans two sides
+    def test_batches_are_slices_of_the_node_block(self, monkeypatch):
+        # a node of L rows scans slices of max(1, _SPLIT_CELLS // L) features:
+        # 2 at the root's 5 rows, then 5 and 3 in its children of 2 and 3
+        # rows; the one NaN cell, in row 3, gives its batches two sides
         monkeypatch.setattr(learner_module, "_SPLIT_CELLS", 10)
-        lists = [np.arange(size) for size in (5, 5, 5, 3, 3, 1, 0, 4, 4, 12)]
-        assert list(learner_module._split_batches(lists, 5)) == [
-            (0, 2, 1), (2, 3, 1), (3, 5, 2), (7, 9, 2), (9, 10, 1),
+        features = np.arange(25.0).reshape(5, 5)
+        features[3, 2] = np.nan
+        g = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
+        tree, batches = _scanned_batches(features, g, np.ones(5), np.ones(5), 0.3, 2, 0.0)
+        assert (tree.feature[0], tree.threshold[0]) == (0, 10.0)
+        assert batches == [
+            (0, 2, 1, 5), (2, 2, 2, 5), (4, 1, 1, 5), (0, 5, 1, 2), (0, 3, 2, 3), (3, 2, 1, 3),
         ]
 
     @pytest.mark.parametrize("cells", [None, 1, 2**40])
     def test_batch_inputs_reach_wide_batches(self, cells, monkeypatch):
         # the batch cases above test the batched scan only if their nodes
         # scan several features at once, with one missing side where no row
-        # misses, and with two at nan-middle's root
+        # misses, and with two in one batch of every feature at nan-middle's
+        # root, which mixes features with and without missing rows
         if cells is not None:
             monkeypatch.setattr(learner_module, "_SPLIT_CELLS", cells)
-        split_batches = learner_module._split_batches
-        batches = []
-
-        def spy(sorted_rows, n_rows):
-            for batch in split_batches(sorted_rows, n_rows):
-                batches.append(batch)
-                yield batch
-
-        monkeypatch.setattr(learner_module, "_split_batches", spy)
         seen = {}  # kind -> its (start, width, sides) batches
         for kind in _BATCH_KINDS:
-            batches.clear()
+            seen[kind] = set()
             for seed in range(3):
-                _exact_tree(*_batch_inputs(seed, kind), 0.3, 3, 0.0)
-            seen[kind] = {(start, stop - start, sides) for start, stop, sides in batches}
+                _, batches = _scanned_batches(*_batch_inputs(seed, kind), 0.3, 3, 0.0)
+                seen[kind].update(batch[:3] for batch in batches)
         if cells == 1:
             assert {width for found in seen.values() for _, width, _ in found} == {1}
             return
         for kind in ("continuous", "tied"):
             assert {sides for _, _, sides in seen[kind]} == {1}
             assert max(width for _, width, _ in seen[kind]) == 7
-        assert (2, 3, 2) in seen["nan-middle"]
+        assert (0, 7, 2) in seen["nan-middle"]
         assert any(width >= 2 and sides == 1 for _, width, sides in seen["nan-middle"])
+
+    @pytest.mark.parametrize("cells", [1, 2**40])
+    def test_batch_mixing_features_with_and_without_missing_rows(self, cells, monkeypatch):
+        # at 2^40 each node scans all four features in one batch, two of them
+        # with missing rows; the trees split on features of both kinds
+        monkeypatch.setattr(learner_module, "_SPLIT_CELLS", cells)
+        split_on = set()
+        for seed in range(4):
+            args = (*_mixed_batch_inputs(seed), 0.3, 3, 0.0)
+            tree, batches = _scanned_batches(*args)
+            assert batches[0] == ((0, 1, 1, 80) if cells == 1 else (0, 4, 2, 80))
+            assert _tree_bytes(tree) == _tree_bytes(_reference_build_tree(*args))
+            split_on.update(tree.feature[tree.feature >= 0].tolist())
+        assert {0, 2} & split_on and {1, 3} & split_on
+
+    @pytest.mark.parametrize("cells", [1, 2**40])
+    def test_batch_with_features_of_no_and_one_present_row(self, cells, monkeypatch):
+        # as above, with column 4 NaN in every row and column 5 present in
+        # one, so a batch also holds features with no cut and a NaN tail of
+        # every row or all but one
+        monkeypatch.setattr(learner_module, "_SPLIT_CELLS", cells)
+        for seed in range(4):
+            features, g, h, costs = _mixed_batch_inputs(seed)
+            features = np.hstack([features, np.full((80, 2), np.nan)])
+            features[seed, 5] = 2.0
+            args = (features, g, h, costs, 0.3, 3, 0.0)
+            tree, batches = _scanned_batches(*args)
+            if cells > 1:
+                assert batches[0] == (0, 6, 2, 80)
+            expected = _reference_build_tree(*args)
+            assert expected.n_nodes > 1 and not {4, 5} & set(expected.feature.tolist())
+            assert _tree_bytes(tree) == _tree_bytes(expected)
 
     def test_oracle_inputs_reach_both_candidate_forms(self, monkeypatch):
         # the oracle cases above test both ways of picking a batch's
         # candidates only if they scan masked batches (continuous columns)
-        # and gathered ones (few levels), each with one missing side and two
+        # and gathered ones (few levels), gathered ones with one missing side
+        # and two; a batch with missing rows is never masked
         forms = _spy_candidate_forms(monkeypatch)
         for seed in range(3):
             _exact_tree(*_split_search_inputs(seed), 0.3, 3, 0.0)
             for kind in _BATCH_KINDS:
                 _exact_tree(*_batch_inputs(seed, kind), 0.3, 3, 0.0)
-        assert forms == {(form, sides) for form in ("masked", "gathered") for sides in (1, 2)}
+        assert forms == {("masked", 1), ("gathered", 1), ("gathered", 2)}
 
     @pytest.mark.parametrize("sides", [1, 2])
     @pytest.mark.parametrize(
@@ -1237,7 +1313,8 @@ class TestSplitSearchOracle:
         # present rows, 4 of them cuts (masked, exactly half) or 3 (gathered).
         # Column 1 has the same values, so both scan in one batch.  Splitting
         # the tied pair at 0 would have the largest gain, so a masked scan
-        # must drop the positions that are not cuts
+        # must drop the positions that are not cuts.  A NaN row gives the
+        # batch two missing sides, and such a batch is always gathered
         values = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, top] + [math.nan] * (sides - 1)
         features = np.array([values, values]).T
         n = features.shape[0]
@@ -1245,7 +1322,7 @@ class TestSplitSearchOracle:
         args = (features, g, np.ones(n), np.ones(n), 0.3, 1, 0.0)
         forms = _spy_candidate_forms(monkeypatch)
         got = _exact_tree(*args)
-        assert forms == {(form, sides)}
+        assert forms == {(form if sides == 1 else "gathered", sides)}
         expected = _reference_build_tree(*args)
         assert expected.feature[0] == 0
         assert _tree_bytes(got) == _tree_bytes(expected)

@@ -455,17 +455,19 @@ class TestSignificance:
         np.testing.assert_allclose(significance(summary, AMS2), AMS2_100_400, rtol=1e-12)
 
     def test_degenerate_error(self):
-        for s, p in ((1.0, 1.0), (-1e-9, 0.0)):
-            with pytest.raises(DegenerateInputError):
-                significance(make_summary(s=s, b=0.0, p=p), AMS2)
+        with pytest.raises(DegenerateInputError):
+            significance(make_summary(s=1.0, b=0.0, p=1.0), AMS2)
 
     @pytest.mark.parametrize("measure", [AMS2, AMS3], ids=["ams2", "ams3"])
     @pytest.mark.parametrize("s", [-1e-9, -1e-10, -5e-324, -0.0])
     def test_negative_signal_within_the_tolerance_gives_zero(self, measure, s):
         # at b = 1e-12, s = -1e-10 gives s / b = -100: AMS2's log1p would warn
         # and give NaN, and AMS3 would square it into a positive 1e-4
-        assert significance(ConfusionSummary(s=s, b=1e-12, p=0.0), measure) == 0.0
-        assert significance(ConfusionSummary(s=s, b=1e6, p=0.0), measure) == 0.0
+        # and at b = 0 it gives 0, as significance_curve does, not an error
+        for b in (0.0, 1e-12, 1e6):
+            summary = ConfusionSummary(s=s, b=b, p=0.0)
+            assert significance(summary, measure) == 0.0
+            assert significance_curve(summary.s, summary.b, measure) == 0.0
 
     def test_quadratic_closed_form_random(self):
         # AMS3 significance must equal s / sqrt(b) to 1e-12
@@ -577,12 +579,10 @@ class TestSignificance:
 def _reference_significance(summary, measure):
     """significance() as the scalar formula on Python floats, for comparison
     with the same formula evaluated through significance_curve."""
-    if summary.s == 0.0:
+    if summary.s <= 0.0:  # 0, or within the summary's tolerance of 0: scored as 0
         return 0.0
     if summary.b <= 0.0:
         raise DegenerateInputError("no background weight selected")
-    if summary.s < 0.0:  # within the summary's tolerance of 0, scored as 0
-        return 0.0
     return float(measure.h(summary.b * np.asarray(measure.f(summary.s / summary.b))))
 
 
