@@ -64,7 +64,9 @@ def _sorted_rows(features: np.ndarray) -> np.ndarray:
     values; each run of equal values (``==``, so -0.0 ties 0.0) is then put
     back into ascending row order by one integer sort of ``run * n + row``,
     which keeps the runs in place.  ``run * n + row`` stays below ``n**2``,
-    so int64 holds it for any n below 3e9.  The repair works in place: each
+    so int64 holds it for any n below 3e9.  The repair works in place, on
+    the block's row, and a column with NaN gathers its present rows' order
+    straight into that row (argsort itself takes no output array): each
     new array of a column costs as much in page faults as its arithmetic.
     """
     n, d = features.shape
@@ -74,10 +76,13 @@ def _sorted_rows(features: np.ndarray) -> np.ndarray:
         missing = np.isnan(values)
         if missing.any():  # numpy's argsort takes a scalar path on NaN
             present = np.flatnonzero(~missing)
-            rows = present[np.argsort(values[present])]
+            # every index is in range; "clip" writes to out, "raise" buffers it
+            rows = np.take(present, np.argsort(values[present]), out=order[j, :present.size],
+                           mode="clip")
             order[j, rows.size:] = np.flatnonzero(missing)
         else:
-            rows = np.argsort(values)
+            rows = order[j]
+            rows[:] = np.argsort(values)
         values = values[rows]
         step = values[1:] != values[:-1]
         if not step.all():
@@ -88,7 +93,6 @@ def _sorted_rows(features: np.ndarray) -> np.ndarray:
             rows += base
             rows.sort()
             rows -= base
-        order[j, :rows.size] = rows
     return _frozen(order)
 
 
@@ -176,6 +180,13 @@ class WeightedDataset:
         # and every cascade round, and rounds change only the costs, never
         # the features.  Not a field, so ==, repr and replace() ignore it
         return _sorted_rows(self.features)
+
+    @cached_property
+    def _present_counts(self) -> np.ndarray:
+        # each column's count of present values, the length of its row of
+        # _column_order before the NaN tail; counted on first use and kept,
+        # as the logistic learner reads it in every cascade round
+        return _frozen(self.n - np.count_nonzero(np.isnan(self.features), axis=0))
 
     @property
     def signal_total(self) -> float:

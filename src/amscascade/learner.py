@@ -279,42 +279,52 @@ def _tree_blocks(table: _NodeTable, features: np.ndarray):
     n_blocks = max(1, min(-(-n_rows // max(1, _BLOCK_CELLS // n_trees)), n_rows // _BLOCK_ROWS))
     row_step = max(1, -(-n_rows // n_blocks))
     tree_step = max(1, _BLOCK_CELLS // row_step)
+    # each tree's root, and the column and threshold it splits at, read
+    # once per call instead of once per block
+    roots = table.roots[:, None]
+    columns, thresholds = table.feature.take(table.roots), table.threshold.take(roots)
     for start in range(0, n_rows, row_step):
         rows = slice(start, start + row_step)
         block_rows = features[rows]
-        cells = block_rows.ravel()
         offsets = np.arange(block_rows.shape[0]) * n_columns
-        has_nan = bool(np.isnan(cells).any())
+        has_nan = bool(np.isnan(block_rows).any())
         for first in range(0, n_trees, tree_step):
-            roots = table.roots[first:first + tree_step, None]
-            yield rows, _walk(table, roots, cells, offsets, has_nan)
+            trees = slice(first, first + tree_step)
+            yield rows, _walk(table, roots[trees], columns[trees], thresholds[trees], block_rows,
+                              offsets, has_nan)
 
 
-def _walk(table: _NodeTable, node: np.ndarray, cells: np.ndarray, offsets: np.ndarray,
-          has_nan: bool) -> np.ndarray:
+def _walk(table: _NodeTable, node: np.ndarray, column: np.ndarray, threshold: np.ndarray,
+          block_rows: np.ndarray, offsets: np.ndarray, has_nan: bool) -> np.ndarray:
     """The (trees, rows) outputs of the trees rooted at the column ``node``
-    on rows flattened into ``cells``, each starting at one of ``offsets``.
+    on the rows of the C-contiguous ``block_rows``, whose row r starts at
+    ``offsets[r]`` of its ravel; ``column`` and ``threshold`` are the roots'.
 
     Every (tree, row) pair moves down one level per step, routed by the
     node it is at, so only reached nodes are evaluated; the last step reads
-    the children's values instead of the children.  The routing rule's NaN
-    term is all False where no cell is NaN, so it is added only when
-    ``has_nan``.
+    the children's values instead of the children.  At the first step every
+    pair is at its tree's root, so each tree reads one column for all rows:
+    one row of the block's transposed view, gathered by fancy indexing
+    (``take`` would first copy the view into C order).  Deeper steps gather
+    cells through a (trees, rows) cell index.  The routing rule's NaN term
+    is all False where no cell is NaN, so it is added only when ``has_nan``.
     """
     if not table.depth:
         # every tree is one leaf, which reads its own value
         return table.child_value.take(np.repeat(2 * node, offsets.size, axis=1))
+    cells = block_rows.ravel()
+    x = block_rows.T[column]
+    pair = np.empty(x.shape, dtype=np.int64)  # each pair's 2 * node + go_left
     for level in range(table.depth):
         if level:
             node = table.child.take(pair)
-        index = table.feature.take(node) + offsets
-        threshold = table.threshold.take(node)
+            x = cells.take(table.feature.take(node) + offsets)
+            threshold = table.threshold.take(node)
         if has_nan:
-            go_left = _goes_left(cells.take(index), threshold, table.missing_left.take(node))
+            np.add(2 * node, _goes_left(x, threshold, table.missing_left.take(node)), out=pair)
         else:
-            go_left = cells.take(index) < threshold
-        # the cell indices' buffer takes each pair's index, 2 * node + go_left
-        pair = np.add(2 * node, go_left, out=index)
+            np.less(x, threshold, out=pair)  # go_left, as 0 or 1
+            pair += 2 * node
     return table.child_value.take(pair)
 
 
@@ -642,8 +652,10 @@ def _build_tree(
         left = right = None
         if depth + 1 < max_depth:
             in_left[every] = go_left
-            side = in_left[block]
-            left, right = block[side].reshape(d, -1), block[~side].reshape(d, -1)
+            flat = block.ravel()
+            side = in_left.take(flat)
+            left = flat.compress(side).reshape(d, -1)
+            right = flat.compress(~side).reshape(d, -1)
         node = len(rows)
         rows.append(None)  # filled in once the left subtree's size is known
         build(every[go_left], left, depth + 1)
@@ -696,7 +708,8 @@ def _fit_round(
         sample = np.zeros(dataset.n, dtype=bool)
         sample[rng.permutation(dataset.n)[:m]] = True
         # the filter keeps each row's order, its NaN tail last
-        order = order[sample[order]].reshape(dataset.d, m)
+        flat = order.ravel()
+        order = flat.compress(sample.take(flat)).reshape(dataset.d, m)
     return _build_tree(
         dataset.features,
         g,
@@ -796,8 +809,7 @@ def _design_matrix(features: np.ndarray, impute: np.ndarray) -> np.ndarray:
 
 def _train_logistic(dataset: WeightedDataset, costs: CostVector) -> Model:
     impute = np.zeros(dataset.d)
-    present = dataset.n - np.isnan(dataset.features).sum(axis=0)
-    for j, (order, k) in enumerate(zip(dataset._column_order, present)):
+    for j, (order, k) in enumerate(zip(dataset._column_order, dataset._present_counts)):
         if k:
             impute[j] = _weighted_median(dataset.features[:, j], order[:k], costs.costs)
     y = dataset.labels.astype(float)
@@ -862,7 +874,7 @@ def predict_scores(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np
             # order, but sums a single column pairwise
             block[0] += scores[rows]
             if block.shape[1] > 1:
-                scores[rows] = np.add.reduce(block, axis=0)
+                np.add.reduce(block, axis=0, out=scores[rows])
             else:
                 for out in block[1:]:
                     block[0] += out

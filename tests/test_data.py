@@ -254,11 +254,16 @@ class TestColumnOrder:
             order[0, 0] = 2
         assert order.tolist() == [[1, 2, 0], [1, 2, 0]]
         assert "_column_order" not in {f.name for f in fields(data)}
+        counts = data._present_counts
+        assert data._present_counts is counts and not counts.flags.writeable
+        assert counts.tolist() == [3, 2]
+        assert "_present_counts" not in {f.name for f in fields(data)}
         assert repr(data) == text == repr(twin)
         assert data == twin
         # copies compute their own order, on first use
         assert "_column_order" not in vars(twin)
         assert "_column_order" not in vars(data.take(np.arange(2)))
+        assert "_present_counts" not in vars(twin)
 
 
 class TestLoadCsv:

@@ -535,6 +535,20 @@ class TestLogistic:
         classify(model, test_data)
         assert "_column_order" in vars(train_data)
         assert "_column_order" not in vars(test_data)
+        assert "_present_counts" in vars(train_data)
+        assert "_present_counts" not in vars(test_data)
+
+    def test_present_counts_are_counted_once_per_dataset(self):
+        data = gaussian_data(50, 50, seed=4)
+        features = data.features.copy()
+        features[::3, 1] = np.nan
+        data = replace(data, features=features)
+        first = train(data, uniform_costs(data), LearnerConfig(kind="logistic"))
+        counts = data._present_counts
+        np.testing.assert_array_equal(counts, [100, 66, 100])
+        second = train(data, uniform_costs(data, 2.0), LearnerConfig(kind="logistic"))
+        assert data._present_counts is counts
+        assert first.impute_values.tobytes() == second.impute_values.tobytes()
 
     def test_deterministic(self):
         data = gaussian_data(100, 100, seed=3)
@@ -1806,20 +1820,84 @@ class TestPredictionOracle:
             assert max(trees * n for _, (trees, n) in shapes) <= learner_module._BLOCK_CELLS
 
     def test_predict_memory_budget(self):
-        # one call of a 500-stump model over 150 rows stays in small blocks
-        # and builds no (trees, rows) matrix
-        model = _wide_range_model(n_trees=500)
-        features = np.random.default_rng(0).normal(size=(150, 3))
-        expected = predict_scores(model, features)  # builds the node table
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            scores = predict_scores(model, features)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert scores.tobytes() == expected.tobytes()
-        assert peak - start <= 256 * 1024
+        for n_features, n_trees, n_rows in (
+            # a 500-stump model over 150 rows stays in small blocks and
+            # builds no (trees, rows) matrix
+            (3, 500, 150),
+            # one tree over 5,000 rows of 30 columns, in row blocks of 2,500
+            # rows: a transposed copy of a row block would take 600,000 bytes
+            (30, 1, 5000),
+        ):
+            model = _wide_range_model(n_features, n_trees)
+            features = np.random.default_rng(0).normal(size=(n_rows, n_features))
+            expected = predict_scores(model, features)  # builds the node table
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                scores = predict_scores(model, features)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert scores.tobytes() == expected.tobytes()
+            assert peak - start <= 256 * 1024, (n_features, n_trees, n_rows)
+
+    # The walk's first step reads each tree's root column for every row of
+    # a row block at once; the cases below hold that gather to the stack walk.
+
+    @pytest.mark.parametrize("tree_step", [1, 2, 3])
+    def test_tree_blocks_that_start_with_single_leaf_trees(self, tree_step, monkeypatch):
+        model, features = _prediction_inputs(3)
+        leaf = model.trees[0]
+        trees = (leaf, leaf) + model.trees[1:3] + (leaf, leaf, leaf) + model.trees[3:]
+        model = replace(model, trees=trees)
+        features = features.copy()
+        features[::4, 0] = np.nan  # a leaf reads column 0 and routes NaN left
+        n_rows = features.shape[0]
+        monkeypatch.setattr(learner_module, "_BLOCK_ROWS", n_rows)
+        monkeypatch.setattr(learner_module, "_BLOCK_CELLS", tree_step * n_rows)
+        shapes = self._block_shapes(model, features)
+        assert shapes[0] == ((0, n_rows), (tree_step, n_rows))
+        # a tree block after the first starts with a single-leaf tree; with
+        # 1 or 2 trees per block, one holds single-leaf trees only
+        assert any(trees[first].n_nodes == 1 for first in range(tree_step, len(trees), tree_step))
+        self._assert_matches(model, features)
+
+    @pytest.mark.parametrize("missing_left", [True, False])
+    def test_missing_root_cells(self, missing_left):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(40, 3))
+        features[rng.random((40, 3)) < 0.3] = np.nan
+        features[:, 2] = np.nan  # a column with no present cell
+        trees = tuple(
+            Tree._from_rows([(j, 0.0, 1, 2, missing_left, 0.0), _leaf_row(-1.5 - j),
+                             _leaf_row(2.5 + j)])
+            for j in range(3)
+        )
+        model = Model(kind="stump-boost", n_features=3, base_score=0.0, trees=trees)
+        self._assert_matches(model, features)
+        for j, tree in enumerate(trees):
+            out = tree.predict(features)[np.isnan(features[:, j])]
+            assert out.size and np.all(out == (-1.5 - j if missing_left else 2.5 + j))
+
+    def test_one_row_blocks_cut_inside_the_trees(self, monkeypatch):
+        model, features = _prediction_inputs(4)
+        monkeypatch.setattr(learner_module, "_BLOCK_ROWS", 1)
+        monkeypatch.setattr(learner_module, "_BLOCK_CELLS", 3)
+        shapes = self._block_shapes(model, features)
+        assert {n for _, (_, n) in shapes} == {1}
+        assert len(shapes) == features.shape[0] * -(-model.n_trees // 3)
+        assert model.n_trees % 3  # the last tree block of each row is short
+        self._assert_matches(model, features)
+
+    def test_sliced_and_fortran_ordered_features(self):
+        model, features = _prediction_inputs(5, n=80)
+        wide = np.hstack([features, features[:, ::-1]])
+        for view in (features[::2], features[1::3], wide[:, :3], np.asfortranarray(features),
+                     np.asfortranarray(wide)[5:50, :3]):
+            assert not view.flags.c_contiguous
+            self._assert_matches(model, view)
+            expected = predict_scores(model, np.ascontiguousarray(view))
+            assert predict_scores(model, view).tobytes() == expected.tobytes()
 
     @settings(
         derandomize=True,
