@@ -139,25 +139,40 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
 _GRID_BLOCK = 2**13
 
 
-def _grid_argmins(summaries, grid, measure):
+def _grid_block(start, stop, grid_points):
+    """Points ``start:stop`` of ``np.linspace(0.0, U_MAX, grid_points)``.
+
+    Built by linspace's own formula, ``k * step`` with the last point set to
+    ``U_MAX``, so the scan holds one block of the grid at a time and never
+    the whole grid.
+    """
+    block = np.arange(start, stop, dtype=float)
+    block *= U_MAX / (grid_points - 1)
+    if stop == grid_points:
+        block[-1] = U_MAX
+    return block
+
+
+def _grid_argmins(summaries, grid_points, measure):
     """``np.argmin(dual_risk(summary, grid, measure))`` for each summary.
 
-    The grid is scanned one block at a time, and each block for every
-    summary before the next, so ``f*`` is evaluated once per block: each
-    summary's ``dual_risk`` call gets a copy of ``measure`` whose conjugate
-    returns the block's values when handed that same block.  Per summary
-    the first minimum wins across blocks (strict ``<``), and as in
-    ``np.argmin`` the first NaN wins over everything: a summary's scan stops
-    at the first block whose minimum is NaN.
+    The grid is ``np.linspace(0.0, U_MAX, grid_points)``, built and scanned
+    one block at a time, and each block for every summary before the next,
+    so ``f*`` is evaluated once per block: each summary's ``dual_risk`` call
+    gets a copy of ``measure`` whose conjugate returns the block's values
+    when handed that same block.  Per summary the first minimum wins across
+    blocks (strict ``<``), and as in ``np.argmin`` the first NaN wins over
+    everything: a summary's scan stops at the first block whose minimum is
+    NaN.
     """
     best = [0] * len(summaries)
     best_risk = [math.inf] * len(summaries)
     live = range(len(summaries))
     conjugate = measure.f_conjugate
-    for start in range(0, grid.size, _GRID_BLOCK):
+    for start in range(0, grid_points, _GRID_BLOCK):
         if not live:
             break
-        block = grid[start : start + _GRID_BLOCK]
+        block = _grid_block(start, min(start + _GRID_BLOCK, grid_points), grid_points)
         conj = conjugate(block)
         known = replace(
             measure,
@@ -185,7 +200,6 @@ def check_grid_optimum(
     instances = _integer("grid-optimum: instances", instances, 1)
     grid_points = _integer("grid-optimum: grid_points", grid_points, 2)
     rng = np.random.default_rng(_integer("grid-optimum: seed", seed, least=0))
-    grid = np.linspace(0.0, U_MAX, grid_points)
     step = U_MAX / (grid_points - 1)
     cases, diffs = [], []
     for measure in measures:
@@ -200,10 +214,10 @@ def check_grid_optimum(
                 ConfusionSummary.from_counts(s=s, background=background, p=p, b_reg=b_reg)
             )
         for (s, background, b_reg), summary, k in zip(
-            drawn, summaries, _grid_argmins(summaries, grid, measure)
+            drawn, summaries, _grid_argmins(summaries, grid_points, measure)
         ):
             closed = optimal_u(summary, measure)
-            gridded = float(grid[k])
+            gridded = float(_grid_block(k, k + 1, grid_points)[0])
             cases.append((measure.name, s, background, b_reg, closed, gridded))
             diffs.append(abs(closed - gridded))
     template = "measure={} s={!r} background={!r} b_reg={!r} closed={!r} grid={!r}"

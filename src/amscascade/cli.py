@@ -35,13 +35,21 @@ from .data import (
 )
 from .errors import AmsCascadeError, ConfigError, DataError, _integer, _real
 # classify is not called here, but amsbench's tracer wraps it by this name
-from .learner import classify, hard_labels, load_model, predict_scores, save_model  # noqa: F401
+from .learner import (  # noqa: F401
+    classify,
+    hard_labels,
+    load_model,
+    make_cost_vector,
+    predict_scores,
+    save_model,
+)
 from .significance import (
     _BUILTINS,
     AMS2,
     AMS3,
     ConfusionSummary,
     confusion_summary,
+    resolve_measure,
     significance_curve,
 )
 
@@ -281,6 +289,19 @@ def cmd_cascade(args):
         f"chosen_round={trace.chosen_round} train_sig={chosen.train_sig:.6g} "
         f"val_sig={chosen.val_sig:.6g}"
     )
+    if model.trees and all(tree.n_nodes == 1 for tree in model.trees):
+        # the outputs are valid, so the run still exits 0.  The line names
+        # min_child_weight because it is in summed cost, whose total does not
+        # grow with the row count (about 1.74 at the default synthetic
+        # class totals)
+        costs = make_cost_vector(train_ds, chosen.u_prev, resolve_measure(config.measure))
+        print(
+            f"warning: no tree of the model splits; learner.min_child_weight = "
+            f"{config.learner.min_child_weight:.6g} against a cost total of "
+            f"{float(costs.costs.sum()):.6g} in round {trace.chosen_round} (each child "
+            f"of a split needs a cost sum of at least min_child_weight)",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

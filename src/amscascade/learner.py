@@ -636,6 +636,14 @@ def _build_tree(
                 best = candidate(i)
         return best
 
+    # build calls itself through its closure, a reference cycle, so this
+    # call's columns, g, h, in_left and node blocks stay alive after it
+    # returns, until the cyclic GC runs.  That is kept on purpose: breaking
+    # the cycle (build = None after the root call) cut fresh-lift's traced
+    # peak from 6.6 to 1.4 MiB and its peak RSS from 64.1 to 59.0 MB, but
+    # raised minor page faults from about 3k to about 42k per pass (the
+    # freed heap top is presumably trimmed and faulted in again) and wall
+    # time from 0.34 to 0.42 s, slower in 8 of 8 pairs.
     def build(every: np.ndarray, block: Optional[np.ndarray], depth: int) -> None:
         idx = every if sample is None else every[sample[every]]
         split = None if depth >= max_depth or idx.size < 2 else best_split(idx, block)

@@ -2,6 +2,7 @@
 threshold selection, and config parsing."""
 
 import math
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -32,10 +33,12 @@ from amscascade.data import SplitSpec, SynthConfig, WeightedDataset, split, synt
 from amscascade.errors import CascadeError, ConfigError
 from amscascade.learner import (
     LearnerConfig,
+    boost_one_round,
     classify,
     make_cost_vector,
     predict_scores,
     train,
+    weighted_error,
 )
 import amscascade.cascade as cascade_module
 from amscascade.significance import (
@@ -44,10 +47,13 @@ from amscascade.significance import (
     U_MAX,
     U_MIN,
     ConfusionSummary,
+    clamp_dual,
     confusion_summary,
     dual_risk,
     optimal_u,
+    resolve_measure,
     significance,
+    significance_curve,
 )
 
 LN_125 = 0.22314355131420975577
@@ -368,6 +374,119 @@ class TestWarmstartCascade:
         )
         with pytest.raises(ConfigError):
             run_cascade_warmstart(train_ds, val_ds, config)
+
+
+def _replay_warm_cascade(train_data, validation, config):
+    """The warm cascade spelled out: round 1 trains one tree, each later
+    round grows the model with ``boost_one_round``, and every round scores
+    both sets afresh with ``classify``.  Returns the model and the records."""
+    measure = resolve_measure(config.measure)
+    u = clamp_dual(config.u0) if config.u0 is not None else default_u0(
+        train_data, config.b_reg, measure
+    )
+    learner = replace(config.learner, seed=config.seed)
+    model, records = None, []
+    for t in range(1, config.T + 1):
+        costs = make_cost_vector(train_data, u, measure)
+        if model is None:
+            model = train(train_data, costs, replace(learner, rounds=1))
+        else:
+            model = boost_one_round(model, train_data, costs, learner)
+        train_preds = classify(model, train_data)
+        train_summary = confusion_summary(train_data, train_preds, config.b_reg)
+        val_summary = confusion_summary(validation, classify(model, validation), config.b_reg)
+        designated = val_summary if config.validation_source == "held-out" else train_summary
+        u_next = _next_dual(designated, measure) if config.update_duals else u
+        records.append(
+            RoundRecord(
+                round_index=t,
+                u_prev=u,
+                weighted_err=weighted_error(train_data, costs, train_preds),
+                train_sig=float(significance_curve(train_summary.s, train_summary.b, measure)),
+                val_sig=float(significance_curve(val_summary.s, val_summary.b, measure)),
+                u_next=u_next,
+                train_summary=train_summary,
+                val_summary=val_summary,
+            )
+        )
+        u = u_next
+    return model, records
+
+
+def _model_bytes(model):
+    header = np.array([model.n_features, model.base_score, model.threshold]).tobytes()
+    trees = [
+        tuple(getattr(tree, field.name).tobytes() for field in fields(tree))
+        for tree in model.trees
+    ]
+    return model.kind, header, trees
+
+
+def _record_bytes(record):
+    values = astuple(record)  # the two summaries come last, as tuples
+    return np.array(values[:-2] + values[-2] + values[-1]).tobytes()
+
+
+class TestWarmCascadeReplay:
+    """``run_cascade``'s warm variant against a round-by-round replay."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        measure=st.sampled_from(["ams2", "ams3"]),
+        update_duals=st.booleans(),
+        subsample=st.sampled_from([1.0, 0.7, 0.3]),
+        nan_fraction=st.sampled_from([0.0, 0.25]),
+        kind=st.sampled_from(["stump-boost", "tree-boost"]),
+        T=st.integers(1, 6),
+        source=st.sampled_from([None, "held-out"]),
+    )
+    # update_duals off, subsample < 1, AMS3, held-out duals and NaN cells,
+    # each in an example whatever the draws give
+    @example(seed=1, measure="ams2", update_duals=True, subsample=1.0, nan_fraction=0.0,
+             kind="tree-boost", T=5, source=None)
+    @example(seed=2, measure="ams3", update_duals=False, subsample=0.7, nan_fraction=0.25,
+             kind="tree-boost", T=5, source=None)
+    @example(seed=3, measure="ams3", update_duals=True, subsample=0.3, nan_fraction=0.25,
+             kind="stump-boost", T=6, source="held-out")
+    @example(seed=4, measure="ams2", update_duals=False, subsample=1.0, nan_fraction=0.25,
+             kind="stump-boost", T=4, source=None)
+    def test_same_model_and_records(
+        self, seed, measure, update_duals, subsample, nan_fraction, kind, T, source
+    ):
+        train_ds, val_ds = small_split(seed=seed, n=60)
+        if nan_fraction:
+            rng = np.random.default_rng(seed)
+            train_ds, val_ds = (
+                replace(
+                    data,
+                    features=np.where(
+                        rng.random(data.features.shape) < nan_fraction, np.nan, data.features
+                    ),
+                )
+                for data in (train_ds, val_ds)
+            )
+        config = CascadeConfig(
+            measure=measure,
+            variant="warmstart",
+            T=T,
+            update_duals=update_duals,
+            validation_source=source,
+            learner=quick_learner(kind=kind, max_depth=3, subsample=subsample),
+            seed=seed,
+            b_reg=10.0,
+        )
+        replayed, records = _replay_warm_cascade(train_ds, val_ds, config)
+        try:
+            model, trace = run_cascade_warmstart(train_ds, val_ds, config)
+        except CascadeError:
+            # the run refuses a cascade that never selects validation signal
+            assert max(r.val_sig for r in records) <= 0.0
+            return
+        assert _model_bytes(model) == _model_bytes(replayed)
+        assert model.n_trees == T
+        assert [_record_bytes(r) for r in trace.records] == [_record_bytes(r) for r in records]
+        assert trace.chosen_round == T and trace.stall_round is None
 
 
 class TestDualityBoundPerRound:

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -294,10 +295,15 @@ class TestGridBlocks:
             blocks[summary].append(u)
             return risks[summary, u.astype(np.intp)]
 
+        def grid_block(start, stop, grid_points):
+            # point k is k, so a block's points index the risks
+            assert grid_points == grid.size
+            return grid[start:stop]
+
         with mock.patch.object(checks, "dual_risk", risk_of), mock.patch.object(
             checks, "_GRID_BLOCK", block
-        ):
-            got = checks._grid_argmins(list(range(len(rows))), grid, AMS2)
+        ), mock.patch.object(checks, "_grid_block", grid_block):
+            got = checks._grid_argmins(list(range(len(rows))), grid.size, AMS2)
         assert got == [int(np.argmin(r)) for r in risks]
         for r, k, scanned_blocks in zip(risks, got, blocks):
             # consecutive blocks of at most `block` points from the start of
@@ -309,26 +315,64 @@ class TestGridBlocks:
             stop = (k // block + 1) * block if math.isnan(r[k]) else grid.size
             assert scanned.size == min(stop, grid.size)
 
-    def test_blocks_cover_each_instance_grid_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "block, grid_points",
+        [(4096, 20001), (checks._GRID_BLOCK, checks.GRID_POINTS), (4096, 2), (4096, 3)],
+    )
+    def test_blocks_cover_each_instance_grid_once(self, monkeypatch, block, grid_points):
         exact = checks.dual_risk
-        calls = []
+        grid = np.linspace(0.0, checks.U_MAX, grid_points)
+        # id(summary) -> (summary, the points of each of its blocks so far);
+        # each block is held to its slice of the grid as it is scanned, so
+        # that no instance's copy of the grid is kept
+        by_summary = {}
 
         def spy(summary, u, measure):
-            calls.append((summary, u.copy()))
+            sizes = by_summary.setdefault(id(summary), (summary, []))[1]
+            start = sum(sizes)
+            assert u.tobytes() == grid[start : start + u.size].tobytes()
+            sizes.append(u.size)
             return exact(summary, u, measure)
 
-        monkeypatch.setattr(checks, "_GRID_BLOCK", 4096)
+        monkeypatch.setattr(checks, "_GRID_BLOCK", block)
         monkeypatch.setattr(checks, "dual_risk", spy)
-        assert check_grid_optimum(seed=2, instances=3, grid_points=20001).passed
-        grid = np.linspace(0.0, checks.U_MAX, 20001)
-        by_summary = {}
-        for summary, u in calls:
-            by_summary.setdefault(id(summary), []).append(u)
-        instances = list(by_summary.values())
+        assert check_grid_optimum(seed=2, instances=3, grid_points=grid_points).passed
+        instances = [sizes for _, sizes in by_summary.values()]
         assert len(instances) == 6  # 3 instances under each of two measures
-        for blocks in instances:
-            assert [u.size for u in blocks] == [4096] * 4 + [20001 - 4 * 4096]
-            assert np.concatenate(blocks).tobytes() == grid.tobytes()
+        full, rest = divmod(grid_points, block)
+        for sizes in instances:
+            assert sizes == [block] * full + [rest] * (rest > 0)
+            assert sum(sizes) == grid.size
+        if grid_points == 20001:
+            assert instances[0] == [4096] * 4 + [20001 - 4 * 4096]
+
+    @pytest.mark.parametrize("grid_points", [2, 3, 20001, checks.GRID_POINTS])
+    def test_reported_point_is_the_linspace_point(self, monkeypatch, grid_points):
+        # with optimal_u at 0 an instance's error is its grid point itself
+        grid = np.linspace(0.0, checks.U_MAX, grid_points)
+        monkeypatch.setattr(checks, "optimal_u", lambda summary, measure: 0.0)
+        for k in (0, grid_points // 2, grid_points - 1):
+            monkeypatch.setattr(
+                checks, "_grid_argmins", lambda summaries, n, measure, k=k: [k] * len(summaries)
+            )
+            result = check_grid_optimum(
+                seed=2, instances=1, measures=(AMS2,), grid_points=grid_points
+            )
+            assert result.worst.hex() == float(grid[k]).hex()
+        assert result.worst == checks.U_MAX
+
+    def test_grid_memory_budget(self):
+        # one block's points and risks at a time: the whole grid alone is
+        # 16 MB, and each dual_risk temporary of a block 64 KiB
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = check_grid_optimum()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak - start <= 2 * 1024 * 1024
 
     @pytest.mark.parametrize(
         "block, grid_points", [(4096, 20001), (checks._GRID_BLOCK, checks.GRID_POINTS)]

@@ -18,13 +18,24 @@ from hypothesis import strategies as st
 from amscascade import cli
 from amscascade.checks import MAX_INSTANCES
 from amscascade.data import (
+    SplitSpec,
     SynthConfig,
     WeightedDataset,
     read_submission,
+    split,
     synthesize,
     write_csv,
 )
-from amscascade.learner import Model, Tree, _leaf_row, empty_model, predict_scores, save_model
+from amscascade.learner import (
+    Model,
+    Tree,
+    _leaf_row,
+    empty_model,
+    make_cost_vector,
+    predict_scores,
+    save_model,
+)
+from amscascade.significance import AMS2
 
 SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,background_total=350"
 
@@ -227,7 +238,10 @@ class TestCascadeCommand:
         argv += ["--submission", str(tmp_path / "s.csv")]
         assert run_cli(argv + u0) == 0
         captured = capsys.readouterr()
-        assert captured.err == ""
+        # every tree of these runs is a single leaf, which the run reports in
+        # one line, and nothing else goes to stderr
+        assert captured.err.startswith("warning: no tree of the model splits; ")
+        assert captured.err.count("\n") == 1
         assert captured.out.splitlines()[-1].startswith("RESULT command=cascade status=ok ")
         rows = (out / "trace.csv").read_text().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["20.0", "20.0"]
@@ -286,6 +300,60 @@ class TestCascadeCommand:
         assert len(manifest["dataset"]["content_hash"]) == 64
         assert manifest["outputs"]["model"].endswith("model.txt")
         assert "tool_version" in manifest
+
+
+class TestTreesThatNeverSplit:
+    """A boosted model whose trees are all single leaves is named on stderr."""
+
+    def test_leaf_only_model_prints_one_line(self, tmp_path, capsys):
+        # the default synthetic totals cost about 1.74 in all, so no split
+        # gives both children the default min_child_weight of 1.0
+        out = tmp_path / "run"
+        argv = ["cascade", "--synth", "n_signal=2000,n_background=2000", "--T", "3",
+                "--out-dir", str(out)]
+        assert run_cli(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "variant fresh, measure ams2, 3 rounds, chose round 1",
+            "train significance 1.07753",
+            "validation significance 1.07753",
+            f"model written to {out / 'model.txt'}",
+            f"trace written to {out / 'trace.csv'}",
+            "RESULT command=cascade status=ok variant=fresh measure=ams2 rounds=3 "
+            "chosen_round=1 train_sig=1.07753 val_sig=1.07753",
+        ]
+        model = (out / "model.txt").read_text()
+        assert model.count(" leaf ") == 50 and " split " not in model
+        # the chosen round's costs, rebuilt from its dual in trace.csv
+        u_prev = float((out / "trace.csv").read_text().splitlines()[1].split(",")[1])
+        dataset = synthesize(
+            SynthConfig(n_signal=2000, n_background=2000), cli.derive_seed(0, 101)
+        )
+        train_ds, _ = split(dataset, SplitSpec(0.3, seed=cli.derive_seed(0, 102)))
+        total = float(make_cost_vector(train_ds, u_prev, AMS2).costs.sum())
+        assert captured.err == (
+            "warning: no tree of the model splits; learner.min_child_weight = 1 against "
+            f"a cost total of {total:.6g} in round 1 (each child of a split needs a cost "
+            "sum of at least min_child_weight)\n"
+        )
+
+    def test_model_whose_trees_split_prints_nothing(self, tmp_path, capsys):
+        config = tmp_path / "fast.cfg"
+        write_quick_config(config)
+        out = tmp_path / "run"
+        argv = ["cascade", "--synth", SYNTH, "--out-dir", str(out), "--config", str(config)]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert " split " in (out / "model.txt").read_text()
+
+    def test_logistic_model_prints_nothing(self, tmp_path, capsys):
+        config = tmp_path / "logistic.cfg"
+        config.write_text("T = 2\nlearner.kind = logistic\n")
+        out = tmp_path / "run"
+        argv = ["cascade", "--synth", SYNTH, "--out-dir", str(out), "--config", str(config)]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert "kind logistic" in (out / "model.txt").read_text()
 
 
 class TestEvalCommand:
