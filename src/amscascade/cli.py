@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import asdict, fields, replace
 
+import numpy as np
+
 from . import __version__
 from .cascade import (
     _VARIANTS,
@@ -264,17 +266,22 @@ def cmd_cascade(args):
     os.makedirs(args.out_dir, exist_ok=True)
     # manifest first, so a failed run still leaves an auditable record
     _write_manifest(manifest_path, config, _dataset_fingerprint(args, dataset), val_frac, outputs)
+    # the two parts hold every feature cell, so training does not also hold
+    # the loaded table; only its ids are read again, by --submission
+    event_ids = dataset.event_ids
+    del dataset
 
     model, trace = run_cascade(train_ds, val_ds, config)
     save_model(model, model_path)
     write_trace_csv(trace, trace_path)
-    if args.submission is not None:
-        scores = predict_scores(model, dataset)
-        write_submission(
-            args.submission, dataset.event_ids, scores, hard_labels(scores, model.threshold)
-        )
-
     chosen = trace.records[trace.chosen_round - 1]
+    warning = _leaf_only_warning(model, trace, config, train_ds)
+    if args.submission is not None:
+        features = _rejoined_features(event_ids, train_ds, val_ds)
+        del train_ds, val_ds  # and the training part's cached column order
+        scores = predict_scores(model, features)
+        write_submission(args.submission, event_ids, scores, hard_labels(scores, model.threshold))
+
     print(f"variant {trace.variant}, measure {trace.measure_kind}, "
           f"{len(trace.records)} rounds, chose round {trace.chosen_round}")
     print(f"train significance {chosen.train_sig:.6g}")
@@ -289,20 +296,49 @@ def cmd_cascade(args):
         f"chosen_round={trace.chosen_round} train_sig={chosen.train_sig:.6g} "
         f"val_sig={chosen.val_sig:.6g}"
     )
-    if model.trees and all(tree.n_nodes == 1 for tree in model.trees):
-        # the outputs are valid, so the run still exits 0.  The line names
-        # min_child_weight because it is in summed cost, whose total does not
-        # grow with the row count (about 1.74 at the default synthetic
-        # class totals)
-        costs = make_cost_vector(train_ds, chosen.u_prev, resolve_measure(config.measure))
-        print(
-            f"warning: no tree of the model splits; learner.min_child_weight = "
-            f"{config.learner.min_child_weight:.6g} against a cost total of "
-            f"{float(costs.costs.sum()):.6g} in round {trace.chosen_round} (each child "
-            f"of a split needs a cost sum of at least min_child_weight)",
-            file=sys.stderr,
-        )
+    if warning is not None:
+        print(warning, file=sys.stderr)
     return EXIT_OK
+
+
+def _rejoined_features(event_ids, train_ds, val_ds):
+    """The split dataset's feature matrix, rebuilt in its row order from the two parts.
+
+    ``split`` keeps each part's rows in the dataset's order, and event ids
+    are unique, so the validation rows are where the ids are the validation
+    part's, and every cell lands back where it was read.
+    """
+    in_val = np.isin(event_ids, val_ds.event_ids)
+    features = np.empty((event_ids.size, train_ds.d))
+    features[~in_val] = train_ds.features
+    features[in_val] = val_ds.features
+    return features
+
+
+def _leaf_only_warning(model, trace, config, train_ds):
+    """The stderr line for a boosted model whose trees are all single leaves, else None.
+
+    The outputs are valid, so the run still exits 0.  A positive
+    min_child_weight is named, as it is in summed cost, whose total does not
+    grow with the row count (about 1.74 at the default synthetic class
+    totals); at 0 it rules out no split, so no split had a positive gain.
+    """
+    if not model.trees or any(tree.n_nodes > 1 for tree in model.trees):
+        return None
+    limit = config.learner.min_child_weight
+    if limit == 0:
+        return (
+            f"warning: no tree of the model splits; no split had a positive gain in round "
+            f"{trace.chosen_round} (learner.min_child_weight = 0 rules none out)"
+        )
+    chosen = trace.records[trace.chosen_round - 1]
+    costs = make_cost_vector(train_ds, chosen.u_prev, resolve_measure(config.measure))
+    return (
+        f"warning: no tree of the model splits; learner.min_child_weight = "
+        f"{limit:.6g} against a cost total of "
+        f"{float(costs.costs.sum()):.6g} in round {trace.chosen_round} (each child "
+        f"of a split needs a cost sum of at least min_child_weight)"
+    )
 
 
 def _parse_summary_spec(spec, b_reg):

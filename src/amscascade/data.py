@@ -575,7 +575,10 @@ def split(dataset: WeightedDataset, spec: SplitSpec) -> tuple[WeightedDataset, W
     Both classes appear on both sides (the per-class validation count is
     clamped to [1, class size - 1]).  With ``renormalize`` set, each side's
     weights are scaled per class so its class totals match the full
-    dataset's, keeping significance estimates unbiased.
+    dataset's, keeping significance estimates unbiased.  Each part keeps the
+    dataset's rows in their original order, so the dataset's features are
+    the two parts' rows put back where ``np.isin(dataset.event_ids,
+    validation.event_ids)`` is False and True.
     """
     labels = dataset.labels
     rng = np.random.default_rng(spec.seed)

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -42,6 +43,18 @@ SYNTH = "n_signal=150,n_background=150,separation=2.0,signal_total=120,backgroun
 
 def run_cli(argv):
     return cli.main(argv)
+
+
+def _write_subnormal_csv(path):
+    """100 signal events of weight 1 and 100 background events of 1e-320:
+    f'(s / b) is infinite, so the dual ceils at U_MAX."""
+    lines = ["EventId,x0,Weight,Label"]
+    for i in range(200):
+        signal = i < 100
+        weight = "1" if signal else "1e-320"
+        lines.append(f"{i},{(i * 7) % 11 + 5 * signal},{weight},{'s' if signal else 'b'}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def write_quick_config(path, extra=""):
@@ -224,14 +237,7 @@ class TestCascadeCommand:
 
     @pytest.mark.parametrize("u0", [[], ["--u0", "1.0"]], ids=["default-u0", "u0-1"])
     def test_subnormal_background_ceils_the_dual(self, tmp_path, capsys, u0):
-        # f'(s / b) is infinite for a background of 1e-320 per event
-        lines = ["EventId,x0,Weight,Label"]
-        for i in range(200):
-            signal = i < 100
-            weight = "1" if signal else "1e-320"
-            lines.append(f"{i},{(i * 7) % 11 + 5 * signal},{weight},{'s' if signal else 'b'}")
-        data = tmp_path / "subnormal.csv"
-        data.write_text("\n".join(lines) + "\n")
+        data = _write_subnormal_csv(tmp_path / "subnormal.csv")
         out = tmp_path / "run"
         argv = ["cascade", "--data", str(data), "--b-reg", "0", "--T", "2", "--out-dir", str(out)]
         # the class cost ratio at u = U_MAX overflows; the scores stay finite
@@ -302,6 +308,66 @@ class TestCascadeCommand:
         assert "tool_version" in manifest
 
 
+def _write_csv_with_missing_cells(path):
+    """A 300-event CSV whose features are -999.0 in about a fifth of the cells."""
+    dataset = synthesize(SynthConfig(n_signal=120, n_background=180, d=4), seed=3)
+    features = dataset.features.copy()
+    features[np.random.default_rng(4).random(features.shape) < 0.2] = np.nan
+    write_csv(
+        WeightedDataset(features, dataset.labels, dataset.weights,
+                        dataset.event_ids * 7 + 11, dataset.column_names),
+        str(path),
+    )
+    return path
+
+
+class TestLoadedTableReleased:
+    """cascade holds the loaded table only until it is split and fingerprinted."""
+
+    @pytest.mark.parametrize("source", ["data", "synth"])
+    def test_dead_when_training_starts(self, tmp_path, capsys, monkeypatch, source):
+        refs = {}
+
+        def kept(original):
+            def loader(*args, **kwargs):
+                result = original(*args, **kwargs)
+                refs["dataset"] = weakref.ref(result)
+                return result
+
+            return loader
+
+        def run_cascade(train_ds, val_ds, config):
+            refs["loaded_alive"] = refs["dataset"]() is not None
+            refs["train"], refs["val"] = weakref.ref(train_ds), weakref.ref(val_ds)
+            return original_run_cascade(train_ds, val_ds, config)
+
+        def predict(model, data):
+            refs["parts_alive"] = [refs[k]() is not None for k in ("train", "val")]
+            return predict_scores(model, data)
+
+        original_run_cascade = cli.run_cascade
+        monkeypatch.setattr(cli, "load_csv", kept(cli.load_csv))
+        monkeypatch.setattr(cli, "synthesize", kept(cli.synthesize))
+        monkeypatch.setattr(cli, "run_cascade", run_cascade)
+        monkeypatch.setattr(cli, "predict_scores", predict)
+        if source == "data":
+            config = tmp_path / "logistic.cfg"
+            config.write_text("T = 2\nlearner.kind = logistic\n")
+            dataset = ["--data", str(_write_csv_with_missing_cells(tmp_path / "events.csv"))]
+        else:
+            config = tmp_path / "fast.cfg"
+            write_quick_config(config)
+            dataset = ["--synth", SYNTH]
+        argv = ["cascade", *dataset, "--config", str(config), "--out-dir", str(tmp_path / "run"),
+                "--submission", str(tmp_path / "s.csv")]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert refs["loaded_alive"] is False
+        # and the parts, the training part's column order with them, are
+        # released before the rebuilt matrix is scored
+        assert refs["parts_alive"] == [False, False]
+
+
 class TestTreesThatNeverSplit:
     """A boosted model whose trees are all single leaves is named on stderr."""
 
@@ -336,6 +402,59 @@ class TestTreesThatNeverSplit:
             f"a cost total of {total:.6g} in round 1 (each child of a split needs a cost "
             "sum of at least min_child_weight)\n"
         )
+
+    def test_min_child_weight_zero_names_no_positive_gain(self, tmp_path, capsys):
+        # the class cost ratio at u = U_MAX overflows and saturates every
+        # gradient, so no tree splits though min_child_weight rules none out
+        data = _write_subnormal_csv(tmp_path / "subnormal.csv")
+        argv = ["cascade", "--data", str(data), "--b-reg", "0", "--T", "2"]
+        runs = {}
+        for name, extra in (("default", ""), ("zero", "learner.min_child_weight = 0\n")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(extra)
+            out = tmp_path / name
+            assert run_cli(argv + ["--config", str(config), "--out-dir", str(out)]) == 0
+            runs[name] = capsys.readouterr()
+            model = (out / "model.txt").read_text()
+            assert " leaf " in model and " split " not in model
+        default, zero = runs["default"], runs["zero"]
+        manifest = json.loads((tmp_path / "zero" / "run_manifest.json").read_text())
+        assert manifest["config"]["learner"]["min_child_weight"] == 0.0
+        assert zero.err == (
+            "warning: no tree of the model splits; no split had a positive gain in round 1 "
+            "(learner.min_child_weight = 0 rules none out)\n"
+        )
+        assert default.err.startswith("warning: no tree of the model splits; "
+                                      "learner.min_child_weight = 1 against a cost total of ")
+        # stdout, the RESULT line among it, is the default run's but for the paths
+        assert zero.out.replace(str(tmp_path / "zero"), "OUT") == default.out.replace(
+            str(tmp_path / "default"), "OUT"
+        )
+        assert zero.out.splitlines()[-1].startswith("RESULT command=cascade status=ok ")
+
+    def test_model_with_split_and_single_leaf_trees_prints_nothing(self, tmp_path, capsys):
+        # a 30% subsample's cost sums fall below 7.6 in some boosting rounds
+        # only, so some trees of the returned model split and others do not
+        config = tmp_path / "mixed.cfg"
+        write_quick_config(
+            config, "learner.rounds = 20\nlearner.min_child_weight = 7.6\nlearner.subsample = 0.3\n"
+        )
+        out = tmp_path / "run"
+        argv = ["cascade", "--synth", SYNTH, "--out-dir", str(out), "--config", str(config)]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().err == ""
+        nodes = re.findall(r"^tree \d+ nodes (\d+)$", (out / "model.txt").read_text(), re.M)
+        assert "1" in nodes and "3" in nodes
+
+    def test_library_run_prints_nothing(self, capsys):
+        # the leaf-only synthetic case, through the library: every tree is
+        # a single leaf, and run_cascade says nothing about it
+        dataset = synthesize(SynthConfig(n_signal=2000, n_background=2000), cli.derive_seed(0, 101))
+        train_ds, val_ds = split(dataset, SplitSpec(0.3, seed=cli.derive_seed(0, 102)))
+        model, trace = cli.run_cascade(train_ds, val_ds, cli.CascadeConfig(T=3))
+        assert len(trace.records) == 3
+        assert model.trees and all(tree.n_nodes == 1 for tree in model.trees)
+        assert capsys.readouterr() == ("", "")
 
     def test_model_whose_trees_split_prints_nothing(self, tmp_path, capsys):
         config = tmp_path / "fast.cfg"
@@ -534,8 +653,11 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
-    def test_scores_each_file_once(self, tmp_path, capsys, monkeypatch):
-        # the labels, the summary and the submission all come from one scoring
+    @pytest.mark.parametrize("source", ["synth-tree", "csv-logistic"])
+    def test_scores_each_file_once(self, tmp_path, capsys, monkeypatch, source):
+        # the labels, the summary and the submission all come from one
+        # scoring, and cascade's, of the matrix it rebuilt from the split
+        # parts, writes eval's bytes
         calls = []
 
         def counted(model, data):
@@ -545,13 +667,19 @@ class TestEvalCommand:
         monkeypatch.setattr(cli, "predict_scores", counted)
         monkeypatch.setattr(cli, "classify", None)
         config = tmp_path / "fast.cfg"
-        write_quick_config(config)
+        if source == "synth-tree":
+            write_quick_config(config)
+            dataset = ["--synth", SYNTH]
+        else:
+            config.write_text("T = 2\nlearner.kind = logistic\n")
+            _write_csv_with_missing_cells(tmp_path / "events.csv")
+            dataset = ["--data", str(tmp_path / "events.csv")]
         out = tmp_path / "run"
-        cascade = ["cascade", "--synth", SYNTH, "--config", str(config), "--out-dir", str(out)]
+        cascade = ["cascade", *dataset, "--config", str(config), "--out-dir", str(out)]
         assert run_cli([*cascade, "--submission", str(tmp_path / "c.csv")]) == 0
         model = str(out / "model.txt")
         assert run_cli(
-            ["eval", "--model", model, "--synth", SYNTH, "--submission", str(tmp_path / "e.csv")]
+            ["eval", "--model", model, *dataset, "--submission", str(tmp_path / "e.csv")]
         ) == 0
         assert len(calls) == 2
         assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "e.csv").read_bytes()

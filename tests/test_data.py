@@ -424,6 +424,36 @@ class TestSplit:
             assert np.any(part.labels == 1)
             assert np.any(part.labels == -1)
 
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_parts_rejoin_in_the_dataset_order(self, seed, renormalize):
+        # each part keeps the dataset's rows in order, so the np.isin mask
+        # of the validation ids puts every cell back, NaN and -0.0 included
+        rng = np.random.default_rng(seed)
+        base = synthesize(SynthConfig(n_signal=37, n_background=64, d=4), seed=seed)
+        features = base.features.copy()
+        features[rng.random(features.shape) < 0.25] = np.nan
+        features[rng.random(features.shape) < 0.05] = -0.0
+        # ids neither sorted nor dense, so the mask cannot lean on their order
+        ids = rng.permutation(base.n) * 13 - 500
+        data = WeightedDataset(features, base.labels, base.weights, ids, base.column_names)
+        train, val = split(
+            data, SplitSpec(validation_fraction=0.3, seed=seed + 5, renormalize=renormalize)
+        )
+        in_val = np.isin(data.event_ids, val.event_ids)
+        assert np.array_equal(data.event_ids[in_val], val.event_ids)
+        assert np.array_equal(data.event_ids[~in_val], train.event_ids)
+        rejoined = np.empty_like(data.features)
+        rejoined[~in_val] = train.features
+        rejoined[in_val] = val.features
+        assert rejoined.tobytes() == data.features.tobytes()
+        # renormalize rescales the parts' weights, so only then do they differ
+        for name in ("labels",) if renormalize else ("labels", "weights"):
+            joined = np.empty_like(getattr(data, name))
+            joined[~in_val] = getattr(train, name)
+            joined[in_val] = getattr(val, name)
+            assert joined.tobytes() == getattr(data, name).tobytes()
+
     def test_too_few_examples(self):
         data = WeightedDataset(
             features=np.array([[0.0], [1.0], [2.0]]),
