@@ -33,6 +33,7 @@ from .errors import (
     _array,
     _choice,
     _integer,
+    _open,
     _real,
 )
 from .learner import (
@@ -511,8 +512,9 @@ def select_threshold(
 
 
 def write_trace_csv(trace: CascadeTrace, path: str) -> None:
-    """One row per round, full-precision floats, LF line endings."""
-    with open(path, "w", newline="") as handle:
+    """One row per round, full-precision floats, LF line endings; a path
+    that cannot be written raises ConfigError."""
+    with _open(path, "w", ConfigError) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["round", "u_prev", "weighted_error", "train_sig", "val_sig", "u_next"])
         for r in trace.records:

@@ -35,7 +35,7 @@ from .data import (
     synthesize,
     write_submission,
 )
-from .errors import AmsCascadeError, ConfigError, DataError, _integer, _real
+from .errors import AmsCascadeError, ConfigError, DataError, _integer, _open, _real
 # classify is not called here, but amsbench's tracer wraps it by this name
 from .learner import (  # noqa: F401
     classify,
@@ -165,7 +165,7 @@ def _dataset_fingerprint(args, dataset):
     """The manifest's dataset record; its hash streams the --data file or the --synth arrays."""
     digest = hashlib.sha256()
     if args.data is not None:
-        with open(args.data, "rb") as handle:
+        with _open(args.data, "rb", DataError) as handle:
             for block in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(block)
     else:
@@ -182,12 +182,8 @@ def _dataset_fingerprint(args, dataset):
 def _resolve_cascade_config(args):
     base = CascadeConfig(b_reg=CLI_B_REG)
     if args.config is not None:
-        try:
-            with open(args.config, "r") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-        base = parse_cascade_config(text, base=base)
+        with _open(args.config, "r", ConfigError) as handle:
+            base = parse_cascade_config(handle.read(), base=base)
     overrides = {}
     for key in ("measure", "variant", "T", "u0", "b_reg", "seed"):
         value = getattr(args, key)
@@ -232,6 +228,7 @@ def _check_output_paths(out_dir, outputs, inputs):
 
 
 def _write_manifest(path, config, fingerprint, val_frac, outputs):
+    """Write the run's JSON record; a path that cannot be written raises ConfigError."""
     manifest = {
         "tool_version": __version__,
         "config": asdict(config),
@@ -240,7 +237,7 @@ def _write_manifest(path, config, fingerprint, val_frac, outputs):
         "seed": config.seed,
         "outputs": outputs,
     }
-    with open(path, "w", newline="") as handle:
+    with _open(path, "w", ConfigError) as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -263,7 +260,10 @@ def cmd_cascade(args):
         dataset, SplitSpec(validation_fraction=val_frac, seed=derive_seed(config.seed, 102))
     )
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {args.out_dir!r}: {exc}") from None
     # manifest first, so a failed run still leaves an auditable record
     _write_manifest(manifest_path, config, _dataset_fingerprint(args, dataset), val_frac, outputs)
     # the two parts hold every feature cell, so training does not also hold
@@ -318,10 +318,10 @@ def _rejoined_features(event_ids, train_ds, val_ds):
 def _leaf_only_warning(model, trace, config, train_ds):
     """The stderr line for a boosted model whose trees are all single leaves, else None.
 
-    The outputs are valid, so the run still exits 0.  A positive
-    min_child_weight is named, as it is in summed cost, whose total does not
-    grow with the row count (about 1.74 at the default synthetic class
-    totals); at 0 it rules out no split, so no split had a positive gain.
+    The outputs are valid, so the run still exits 0.  min_child_weight is in
+    summed cost, whose total does not grow with the row count (about 1.74 at
+    the default synthetic class totals); it is named as the cause only where
+    it is over half the chosen round's total, so no split can meet it.
     """
     if not model.trees or any(tree.n_nodes > 1 for tree in model.trees):
         return None
@@ -333,11 +333,18 @@ def _leaf_only_warning(model, trace, config, train_ds):
         )
     chosen = trace.records[trace.chosen_round - 1]
     costs = make_cost_vector(train_ds, chosen.u_prev, resolve_measure(config.measure))
+    total = float(costs.costs.sum())
+    if 2 * limit > total:
+        return (
+            f"warning: no tree of the model splits; learner.min_child_weight = "
+            f"{limit:.6g} against a cost total of {total:.6g} in round "
+            f"{trace.chosen_round} (each child of a split needs a cost sum of at "
+            f"least min_child_weight)"
+        )
     return (
-        f"warning: no tree of the model splits; learner.min_child_weight = "
-        f"{limit:.6g} against a cost total of "
-        f"{float(costs.costs.sum()):.6g} in round {trace.chosen_round} (each child "
-        f"of a split needs a cost sum of at least min_child_weight)"
+        f"warning: no tree of the model splits; no split had a positive gain in round "
+        f"{trace.chosen_round} with a cost sum of at least learner.min_child_weight = "
+        f"{limit:.6g} on each side (cost total {total:.6g})"
     )
 
 

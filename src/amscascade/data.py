@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _array, _choice, _integer, _labels, _real
+from .errors import ConfigError, DataError, _array, _choice, _integer, _labels, _open, _real
 
 __all__ = [
     "MISSING_VALUE",
@@ -319,28 +319,13 @@ def _parse_int64(text: str, line_no: int, what: str) -> int:
     return value
 
 
-def _open(path: str, mode: str):
-    """``path`` opened in ``mode``, text for the csv module or bytes; a DataError
-    when it cannot be opened."""
-    try:
-        return open(path, mode, newline=None if "b" in mode else "")
-    except OSError as exc:
-        raise DataError(f"cannot open {path!r}: {exc}") from None
-
-
-def _csv_rows(handle, path: str):
-    """The rows of a CSV file; undecodable text or a malformed row is a DataError."""
+def _csv_rows(handle):
+    """The rows of a CSV file; a malformed row is a DataError."""
     reader = csv.reader(handle)
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except UnicodeDecodeError as exc:
-            raise DataError(f"cannot decode {path!r} as text: {exc.reason}") from None
-        except csv.Error as exc:
-            raise DataError(f"line {reader.line_num}: {exc}") from None
-        yield row
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
 
 
 def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
@@ -394,7 +379,7 @@ def _load_csv_columns(path: str, schema: CsvSchema) -> Optional[WeightedDataset]
     the file, so no decoded copy of the whole text is held.  A path that
     cannot be opened raises the row parser's DataError.
     """
-    with _open(path, "rb") as handle:
+    with _open(path, "rb", DataError) as handle:
         header_line = handle.readline()
         if not _PLAIN_HEADER.fullmatch(header_line):
             return None
@@ -492,8 +477,8 @@ def _header_columns(header: list[str], schema: CsvSchema, path: str) -> tuple[di
 def _load_csv_rows(path: str, schema: CsvSchema = CsvSchema()) -> WeightedDataset:
     """``load_csv`` one row at a time: the reference parser, and the only
     source of its DataError messages but ``_open``'s."""
-    with _open(path, "r") as handle:
-        reader = _csv_rows(handle, path)
+    with _open(path, "r", DataError) as handle:
+        reader = _csv_rows(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -553,9 +538,10 @@ def _format_number(x: float) -> str:
 
 
 def write_csv(dataset: WeightedDataset, path: str, schema: CsvSchema = CsvSchema()) -> None:
-    """Write a dataset in the CSV interchange format (NaN becomes -999.0)."""
+    """Write a dataset in the CSV interchange format (NaN becomes -999.0); a
+    path that cannot be written raises ConfigError."""
     feature_names = dataset.column_names
-    with open(path, "w", newline="") as handle:
+    with _open(path, "w", ConfigError) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             [schema.id_column, *feature_names, schema.weight_column, schema.label_column]
@@ -653,7 +639,8 @@ def write_submission(
     """Write the ranked selection file: EventId,RankOrder,Class.
 
     RankOrder runs 1..n by ascending score with ties broken toward the
-    lower event id; Class is 's' for selected (+1) events, else 'b'.
+    lower event id; Class is 's' for selected (+1) events, else 'b'.  Bad
+    inputs raise DataError, and a path that cannot be written ConfigError.
     """
     ids = _array("event_ids", event_ids, np.int64, DataError)
     sc = _array("scores", scores, float, DataError)
@@ -667,7 +654,7 @@ def write_submission(
     ranks = np.empty(ids.size, dtype=np.int64)
     ranks[_submission_order(ids, sc)] = np.arange(1, ids.size + 1)
     classes = np.where(sel == 1, "s", "b").tolist()
-    with open(path, "w", newline="") as handle:
+    with _open(path, "w", ConfigError) as handle:
         handle.write("EventId,RankOrder,Class\n")
         handle.writelines(
             f"{i},{r},{c}\n" for i, r, c in zip(ids.tolist(), ranks.tolist(), classes)
@@ -681,8 +668,8 @@ def read_submission(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     an ``EventId`` or ``RankOrder`` that is not a 64-bit integer and a class
     other than 's' or 'b' raise DataError.
     """
-    with _open(path, "r") as handle:
-        reader = _csv_rows(handle, path)
+    with _open(path, "r", DataError) as handle:
+        reader = _csv_rows(handle)
         header = next(reader, None)
         if header != ["EventId", "RankOrder", "Class"]:
             raise DataError(f"{path!r} is not a submission file (bad header)")

@@ -4,6 +4,7 @@ The CLI maps these onto stable exit codes (see cli.py), so library code
 should raise the most specific class that applies.
 """
 
+import contextlib
 import math
 import numbers
 
@@ -94,6 +95,24 @@ def _choice(name, value, options, error=ConfigError):
             if value == option:
                 return option
     raise error(f"{name} must be one of {options}, got {_shown(value)}")
+
+
+@contextlib.contextmanager
+def _open(path, mode, error):
+    """``path`` opened in ``mode`` (text with ``newline=""``, as csv needs): the
+    package's one rule for files.  A failed open, undecodable text, and an
+    OSError in the block or at the close (a full disk) raise ``error``."""
+    try:
+        handle = open(path, mode, newline=None if "b" in mode else "")
+    except OSError as exc:
+        raise error(f"cannot open {path!r}: {exc}") from None
+    try:
+        with handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot decode {path!r} as text: {exc.reason}") from None
+    except OSError as exc:
+        raise error(f"cannot {'read' if 'r' in mode else 'write'} {path!r}: {exc}") from None
 
 
 # what each array dtype takes, as its messages say

@@ -22,7 +22,9 @@ import numpy as np
 from scipy.special import expit
 
 from .data import WeightedDataset, _freeze_field
-from .errors import DataError, TrainingError, _array, _choice, _integer, _labels, _real
+from .errors import (
+    ConfigError, DataError, TrainingError, _array, _choice, _integer, _labels, _open, _real,
+)
 from .significance import SignificanceMeasure, validate_dual
 
 __all__ = [
@@ -907,7 +909,8 @@ _VECTOR_BLOCKS = (("coefficients", "c", "coefficients"), ("impute", "i", "impute
 
 
 def save_model(model: Model, path: str) -> None:
-    """Serialize to the versioned text format; exact float round-trip."""
+    """Serialize to the versioned text format; exact float round-trip.
+    A path that cannot be written raises ConfigError."""
     lines = [
         _FORMAT_HEADER,
         f"kind {model.kind}",
@@ -935,7 +938,7 @@ def save_model(model: Model, path: str) -> None:
                         f"{int(tree.left[k])} {int(tree.right[k])} {side}"
                     )
     lines.append("end")
-    with open(path, "w", newline="") as handle:
+    with _open(path, "w", ConfigError) as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -944,11 +947,8 @@ def load_model(path: str) -> Model:
 
     An unreadable file or a malformed field raises DataError.
     """
-    try:
-        with open(path, "r") as handle:
-            lines = [line.rstrip("\n") for line in handle]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read model {path!r}: {exc}") from None
+    with _open(path, "r", DataError) as handle:
+        lines = [line.rstrip("\r\n") for line in handle]
     if lines[:1] != [_FORMAT_HEADER]:
         raise DataError(f"{path!r} is not a model file (bad header)" if lines
                         else "model file truncated")

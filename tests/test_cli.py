@@ -424,8 +424,13 @@ class TestTreesThatNeverSplit:
             "warning: no tree of the model splits; no split had a positive gain in round 1 "
             "(learner.min_child_weight = 0 rules none out)\n"
         )
-        assert default.err.startswith("warning: no tree of the model splits; "
-                                      "learner.min_child_weight = 1 against a cost total of ")
+        # a cost total of 2000 leaves room for splits with 1 on each side, so
+        # min_child_weight is not named as the cause
+        assert default.err == (
+            "warning: no tree of the model splits; no split had a positive gain in round 1 "
+            "with a cost sum of at least learner.min_child_weight = 1 on each side "
+            "(cost total 2000)\n"
+        )
         # stdout, the RESULT line among it, is the default run's but for the paths
         assert zero.out.replace(str(tmp_path / "zero"), "OUT") == default.out.replace(
             str(tmp_path / "default"), "OUT"
@@ -941,6 +946,18 @@ BAD_PATH_INPUTS = {
     "undecodable-config": [
         "cascade", "--synth", _QUICK_SYNTH, "--config", "{undecodable}", "--out-dir", "{out}",
     ],
+    "config-is-directory": [
+        "cascade", "--synth", _QUICK_SYNTH, "--config", "{dir}", "--out-dir", "{out}",
+    ],
+    # names over 255 bytes pass the check, and fail before any file is
+    # written: --out-dir when it is created, eval's submission when opened
+    "out-dir-name-too-long": [
+        "cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", "{dir}/" + "x" * 300,
+    ],
+    "eval-submission-name-too-long": [
+        "eval", "--model", "{model}", "--synth", _QUICK_SYNTH,
+        "--submission", "{dir}/" + "x" * 300 + ".csv",
+    ],
     # every file a command writes is checked before the first one is: a
     # directory in the way of the manifest, model or trace, and an empty path
     "manifest-path-is-directory": [
@@ -1031,6 +1048,59 @@ class TestPathInputErrors:
         assert len(err) == 1 and err[0].startswith("config error: "), err
         assert _tree(tmp_path) == before
 
+    @pytest.mark.parametrize("case", ["dev-full", "name-too-long"])
+    def test_failed_write_keeps_the_files_before_it(self, tmp_path, capsys, case):
+        # both submissions pass the output check; /dev/full takes the open
+        # and fails when the buffer is flushed, the long name fails to open
+        if case == "dev-full" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        submission = "/dev/full" if case == "dev-full" else str(tmp_path / ("x" * 300 + ".csv"))
+        out = tmp_path / "run"
+        argv = ["cascade", "--synth", "n_signal=200,n_background=200", "--T", "1",
+                "--out-dir", str(out), "--submission", submission]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        verb = "write" if case == "dev-full" else "open"
+        err = captured.err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"config error: cannot {verb} {submission!r}: "), err
+        assert sorted(path.name for path in out.iterdir()) == [
+            "model.txt", "run_manifest.json", "trace.csv"
+        ]
+
+    @pytest.mark.parametrize(
+        "case, message", [("missing", "cannot open"), ("directory", "cannot open"),
+                          ("undecodable", "cannot decode")],
+    )
+    def test_unreadable_config_is_one_line_naming_it(self, tmp_path, capsys, case, message):
+        config = tmp_path / "c.cfg"
+        if case == "directory":
+            config.mkdir()
+        elif case == "undecodable":
+            config.write_bytes(b"\xff\xfeT = 3\n")
+        out = tmp_path / "run"
+        argv = ["cascade", "--synth", _QUICK_SYNTH, "--config", str(config), "--out-dir", str(out)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message} {str(config)!r}")
+        assert not out.exists()
+
+    def test_crlf_config_loads_as_its_lf_twin(self, tmp_path, capsys):
+        text = "T = 2\n# rounds\nlearner.rounds = 4\nlearner.kind = stump-boost\n"
+        runs = {}
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_bytes(text.replace("\n", newline).encode())
+            out = tmp_path / name
+            argv = ["cascade", "--synth", SYNTH, "--config", str(config), "--out-dir", str(out)]
+            assert run_cli(argv) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            runs[name] = manifest["config"], (out / "model.txt").read_bytes()
+        capsys.readouterr()
+        assert runs["crlf"] == runs["lf"]
+        assert runs["lf"][0]["T"] == 2 and runs["lf"][0]["learner"]["rounds"] == 4
+
 
 def _run_python(*args):
     # pytest's pythonpath setting does not reach the child interpreter
@@ -1107,11 +1177,16 @@ _CONFIG_PATHS = _mostly(
         ["{bad_config}", "{logistic_warm_config}", "{undecodable}", "{dir}", "{missing}"]
     ),
 )
+# a name over 255 bytes, NAME_MAX on Linux and macOS, passes the output
+# check and fails only when it is written (or, as --out-dir, created)
+_LONG_NAME = "{dir}/" + "x" * 300
 _OUT_DIRS = _mostly(
-    st.just("{out}"), st.sampled_from(["{file}", "{file}/sub", "{missing}/a/b", "{taken}", ""])
+    st.just("{out}"),
+    st.sampled_from(["{file}", "{file}/sub", "{missing}/a/b", "{taken}", "", _LONG_NAME]),
 )
 _SUBMISSIONS = _mostly(
-    st.just("{dir}/s.csv"), st.sampled_from(["{dir}", "{missing}/s.csv", "{file}/s.csv", ""])
+    st.just("{dir}/s.csv"),
+    st.sampled_from(["{dir}", "{missing}/s.csv", "{file}/s.csv", "", _LONG_NAME + ".csv"]),
 )
 
 
@@ -1240,6 +1315,11 @@ class TestArgvFuzz:
     # empty --submission, and an --out-dir whose trace.csv is a directory
     @example(argv=["cascade", "--data", "{csv}", "--T", "1", "--submission", ""])
     @example(argv=["cascade", "--data", "{csv}", "--T", "1", "--out-dir", "{taken}"])
+    # and output paths that pass that check but cannot be written
+    @example(argv=["cascade", "--data", "{csv}", "--T", "1", "--submission", _LONG_NAME + ".csv"])
+    @example(argv=["cascade", "--data", "{csv}", "--T", "1", "--out-dir", _LONG_NAME])
+    @example(argv=["eval", "--data", "{csv}", "--model", "{model}",
+                   "--submission", _LONG_NAME + ".csv"])
     def test_documented_exit_and_one_line(self, fuzz_paths, argv):
         argv = [arg.format(**fuzz_paths) for arg in argv]
         # a traceback here would be an exception out of main

@@ -274,6 +274,30 @@ def test_each_damaged_file_gets_its_message(tmp_path, text, old, new, message):
     assert str(caught.value) == message.format(path=str(path))
 
 
+@pytest.mark.parametrize("text", [_TREE_FILE, _LOGISTIC_FILE], ids=["tree", "logistic"])
+def test_crlf_file_loads_as_its_lf_twin(tmp_path, text):
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert _model_bytes(load_model(str(crlf))) == _model_bytes(load_model(str(lf)))
+
+
+@pytest.mark.parametrize(
+    "case, message", [("missing", "cannot open"), ("directory", "cannot open"),
+                      ("undecodable", "cannot decode")],
+)
+def test_unreadable_file_is_one_data_error_naming_it(tmp_path, case, message):
+    path = tmp_path / "model.txt"
+    if case == "directory":
+        path.mkdir()
+    elif case == "undecodable":
+        path.write_bytes(_TREE_FILE.encode().replace(b"kind", b"\xff\xfekind"))
+    with pytest.raises(DataError) as caught:
+        load_model(str(path))
+    text = str(caught.value)
+    assert text.startswith(f"{message} {str(path)!r}") and "\n" not in text
+
+
 _STUMP = Tree._from_rows([(0, 0.5, 1, 2, False, 0.0), _leaf_row(-1.0), _leaf_row(2.5)])
 _SAVED_MODELS = {
     "tree-boost": Model("tree-boost", 2, 0.25, 0.0, (_tree((1, 0.5, True, 1.0, 2.0), 2), _STUMP)),
