@@ -204,17 +204,15 @@ class Ensemble:
 def default_u0(
     train_data: WeightedDataset, b_reg: float, measure: SignificanceMeasure
 ) -> float:
-    """Dual optimum of the constant all-positive classifier.
-
-    A background too small for ``f'(signal / background)`` to be finite
-    gives the ceiling U_MAX, the limit as the background vanishes.
+    """Dual optimum of the constant all-positive classifier: the round
+    update ``_next_dual`` of the training summary that selects every event.
     """
     b_reg = _real("b_reg", b_reg, 0.0, open_high=True, error=ValueError)
-    denominator = train_data.background_total + b_reg
-    if denominator <= 0.0:
+    signal = train_data.signal_total
+    summary = ConfusionSummary.from_counts(signal, train_data.background_total, signal, b_reg)
+    if summary.b <= 0.0:
         raise CascadeError("training set has no background weight and b_reg = 0")
-    u = float(measure.f_prime(train_data.signal_total / denominator))
-    return U_MAX if u == math.inf else clamp_dual(u)
+    return _next_dual(summary, measure)
 
 
 def _next_dual(summary: ConfusionSummary, measure: SignificanceMeasure) -> float:

@@ -35,7 +35,7 @@ from .data import (
     synthesize,
     write_submission,
 )
-from .errors import AmsCascadeError, ConfigError, DataError, _integer, _open, _real
+from .errors import AmsCascadeError, ConfigError, DataError, _integer, _open, _real, _reason
 # classify is not called here, but amsbench's tracer wraps it by this name
 from .learner import (  # noqa: F401
     classify,
@@ -195,8 +195,9 @@ def _resolve_cascade_config(args):
 def _check_output_paths(out_dir, outputs, inputs):
     """Reject output paths that cannot be written, before any file is written.
 
-    ``out_dir`` (None for eval) may be missing, but not empty, and its
-    nearest existing ancestor must be a directory. Each path in ``outputs``
+    ``out_dir`` (None for eval) may be missing, but not empty, its nearest
+    existing ancestor must be a directory, and no missing component may be
+    longer than that directory's file system takes. Each path in ``outputs``
     (None for a file not asked for) must be non-empty, not a directory, and
     in an existing directory or in ``out_dir``; nor may its real path be
     that of an earlier output or of a file in ``inputs`` (flag -> path,
@@ -205,11 +206,16 @@ def _check_output_paths(out_dir, outputs, inputs):
     if out_dir is not None:
         if not out_dir:
             raise ConfigError("--out-dir '': not a directory")
-        probe = os.path.abspath(out_dir)
+        probe, missing = os.path.abspath(out_dir), []
         while not os.path.exists(probe):
-            probe = os.path.dirname(probe)
+            probe, name = os.path.split(probe)
+            missing.append(name)
         if not os.path.isdir(probe):
             raise ConfigError(f"--out-dir {out_dir!r}: {probe!r} is not a directory")
+        # os.makedirs would create the components before a too-long one
+        limit = os.pathconf(probe, "PC_NAME_MAX")  # -1 for no limit
+        if any(0 <= limit < len(os.fsencode(name)) for name in missing):
+            raise ConfigError(f"--out-dir {out_dir!r}: a name is longer than {limit} bytes")
     # real path -> the flag or file that names it
     named = {os.path.realpath(path): f"{flag} {path!r}" for flag, path in inputs.items() if path}
     for name, path in outputs.items():
@@ -263,7 +269,7 @@ def cmd_cascade(args):
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"--out-dir {args.out_dir!r}: {exc}") from None
+        raise ConfigError(f"--out-dir {args.out_dir!r}: {_reason(exc)}") from None
     # manifest first, so a failed run still leaves an auditable record
     _write_manifest(manifest_path, config, _dataset_fingerprint(args, dataset), val_frac, outputs)
     # the two parts hold every feature cell, so training does not also hold

@@ -13,7 +13,7 @@ import csv
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -52,6 +52,26 @@ def _freeze_field(record, name: str, dtype, error=ValueError) -> np.ndarray:
     arr = _frozen(_array(name, getattr(record, name), dtype, error))
     object.__setattr__(record, name, arr)
     return arr
+
+
+def _fields_equal(record, other) -> bool:
+    """``==`` for a frozen dataclass with array fields: the same class and
+    equal fields, an array by dtype, shape and value, NaN equal to NaN.
+    (The generated ``==`` compares tuples of fields, where two distinct
+    arrays compare to an array, whose truth value raises.)"""
+    if other.__class__ is not record.__class__:
+        return NotImplemented
+    for f in fields(record):
+        # a constructor makes a field an array on every record or on none,
+        # except a model's vectors, which its kind (compared first) decides
+        a, b = getattr(record, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray):
+            same = (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b, equal_nan=True)
+        else:
+            same = a == b
+        if not same:
+            return False
+    return True
 
 
 def _sorted_rows(features: np.ndarray) -> np.ndarray:
@@ -134,6 +154,8 @@ class WeightedDataset:
     weights: np.ndarray
     event_ids: np.ndarray
     column_names: tuple[str, ...]
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         features = _freeze_field(self, "features", float, DataError)

@@ -97,22 +97,31 @@ def _choice(name, value, options, error=ConfigError):
     raise error(f"{name} must be one of {options}, got {_shown(value)}")
 
 
+def _reason(exc: OSError) -> str:
+    """An OSError's text for a message that names the path itself: its
+    ``strerror``, as its full text may end with the file name, or the full
+    text where it has none."""
+    return exc.strerror or str(exc)
+
+
 @contextlib.contextmanager
 def _open(path, mode, error):
     """``path`` opened in ``mode`` (text with ``newline=""``, as csv needs): the
     package's one rule for files.  A failed open, undecodable text, and an
-    OSError in the block or at the close (a full disk) raise ``error``."""
+    OSError in the block or at the close (a full disk) raise ``error``, whose
+    message names the path once (see ``_reason``)."""
     try:
         handle = open(path, mode, newline=None if "b" in mode else "")
     except OSError as exc:
-        raise error(f"cannot open {path!r}: {exc}") from None
+        raise error(f"cannot open {path!r}: {_reason(exc)}") from None
     try:
         with handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise error(f"cannot decode {path!r} as text: {exc.reason}") from None
     except OSError as exc:
-        raise error(f"cannot {'read' if 'r' in mode else 'write'} {path!r}: {exc}") from None
+        verb = "read" if "r" in mode else "write"
+        raise error(f"cannot {verb} {path!r}: {_reason(exc)}") from None
 
 
 # what each array dtype takes, as its messages say

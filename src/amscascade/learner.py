@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import expit
 
-from .data import WeightedDataset, _freeze_field
+from .data import WeightedDataset, _fields_equal, _freeze_field, _frozen
 from .errors import (
     ConfigError, DataError, TrainingError, _array, _choice, _integer, _labels, _open, _real,
 )
@@ -60,6 +60,8 @@ class CostVector:
 
     costs: np.ndarray
     round_dual: float
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         costs = _freeze_field(self, "costs", float)
@@ -133,9 +135,13 @@ class Tree:
     are realized feature values (the smallest value of the right child), so
     the partition is exact in floating point.
 
-    The six arrays are 1-D, non-empty and of one length, and every split
-    node's children follow it and lie inside the tree, so every walk from
-    the root ends on a leaf; anything else raises ValueError.
+    The six arrays are 1-D, non-empty and of one length, a leaf's feature and
+    children are -1, and every split node's children follow it and lie inside
+    the tree, so every walk from the root ends on a leaf; anything else raises
+    ValueError.  The cells no walk reads, which a model file leaves out, are
+    stored as load_model reads them back: a leaf's threshold NaN and missing
+    side left, a split's value 0.  ``width`` (not a field) is one past the
+    largest split feature.
     """
 
     feature: np.ndarray
@@ -144,6 +150,8 @@ class Tree:
     right: np.ndarray
     missing_left: np.ndarray
     value: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         for name, dtype in (
@@ -162,7 +170,17 @@ class Tree:
                 )
         if self.feature.ndim != 1 or self.feature.size == 0:
             raise ValueError(f"tree arrays must be 1-D and non-empty, got {self.feature.shape}")
-        split = np.flatnonzero(self.feature >= 0)
+        leaf = self.feature < 0
+        odd = leaf & ((self.feature != -1) | (self.left != -1) | (self.right != -1))
+        if odd.any():
+            raise ValueError(f"node {np.argmax(odd)} is no leaf: its feature or a child is not -1")
+        object.__setattr__(self, "width", int(self.feature.max()) + 1)
+        # the cells no walk reads, as load_model gives them, so a tree reloads equal
+        for name, cells in (("threshold", np.where(leaf, math.nan, self.threshold)),
+                            ("missing_left", self.missing_left | leaf),
+                            ("value", np.where(leaf, self.value, 0.0))):
+            object.__setattr__(self, name, _frozen(cells))
+        split = np.flatnonzero(~leaf)
         # a NaN cut compares false, so it would send every present row right
         nan_cut = np.isnan(self.threshold[split])
         if nan_cut.any():
@@ -187,11 +205,10 @@ class Tree:
 
         ``features`` must be a matrix with a column for every split feature.
         """
-        table = _NodeTable((self,))
-        needed = table.n_columns
-        features = _feature_matrix(features, needed, math.inf, f"tree ({needed} columns or more)")
+        features = _feature_matrix(features, self.width, math.inf,
+                                   f"tree ({self.width} columns or more)")
         out = np.empty(features.shape[0])
-        for rows, block in _tree_blocks(table, features):
+        for rows, block in _tree_blocks(_NodeTable((self,)), features):
             out[rows] = block[0]
         return out
 
@@ -204,9 +221,8 @@ class _NodeTable:
     ``child_value`` the child's value.  A leaf's pair holds the leaf itself
     and its own value, and a leaf reads column 0, so a (tree, row) pair that
     reached a leaf stays there.  ``depth`` is the number of levels of the
-    deepest tree and ``n_columns`` the number of columns the splits read.
-    Built from the trees alone, so a model can keep its table for every
-    call.
+    deepest tree.  Built from the trees alone, so a model can keep its
+    table for every call.
     """
 
     def __init__(self, trees: Sequence[Tree]):
@@ -222,7 +238,6 @@ class _NodeTable:
         self.child = pairs.ravel()
         self.feature = np.zeros_like(feature)
         self.feature[split] = feature[split]
-        self.n_columns = int(feature.max()) + 1
         self.threshold = np.concatenate([tree.threshold for tree in trees])
         self.missing_left = np.concatenate([tree.missing_left for tree in trees])
         self.child_value = np.concatenate([tree.value for tree in trees])[self.child]
@@ -250,7 +265,6 @@ class _NodeTable:
         for name in ("roots", "child", "feature", "threshold", "missing_left", "child_value"):
             setattr(grown, name, np.concatenate([getattr(self, name), getattr(grown, name)]))
         grown.depth = max(self.depth, grown.depth)
-        grown.n_columns = max(self.n_columns, grown.n_columns)
         return grown
 
 
@@ -277,7 +291,7 @@ def _tree_blocks(table: _NodeTable, features: np.ndarray):
     of at most ``_BLOCK_CELLS`` pairs (one tree at least), yielded in
     ascending order.
     """
-    (n_rows, n_columns), n_trees = features.shape, table.roots.size
+    (n_rows, n_cols), n_trees = features.shape, table.roots.size
     n_blocks = max(1, min(-(-n_rows // max(1, _BLOCK_CELLS // n_trees)), n_rows // _BLOCK_ROWS))
     row_step = max(1, -(-n_rows // n_blocks))
     tree_step = max(1, _BLOCK_CELLS // row_step)
@@ -288,7 +302,7 @@ def _tree_blocks(table: _NodeTable, features: np.ndarray):
     for start in range(0, n_rows, row_step):
         rows = slice(start, start + row_step)
         block_rows = features[rows]
-        offsets = np.arange(block_rows.shape[0]) * n_columns
+        offsets = np.arange(block_rows.shape[0]) * n_cols
         has_nan = bool(np.isnan(block_rows).any())
         for first in range(0, n_trees, tree_step):
             trees = slice(first, first + tree_step)
@@ -342,8 +356,8 @@ class Model:
     imputation value per feature.  An n_features that is negative or not
     an integer (numpy integers are stored as int), logistic vectors of
     another length, either vector on a boosted model, trees on a logistic
-    model, and trees other than a tuple or list of Tree (stored as a
-    tuple) raise ValueError.
+    model, a tree whose splits read a column past n_features, and trees
+    other than a tuple or list of Tree (stored as a tuple) raise ValueError.
     """
 
     kind: str
@@ -353,6 +367,8 @@ class Model:
     trees: tuple[Tree, ...] = ()
     coefficients: Optional[np.ndarray] = None
     impute_values: Optional[np.ndarray] = None
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         kind = _choice("model kind", self.kind, _LEARNER_KINDS, ValueError)
@@ -378,9 +394,12 @@ class Model:
         if not isinstance(self.trees, (tuple, list)):
             raise ValueError(f"trees must be a tuple of Tree, got {type(self.trees).__name__}")
         object.__setattr__(self, "trees", tuple(self.trees))
-        for tree in self.trees:
+        for t, tree in enumerate(self.trees):
             if not isinstance(tree, Tree):
                 raise ValueError(f"trees must hold only Tree objects, got {type(tree).__name__}")
+            if tree.width > n_features:
+                raise ValueError(f"tree {t} splits on column {tree.width - 1} "
+                                 f"of a {n_features}-feature model")
         if self.trees and self.kind == "logistic":
             # save_model writes no trees for a logistic model
             raise ValueError("a logistic model takes no trees")
@@ -875,10 +894,7 @@ def predict_scores(model: Model, data: Union[WeightedDataset, np.ndarray]) -> np
         return model.base_score + _impute(features, model.impute_values) @ model.coefficients
     scores = np.full(features.shape[0], model.base_score, dtype=float)
     if model.trees:
-        table = model._node_table
-        if table.n_columns > n_features:
-            raise DataError(f"model ({n_features} features) splits on column {table.n_columns - 1}")
-        for rows, block in _tree_blocks(table, features):
+        for rows, block in _tree_blocks(model._node_table, features):
             # each row's sum stays base + t1 + t2 + ...: np.add.reduce adds
             # the rows of a C-contiguous block of two or more columns in
             # order, but sums a single column pairwise
@@ -985,12 +1001,13 @@ def load_model(path: str) -> Model:
             return _leaf_row(float(parts[3]))
         if parts[2] != "split" or len(parts) > 8:
             raise DataError(f"model file: bad node line {parts!r}")
-        j, left, right = int(parts[3]), int(parts[5]), int(parts[6])
-        if not 0 <= j < n_features:
-            raise DataError(f"model file: node {k} splits on feature {j} of {n_features}")
+        # Tree reads a negative feature as a leaf, which this line is not
+        j = int(parts[3])
+        if j < 0:
+            raise DataError(f"model file: node {k} splits on feature {j}")
         if parts[7] not in ("left", "right"):
             raise DataError(f"model file: node {k} sends missing values to {parts[7]!r}")
-        return (j, float(parts[4]), left, right, parts[7] == "left", 0.0)
+        return (j, float(parts[4]), int(parts[5]), int(parts[6]), parts[7] == "left", 0.0)
 
     try:
         kind = fields("kind", 2)[1]

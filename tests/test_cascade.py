@@ -164,8 +164,9 @@ class TestSubnormalBackground:
         )
         _, trace = run(train_ds, val_ds, config)
         assert len(trace.records) == 2
-        # the closed form is still asked once per round
-        assert len(calls) == 2
+        # the closed form is still asked once per round, and once more for
+        # the default u0, the all-selected training summary
+        assert len(calls) == 2 + (u0 is None)
         assert all(record.u_next == U_MAX for record in trace.records)
         assert trace.records[0].u_prev == (U_MAX if u0 is None else u0)
         assert trace.records[1].u_prev == U_MAX

@@ -949,10 +949,14 @@ BAD_PATH_INPUTS = {
     "config-is-directory": [
         "cascade", "--synth", _QUICK_SYNTH, "--config", "{dir}", "--out-dir", "{out}",
     ],
-    # names over 255 bytes pass the check, and fail before any file is
-    # written: --out-dir when it is created, eval's submission when opened
+    # names over 255 bytes fail before any file is written: --out-dir at the
+    # check, which creates none of its missing parents, eval's submission
+    # when opened
     "out-dir-name-too-long": [
         "cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", "{dir}/" + "x" * 300,
+    ],
+    "out-dir-name-too-long-under-new-dirs": [
+        "cascade", "--synth", _QUICK_SYNTH, "--T", "1", "--out-dir", "{dir}/new/a/" + "x" * 300,
     ],
     "eval-submission-name-too-long": [
         "eval", "--model", "{model}", "--synth", _QUICK_SYNTH,
@@ -1065,6 +1069,7 @@ class TestPathInputErrors:
         err = captured.err.splitlines()
         assert len(err) == 1, err
         assert err[0].startswith(f"config error: cannot {verb} {submission!r}: "), err
+        assert err[0].count(submission) == 1, err
         assert sorted(path.name for path in out.iterdir()) == [
             "model.txt", "run_manifest.json", "trace.csv"
         ]
@@ -1084,6 +1089,7 @@ class TestPathInputErrors:
         assert run_cli(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {message} {str(config)!r}")
+        assert err[0].count(str(config)) == 1
         assert not out.exists()
 
     def test_crlf_config_loads_as_its_lf_twin(self, tmp_path, capsys):

@@ -303,7 +303,7 @@ _REAL_SITES = {
         ValueError,
     ),
     "default_u0.b_reg": (
-        lambda v: default_u0(_TOTALS, v, SimpleNamespace(f_prime=_stop("b_reg"))),
+        lambda v: _past_check(cascade, "b_reg", lambda: default_u0(_TOTALS, v, AMS2), "_next_dual"),
         "[0, inf)",
         ValueError,
     ),
@@ -515,7 +515,8 @@ _ARRAY_SITES = {
         lambda v, box: _tree(missing_left=box([v, False, False])).missing_left[0], bool,
         ValueError,
     ),
-    "Tree.value": (lambda v, box: _tree(value=box([v, 1.0, 2.0])).value[0], float, ValueError),
+    # a leaf's: a split's value is 0 whatever it was given
+    "Tree.value": (lambda v, box: _tree(value=box([0.0, v, 2.0])).value[1], float, ValueError),
     "Model.coefficients": (
         lambda v, box: _logistic(coefficients=box([v])).coefficients[0], float, ValueError
     ),

@@ -443,16 +443,18 @@ class TestPredict:
         with pytest.raises(ValueError, match=f"a {kind} model takes no {name}"):
             Model(kind=kind, n_features=2, base_score=0.0, **{name: np.ones(2)})
 
-    def test_tree_past_the_feature_count_is_data_error(self):
-        # built in code: load_model rejects a file with such a split
+    def test_tree_past_the_feature_count_is_value_error(self):
+        # the one check of a model's width, so save_model writes no file
+        # that load_model refuses
         stump = Tree._from_rows([(3, 0.0, 1, 2, True, 0.0), _leaf_row(-1.0), _leaf_row(1.0)])
-        model = Model(kind="stump-boost", n_features=2, base_score=0.0, trees=(stump,))
-        with pytest.raises(DataError, match="splits on column 3"):
-            predict_scores(model, np.zeros((4, 2)))
-        # an extended table counts the new tree's columns too
-        inside = Tree._from_rows([(0, 0.0, 1, 2, True, 0.0), _leaf_row(-1.0), _leaf_row(1.0)])
-        table = learner_module._NodeTable((inside,))
-        assert table.n_columns == 1 and table.extended(stump).n_columns == 4
+        leaf = Tree._from_rows([_leaf_row(0.5)])
+        assert (stump.width, leaf.width) == (4, 0)
+        with pytest.raises(ValueError, match="^tree 1 splits on column 3 of a 2-feature model$"):
+            Model(kind="stump-boost", n_features=2, base_score=0.0, trees=(leaf, stump))
+        model = Model(kind="stump-boost", n_features=4, base_score=0.0, trees=(leaf, stump))
+        with pytest.raises(ValueError, match="^tree 1 splits on column 3 of a 3-feature model$"):
+            replace(model, n_features=3)
+        assert Model(kind="stump-boost", n_features=0, base_score=0.0, trees=(leaf,)).n_trees == 1
 
     @pytest.mark.parametrize(
         "coefficients, impute",
@@ -607,6 +609,22 @@ class TestSerialization:
         np.testing.assert_array_equal(
             predict_scores(back, data), predict_scores(model, data)
         )
+
+    @pytest.mark.parametrize("kind", ["tree-boost", "logistic"])
+    def test_loaded_model_compares_equal(self, tmp_path, kind):
+        # == compares the arrays by value, so a model read back from its file
+        # equals the one saved; a third of the cells are NaN
+        data = gaussian_data(100, 100, seed=4)
+        features = data.features.copy()
+        features[np.random.default_rng(4).random(features.shape) < 0.3] = np.nan
+        data = replace(data, features=features)
+        model = train(data, uniform_costs(data), LearnerConfig(kind=kind, rounds=5))
+        assert kind == "logistic" or model.trees[0].n_nodes > 1
+        path = tmp_path / "model.txt"
+        save_model(model, str(path))
+        back = load_model(str(path))
+        assert back == model and not back != model
+        assert back != model.with_threshold(model.threshold + 1.0)
 
     def test_logistic_vector_counts_checked(self, tmp_path):
         # Model compares each vector's length with the feature count, which
@@ -2043,6 +2061,30 @@ class TestTreeStructure:
         with pytest.raises(ValueError, match="child outside the tree"):
             Tree._from_rows(rows)
 
+    @pytest.mark.parametrize(
+        "row",
+        [(-3, math.nan, -1, -1, True, 0.5), (-1, 0.5, 1, 2, True, 0.0),
+         (-1, math.nan, -1, 2, True, 0.5)],
+        ids=["feature-below-minus-one", "leaf-with-children", "leaf-with-one-child"],
+    )
+    def test_negative_feature_is_a_leaf_with_no_children(self, row):
+        # such a node would save as a plain leaf and load back as another tree
+        with pytest.raises(ValueError, match="^node 0 is no leaf: its feature or a child is not -1$"):
+            Tree._from_rows([row, _leaf_row(1.0), _leaf_row(2.0)])
+
+    def test_cells_no_walk_reads_hold_what_load_model_gives(self, tmp_path):
+        # the file keeps neither a leaf's threshold and missing side nor a
+        # split's value, so a tree holds them as they load back
+        tree = Tree(feature=[0, -1, -1], threshold=[0.5, 0.0, math.inf], left=[1, -1, -1],
+                    right=[2, -1, -1], missing_left=[False, False, False], value=[3.0, 1.0, 2.0])
+        assert tree.threshold[0] == 0.5 and np.isnan(tree.threshold[1:]).all()
+        assert tree.missing_left.tolist() == [False, True, True]
+        assert tree.value.tolist() == [0.0, 1.0, 2.0]
+        model = Model("tree-boost", 1, 0.0, trees=(tree,))
+        path = tmp_path / "model.txt"
+        save_model(model, str(path))
+        assert load_model(str(path)) == model
+
     def test_nan_split_threshold_is_value_error(self):
         # NaN compares false, so the node would send every present row right;
         # a leaf's threshold is NaN and stays unchecked
@@ -2112,6 +2154,46 @@ class TestTreeStructure:
         )
         with pytest.raises(DataError, match=message):
             load_model(str(path))
+
+
+def _equality_cases():
+    """Record builders of one cell: the same cell gives equal records of
+    distinct arrays, another cell a record unequal to them."""
+    def stump(cell):
+        return Tree._from_rows([(0, cell, 1, 2, True, 0.0), _leaf_row(-1.0), _leaf_row(1.0)])
+
+    return {
+        "tree": stump,
+        "cost-vector": lambda cell: CostVector(np.array([1.0, cell]), 1.0),
+        "logistic-model": lambda cell: Model("logistic", 2, 0.1, coefficients=[1.0, cell],
+                                             impute_values=[np.nan, 3.0]),
+        "tree-boost-model": lambda cell: Model("tree-boost", 1, 0.1, trees=(stump(cell),)),
+        "dataset": lambda cell: WeightedDataset(
+            features=np.array([[cell, np.nan], [1.0, 2.0]]), labels=[1, -1],
+            weights=[1.0, 2.0], event_ids=[0, 1], column_names=("a", "b"),
+        ),
+    }
+
+
+class TestEquality:
+    """== compares array fields by dtype, shape and value, NaN equal to NaN."""
+
+    @pytest.mark.parametrize("name", list(_equality_cases()))
+    def test_same_values_compare_equal(self, name):
+        build = _equality_cases()[name]
+        assert build(0.5) == build(0.5) and not build(0.5) != build(0.5)
+
+    @pytest.mark.parametrize("name", list(_equality_cases()))
+    def test_one_changed_cell_compares_unequal(self, name):
+        build = _equality_cases()[name]
+        assert build(0.5) != build(0.25) and not build(0.5) == build(0.25)
+
+    def test_other_shapes_and_classes_compare_unequal(self):
+        assert CostVector(np.ones(2), 1.0) != CostVector(np.ones(3), 1.0)
+        assert CostVector(np.ones(2), 1.0) != CostVector(np.ones(2), 2.0)
+        leaf = Tree._from_rows([_leaf_row(1.0)])
+        assert leaf != Tree._from_rows([_leaf_row(1.0), _leaf_row(1.0)])
+        assert leaf != Model("tree-boost", 0, 0.0, trees=(leaf,)) and leaf != 1.0
 
 
 class TestLearnerConfig:

@@ -29,10 +29,12 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 # float() reads back for every float but NaN's sign and payload
 extended = st.floats(allow_nan=False)
 
-# a tree shape: a leaf value, or (feature, threshold, missing_left, left, right)
+# a tree shape: a leaf value, (value, threshold, missing_left) for a leaf with
+# any cells the file leaves out, or (feature, threshold, missing_left, left,
+# right, value), whose value the file leaves out
 tree_shapes = st.recursive(
-    finite,
-    lambda sub: st.tuples(st.integers(0, 3), finite, st.booleans(), sub, sub),
+    finite | st.tuples(finite, st.floats(), st.booleans()),
+    lambda sub: st.tuples(st.integers(0, 3), finite, st.booleans(), sub, sub, st.floats()),
     max_leaves=6,
 )
 
@@ -44,11 +46,15 @@ def _tree(shape, n_features):
         if not isinstance(node, tuple):
             rows.append(_leaf_row(node))
             return
-        feature, threshold, missing_left, left, right = node
+        if len(node) == 3:
+            value, threshold, missing_left = node
+            rows.append((-1, threshold, -1, -1, missing_left, value))
+            return
+        feature, threshold, missing_left, left, right, value = node
         k = len(rows)
         rows.append(None)
         add(left)
-        rows[k] = (feature % n_features, threshold, k + 1, len(rows), missing_left, 0.0)
+        rows[k] = (feature % n_features, threshold, k + 1, len(rows), missing_left, value)
         add(right)
 
     add(shape)
@@ -148,6 +154,7 @@ def test_save_load_round_trip_is_exact(model):
     back = _load_bytes(text)
     assert back is not None
     assert _model_bytes(back) == _model_bytes(model)
+    assert back == model
     assert _saved_text(back) == text
 
 
@@ -226,7 +233,13 @@ _LOGISTIC_FILE = (
         (_LOGISTIC_FILE, "impute 2", "impute -2", "model file: negative impute count -2"),
         (_TREE_FILE, "node 1 leaf", "node 1 stem",
          "model file: bad node line ['node', '1', 'stem', '1.0']"),
-        (_TREE_FILE, "split 1 0.5", "split 2 0.5", "model file: node 0 splits on feature 2 of 2"),
+        (_TREE_FILE, "split 1 0.5", "split 2 0.5",
+         "model file {path!r}: malformed field (tree 0 splits on column 2 of a 2-feature model)"),
+        (_TREE_FILE, "split 1 0.5", "split -3 0.5", "model file: node 0 splits on feature -3"),
+        (_TREE_FILE, "split 1 0.5", "split -1 0.5", "model file: node 0 splits on feature -1"),
+        # a lone split line with leaf children would otherwise load as a leaf
+        (_TREE_FILE, "nodes 3\nnode 0 split 1 0.5 1 2 left\nnode 1 leaf 1.0\nnode 2 leaf 2.0",
+         "nodes 1\nnode 0 split -1 0.5 -1 -1 left", "model file: node 0 splits on feature -1"),
         (_TREE_FILE, "1 2 left", "1 2 up", "model file: node 0 sends missing values to 'up'"),
         (_TREE_FILE, "end", "end now", "model file: missing end marker"),
         (_TREE_FILE, "base_score 0.25", "base_score x",
@@ -256,7 +269,8 @@ _LOGISTIC_FILE = (
     ids=[
         "truncated", "empty", "bad-header", "expected-keyword", "expected-node-position",
         "expected-entry-position", "negative-trees", "negative-coefficients",
-        "negative-impute", "bad-node-line", "feature-out-of-range", "missing-side",
+        "negative-impute", "bad-node-line", "feature-out-of-range", "feature-below-minus-one",
+        "split-on-minus-one", "lone-split-on-minus-one", "missing-side",
         "missing-end-marker", "malformed-float", "malformed-short-line",
         "extra-kind-field", "extra-features-field", "extra-base-score-field",
         "extra-trees-field", "extra-entry-field", "extra-tree-field", "tree-without-nodes",
@@ -296,11 +310,13 @@ def test_unreadable_file_is_one_data_error_naming_it(tmp_path, case, message):
         load_model(str(path))
     text = str(caught.value)
     assert text.startswith(f"{message} {str(path)!r}") and "\n" not in text
+    assert text.count(str(path)) == 1
 
 
 _STUMP = Tree._from_rows([(0, 0.5, 1, 2, False, 0.0), _leaf_row(-1.0), _leaf_row(2.5)])
 _SAVED_MODELS = {
-    "tree-boost": Model("tree-boost", 2, 0.25, 0.0, (_tree((1, 0.5, True, 1.0, 2.0), 2), _STUMP)),
+    "tree-boost": Model("tree-boost", 2, 0.25, 0.0,
+                        (_tree((1, 0.5, True, 1.0, 2.0, 0.0), 2), _STUMP)),
     "stump-boost": Model("stump-boost", 1, -0.5, 1.5, (_STUMP, _STUMP)),
     "logistic": Model("logistic", 2, 0.1, -0.25, coefficients=np.array([1.5, -0.5]),
                       impute_values=np.array([0.0, 3.0])),
