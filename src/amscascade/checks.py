@@ -129,8 +129,9 @@ def check_duality(seed=0, instances=200, measures=(AMS2, AMS3)):
     )
 
 
-# Points per dual_risk call in the grid-optimum scan.  dual_risk makes
-# several float64 temporaries the size of its input.  At 2**13 points
+# Points per dual_risk call in the grid-optimum scan.  dual_risk makes two
+# float64 temporaries the size of its input: its linear term, which it
+# returns, and the conjugate term it adds into it.  At 2**13 points
 # (64 KiB) each stays in L2 and under glibc's 128 KiB mmap threshold, which
 # the benchmark pins, so the heap hands the same memory back block after
 # block.  At 2**14 points or more every temporary is a fresh mmap whose pages

@@ -354,7 +354,12 @@ def dual_risk(
     scalar or an array of ``u`` values.
     """
     arr = np.asarray(u, dtype=float)
-    out = summary.b * np.asarray(measure.f_conjugate(arr)) + (summary.s_tilde - summary.p) * arr
+    # the conjugate term is added into the linear term's array, one
+    # temporary fewer than a + b and the same bits, since IEEE addition
+    # commutes; the linear term is float64 of u's shape, so a conjugate that
+    # returns float32 or a scalar still gives a float64 risk of that shape
+    out = (summary.s_tilde - summary.p) * arr
+    out += summary.b * np.asarray(measure.f_conjugate(arr))
     return out.item() if arr.ndim == 0 else out
 
 

@@ -56,7 +56,7 @@ def repo(tmp_path):
     (repo / "amsbench").mkdir()
     shutil.copy(TOOL, repo / "tools" / "benchpair.py")
     (repo / "BENCHMARK.json").write_text(
-        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]})
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]})
     )
     log = str(tmp_path / "log.jsonl")
     _write_stub(repo, side="base", values=[1.0] * 20, correct=[True] * 20, numpy="2.0", log=log)
@@ -98,14 +98,17 @@ def test_summary_and_sign_test(repo, tmp_path):
     assert wall["sign_test_p"] == 14 / 64 == 0.21875
     assert wall["base"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert wall["change"]["median"] == 0.9 and wall["gated"] is True
+    assert (wall["claim_rule_met"], wall["within_bound"]) == (False, True)
     measured = out["summary"]["wall_s_measured"]
     assert measured["change"]["median"] == 1.8 and measured["gated"] is False
+    assert "claim_rule_met" not in measured and "within_bound" not in measured
     assert len(out["runs"]) == 14 and out["environment"] == {"numpy": "2.0", "nproc": 2}
     assert [run["result"]["metrics"]["wall_s"]["value"] for run in out["runs"]
             if run["side"] == "change"] == values
     assert out["revisions"]["change"]["dirty"] is True
     assert out["revisions"]["base"]["commit"] == out["revisions"]["change"]["commit"]
-    assert "lower in 5 of 7 (worse in 1), sign test p = 0.2188" in done.stdout
+    assert ("lower in 5 of 7 (worse in 1), sign test p = 0.2188, claim rule met: False, "
+            "within bound: True") in done.stdout
 
 
 def test_refuses_a_run_that_is_not_correct(repo, tmp_path):
@@ -134,3 +137,50 @@ def test_refuses_environments_that_differ(repo, tmp_path):
 def test_sign_test_values(wins, losses, p):
     # 2 * sum(C(n, i), i <= min(wins, losses)) / 2**n, capped at 1
     assert _load_tool().sign_test(wins, losses) == p
+
+
+@pytest.mark.parametrize(
+    "values,better_in,claim,within",
+    [
+        # lower in 10 of 10 by more than the base's quartile spread (0 here)
+        ([0.8] * 10, 10, True, True),
+        # lower in 8 of 10 only: under the nine-tenths rule, though in bound
+        ([0.8] * 4 + [1.1] + [0.8] * 4 + [1.1], 8, False, True),
+        # 30% worse than the base against the 0.25 bound
+        ([1.3] * 10, 0, False, False),
+    ],
+    ids=["claim-met", "eight-of-ten", "thirty-percent-worse"],
+)
+def test_verdicts_of_a_run(repo, tmp_path, values, better_in, claim, within):
+    _write_stub(repo, side="change", values=values, correct=[True] * 10, numpy="2.0",
+                log=str(tmp_path / "log.jsonl"))
+    done = _run(repo, 10)
+    assert done.returncode == 0, done.stderr
+    (path,) = repo.glob("BENCH_*.json")
+    wall = json.loads(path.read_text())["summary"]["wall_s"]
+    assert wall["better_in"] == better_in
+    assert (wall["claim_rule_met"], wall["within_bound"]) == (claim, within)
+    assert f"claim rule met: {claim}, within bound: {within}" in done.stdout
+
+
+_SPREAD = [0.9, 1.0, 1.1] * 3 + [1.0]
+
+
+@pytest.mark.parametrize(
+    "base,change,better,bound,verdicts",
+    [
+        # better in every pair, but by 0.1, less than the base's q3 - q1 of 0.2
+        (_SPREAD, [x - 0.1 for x in _SPREAD], "lower", 0.25,
+         {"claim_rule_met": False, "within_bound": True}),
+        # higher is better: 10 of 10 and a median gain of 1 over a spread of 0
+        ([2.0] * 10, [3.0] * 10, "higher", 0.1, {"claim_rule_met": True, "within_bound": True}),
+        # higher is better, 20% down against a 0.1 bound
+        ([2.0] * 10, [1.6] * 10, "higher", 0.1, {"claim_rule_met": False, "within_bound": False}),
+        # exactly at the bound is within it; a metric with no bound gives None
+        ([4.0] * 10, [5.0] * 10, "lower", 0.25, {"claim_rule_met": False, "within_bound": True}),
+        ([4.0] * 10, [5.0] * 10, "lower", None, {"claim_rule_met": False, "within_bound": None}),
+    ],
+)
+def test_verdict_rules(base, change, better, bound, verdicts):
+    tool = _load_tool()
+    assert tool.verdicts(tool.compare(base, change, better), bound) == verdicts

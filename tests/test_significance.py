@@ -7,6 +7,7 @@ under test to generate its own oracle.
 
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from amscascade.checks import GRID_POINTS
+from amscascade.checks import _GRID_BLOCK, GRID_POINTS, _grid_block
 from amscascade.errors import DegenerateInputError
 from amscascade.significance import (
     _SERIES_CUT,
@@ -189,6 +190,14 @@ def _elementwise_reference(formula):
     return reference
 
 
+def _written_out_risk(summary, u, measure):
+    """``summary.b * f*(u) + (s_tilde - p) * u``, in that order, as one
+    expression; a Python float for 0-d ``u``."""
+    arr = np.asarray(u, dtype=float)
+    out = summary.b * np.asarray(measure.f_conjugate(arr)) + (summary.s_tilde - summary.p) * arr
+    return out.item() if arr.ndim == 0 else out
+
+
 _RISK_SUMMARY = ConfusionSummary.from_counts(s=3.0, background=7.0, p=5.0, b_reg=1.0)
 
 
@@ -196,11 +205,10 @@ def _risk(measure):
     def kernel(u):
         return dual_risk(_RISK_SUMMARY, u, measure)
 
-    def formula(u):
-        conjugate = np.asarray(measure.f_conjugate(u))
-        return _RISK_SUMMARY.b * conjugate + (_RISK_SUMMARY.s_tilde - _RISK_SUMMARY.p) * u
+    def reference(u):
+        return _written_out_risk(_RISK_SUMMARY, u, measure)
 
-    return kernel, _elementwise_reference(formula)
+    return kernel, reference
 
 
 # every element-wise evaluator of the module, each with an independent
@@ -668,6 +676,63 @@ class TestDualRisk:
                     summary, u2, measure
                 )
                 assert mid <= chord + 1e-12
+
+
+# measures whose conjugate returns a float32 array, a Python float for any
+# input, or a list (a Python float for 0-d input)
+_ODD_CONJUGATES = {
+    "float32": replace(AMS3, f_conjugate=lambda u: np.asarray(0.5 * u * u, dtype=np.float32)),
+    "python-float": replace(AMS3, f_conjugate=lambda u: 0.375),
+    "list": replace(AMS3, f_conjugate=lambda u: (0.5 * np.asarray(u) ** 2).tolist()),
+}
+
+_RISK_POINTS = {
+    "0-d-zero": 0.0,
+    "0-d-float": 1.5,
+    "0-d-u-max": U_MAX,
+    "0-d-numpy-scalar": np.float64(0.004),
+    "0-d-array": np.array(1e-3),
+    "grid-block-first": _grid_block(0, _GRID_BLOCK, GRID_POINTS),
+    "grid-block-middle": _grid_block(40 * _GRID_BLOCK, 41 * _GRID_BLOCK, GRID_POINTS),
+    "grid-block-last": _grid_block(GRID_POINTS - 1000, GRID_POINTS, GRID_POINTS),
+    "2-d": np.random.default_rng(3).uniform(0.0, U_MAX, (64, 128)),
+}
+
+
+class TestDualRiskContract:
+    """``dual_risk`` adds into its linear term's array; it must still give
+    the written-out expression's bits, as a float64 of ``u``'s shape."""
+
+    @staticmethod
+    def _assert_same(got, want, u):
+        assert type(got) is type(want)
+        if np.ndim(u) == 0:
+            assert type(got) is float
+        else:
+            assert got.dtype == np.float64 and got.shape == np.shape(u)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("u", list(_RISK_POINTS.values()), ids=list(_RISK_POINTS))
+    @pytest.mark.parametrize("b_reg", [0.0, 10.0])
+    @pytest.mark.parametrize("measure", [AMS2, AMS3], ids=["ams2", "ams3"])
+    def test_bits_of_the_written_out_expression(self, measure, b_reg, u):
+        for s, background, p in [(3.0, 7.0, 5.0), (120.0, 4.5e4, 300.0), (0.0, 2.0, 1.0)]:
+            summary = ConfusionSummary.from_counts(s=s, background=background, p=p, b_reg=b_reg)
+            self._assert_same(
+                dual_risk(summary, u, measure), _written_out_risk(summary, u, measure), u
+            )
+
+    @pytest.mark.parametrize("u", list(_RISK_POINTS.values()), ids=list(_RISK_POINTS))
+    @pytest.mark.parametrize("kind", list(_ODD_CONJUGATES))
+    def test_odd_conjugate_gives_float64_of_u_shape(self, kind, u):
+        measure = _ODD_CONJUGATES[kind]
+        summary = ConfusionSummary.from_counts(s=3.0, background=7.0, p=5.0, b_reg=10.0)
+        want = _written_out_risk(summary, u, measure)
+        self._assert_same(dual_risk(summary, u, measure), want, u)
+        if kind == "float32" and np.ndim(u):
+            # the conjugate term alone is float32: a risk built in its array
+            # would be float32 too
+            assert np.asarray(summary.b * measure.f_conjugate(u)).dtype == np.float32
 
 
 class TestOptimalU:

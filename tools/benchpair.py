@@ -14,8 +14,14 @@ from 1) runs the change first when k is odd, the base first otherwise.
 For each metric of the runs' result objects it reports both sides' median
 and quartiles, in how many pairs the change was better and worse (ties
 count for neither), and an exact two-sided sign-test p-value over the
-untied pairs.  The measured seconds of the ``report:`` lines, before
-calibration scaling, are summarised beside them.  It writes
+untied pairs.  For each metric that ``BENCHMARK.json`` gates it also gives
+two verdicts: ``claim_rule_met``, whether the change was better in at least
+nine tenths of the pairs and its median beats the base's by more than the
+base's q3 - q1; and ``within_bound``, whether the change's median is worse
+than the base's by no more than the metric's ``bound``, a fraction of the
+base median (``None`` where the metric has no bound).  The measured seconds
+of the ``report:`` lines, before calibration scaling, are summarised beside
+them.  It writes
 ``BENCH_<tag>.json`` at the checkout's root with the environment, both
 revisions, every run's lines and the summary, where ``<tag>`` is the
 workload and the base's short commit id.  It writes nothing and exits 1
@@ -146,13 +152,25 @@ def compare(base: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def verdicts(s: dict, bound) -> dict:
+    """The claim rule and the regression bound for one metric's summary ``s``."""
+    sign = 1 if s["better"] == "lower" else -1
+    base, change = s["base"]["median"], s["change"]["median"]
+    gain = sign * (base - change)
+    return {
+        "claim_rule_met": s["better_in"] >= 0.9 * s["pairs"]
+        and gain > s["base"]["q3"] - s["base"]["q1"],
+        "within_bound": None if bound is None else -gain <= bound * abs(base),
+    }
+
+
 def summarise(pairs: list[dict]) -> dict:
     """Each result metric, then each measured-seconds median, over the pairs."""
     try:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-            directions = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+            gated = {m["name"]: m for m in json.load(handle)["end_to_end"]}
     except (OSError, ValueError, KeyError):
-        directions = {}
+        gated = {}
 
     def series(read):
         return [read(pair["base"]) for pair in pairs], [read(pair["change"]) for pair in pairs]
@@ -160,8 +178,11 @@ def summarise(pairs: list[dict]) -> dict:
     summary = {}
     for name in pairs[0]["base"]["result"]["metrics"]:
         base, change = series(lambda run: run["result"]["metrics"][name]["value"])
-        summary[name] = {**compare(base, change, directions.get(name, "lower")),
-                         "gated": name in directions}
+        if name in gated:
+            s = compare(base, change, gated[name]["better"])
+            summary[name] = {**s, **verdicts(s, gated[name].get("bound")), "gated": True}
+        else:
+            summary[name] = {**compare(base, change, "lower"), "gated": False}
     for name in MEASURED:
         if all((run["report"] or {}).get(name) for pair in pairs for run in pair.values()):
             base, change = series(lambda run: run["report"][name]["median"])
@@ -216,7 +237,9 @@ def main(argv=None) -> int:
               f"{s['base']['q3']:.6g}] -> change {s['change']['median']:.6g} "
               f"[{s['change']['q1']:.6g}, {s['change']['q3']:.6g}], {s['better']} in "
               f"{s['better_in']} of {s['pairs']} (worse in {s['worse_in']}), "
-              f"sign test p = {s['sign_test_p']:.4g}")
+              f"sign test p = {s['sign_test_p']:.4g}"
+              + (f", claim rule met: {s['claim_rule_met']}, within bound: "
+                 f"{s['within_bound']}" if s["gated"] else ""))
     print(f"written to {path}")
     return 0
 
